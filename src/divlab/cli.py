@@ -308,8 +308,11 @@ def _cmd_search(args, argv, started) -> int:
     }
     if args.witness:
         report["witness_family"] = family_to_dict(result.best_family)
+    searched = mode
+    if mode == "exact" and not result.exact:
+        searched = "exact search, budget hit: lower bound"
     human = [
-        f"max gamma_C over (n={args.n}, k={args.k}), C={fx.ratio_str(args.c)} [{mode}]: "
+        f"max gamma_C over (n={args.n}, k={args.k}), C={fx.ratio_str(args.c)} [{searched}]: "
         f"{fx.ratio_str(result.best_value)} with |F|={len(result.best_family)}",
         f"bound {label}: {fx.ratio_str(bound) if bound is not None else 'n/a'} -> {verdict}",
     ]
@@ -397,10 +400,13 @@ def _cmd_sweep(args, argv, started) -> int:
         config = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FamilyFormatError(f"cannot read sweep config: {exc}") from exc
-    if not isinstance(config, dict) or "sweeps" not in config:
+    items = config.get("sweeps") if isinstance(config, dict) else None
+    if not isinstance(items, list) or not all(
+        isinstance(item, dict) and isinstance(item.get("name"), str) for item in items
+    ):
         raise FamilyFormatError('sweep config must be {"sweeps": [{"name": ...}, ...]}')
     all_rows = []
-    for item in config["sweeps"]:
+    for item in items:
         params = {key: value for key, value in item.items() if key != "name"}
         all_rows.extend(sweeps.run_sweep(item["name"], **params))
     counts = {"pass": 0, "flagged": 0, "fail": 0}

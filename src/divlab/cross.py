@@ -1,7 +1,8 @@
 """Brute-force oracles for the cross-intersecting lemmas.
 
-Families of l-sets are encoded as bitmasks over the lex-ordered candidate
-list, so pair enumeration and degree counts reduce to ands and popcounts.
+Families of l-sets are bitsets over a family.Universe (the lex-ordered
+l-sets of [n]), so pair enumeration and degree counts reduce to ands and
+popcounts.
 """
 from __future__ import annotations
 
@@ -9,54 +10,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .family import Family, iter_ksets, cross_intersecting
+from .family import Family, Universe, cross_intersecting, disjointness, iter_ksets
 from .constructions import lex_family, shift_masks
 from .formulas import binom
-
-
-@dataclass
-class _Universe:
-    n: int
-    size: int
-    masks: list[int]
-    disjoint: list[int]        # disjoint[i] = candidate-bitmask of sets disjoint from i
-    without: list[int]         # without[e] = candidate-bitmask of sets avoiding element e
-
-
-def _universe(n: int, k: int) -> _Universe:
-    masks = list(iter_ksets(n, k))
-    disjoint = [0] * len(masks)
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            if not a & b:
-                disjoint[i] |= 1 << j
-    without = [0] * (n + 1)
-    for e in range(1, n + 1):
-        bit = 1 << (e - 1)
-        for i, m in enumerate(masks):
-            if not m & bit:
-                without[e] |= 1 << i
-    return _Universe(n, len(masks), masks, disjoint, without)
-
-
-def _compat(u: _Universe, picked: int) -> int:
-    """Candidate-bitmask of sets meeting every set picked (as candidate bits)."""
-    bad = 0
-    rest = picked
-    while rest:
-        low = rest & -rest
-        bad |= u.disjoint[low.bit_length() - 1]
-        rest ^= low
-    return ~bad & ((1 << u.size) - 1)
-
-
-def _to_family(u: _Universe, picked: int, k: int) -> Family:
-    out = []
-    while picked:
-        low = picked & -picked
-        out.append(u.masks[low.bit_length() - 1])
-        picked ^= low
-    return Family(u.n, k, out)
 
 
 @dataclass
@@ -81,49 +37,41 @@ def verify_lemma_fk(m: int, ell: int, method: str = "auto") -> FkReport:
     """
     if m < 2 * ell or ell < 2:
         raise ValueError("requires m >= 2*ell and ell >= 2")
-    u = _universe(m, ell)
-    if u.size > 16:
-        raise ValueError(f"guard: C({m},{ell})={u.size} candidate sets is too many")
+    size = binom(m, ell)
+    if size > 16:
+        raise ValueError(f"guard: C({m},{ell})={size} candidate sets is too many")
     if method == "auto":
-        method = "exhaustive" if u.size <= 10 else "pruned"
+        method = "exhaustive" if size <= 10 else "pruned"
+    u = Universe(m, ell)
     threshold = 5 * binom(m - 2, ell - 2)
     cap = binom(m - 2, ell - 2)
-    full = (1 << u.size) - 1
     pairs = 0
 
     def good_j_exists(a_picked: int, b_picked: int) -> bool:
         for e in range(1, m + 1):
-            w = u.without[e]
+            w = u.avoids[e]
             if (a_picked & w).bit_count() <= cap and (b_picked & w).bit_count() <= cap:
                 return True
         return False
 
-    for a_picked in range(1, full + 1):
+    for a_picked in range(1, u.full + 1):
         if a_picked.bit_count() < threshold:
             continue
-        compat = _compat(u, a_picked)
+        compat = u.meeting(a_picked)
         if compat.bit_count() < threshold:
             continue
-        if method == "pruned":
-            pairs += 1
-            if not good_j_exists(a_picked, compat):
-                return FkReport(
-                    m, ell, threshold, cap, False, pairs, method,
-                    (_to_family(u, a_picked, ell), _to_family(u, compat, ell)),
-                )
-        else:
-            b_picked = compat
-            while True:  # all submasks of compat
-                if b_picked.bit_count() >= threshold:
-                    pairs += 1
-                    if not good_j_exists(a_picked, b_picked):
-                        return FkReport(
-                            m, ell, threshold, cap, False, pairs, method,
-                            (_to_family(u, a_picked, ell), _to_family(u, b_picked, ell)),
-                        )
-                if b_picked == 0:
-                    break
-                b_picked = (b_picked - 1) & compat
+        b_picked = compat
+        while True:  # pruned: compat alone; exhaustive: every submask of it
+            if b_picked.bit_count() >= threshold:
+                pairs += 1
+                if not good_j_exists(a_picked, b_picked):
+                    return FkReport(
+                        m, ell, threshold, cap, False, pairs, method,
+                        (u.family(a_picked), u.family(b_picked)),
+                    )
+            if method == "pruned" or b_picked == 0:
+                break
+            b_picked = (b_picked - 1) & compat
     return FkReport(m, ell, threshold, cap, True, pairs, method)
 
 
@@ -159,7 +107,7 @@ def _lex_pair_ok(n: int, a: int, b: int) -> dict[tuple[int, int], bool]:
     return table
 
 
-def _shift_route_ok(n: int, a: int, b: int, a_masks: set[int], b_masks: set[int]) -> bool:
+def _shift_route_ok(n: int, a_masks: tuple[int, ...], b_masks: tuple[int, ...]) -> bool:
     """Iterated simultaneous shifts must preserve cross-intersection throughout."""
     am, bm = set(a_masks), set(b_masks)
     changed = True
@@ -196,71 +144,35 @@ def verify_hilton(
     """
     if n < a + b:
         raise ValueError("requires n >= a + b")
-    ua, ub = _universe(n, a), _universe(n, b)
-    # cross-universe disjointness: for each a-candidate, the b-candidates missing it
-    cross_disj = [0] * ua.size
-    for i, am in enumerate(ua.masks):
-        for j, bm in enumerate(ub.masks):
-            if not am & bm:
-                cross_disj[i] |= 1 << j
+    ua, ub = Universe(n, a), Universe(n, b)
+    cross = disjointness(ua.masks, ub.masks)
     lex_ok = _lex_pair_ok(n, a, b)
-    full_b = (1 << ub.size) - 1
-    pairs = 0
-    shifts = 0
-
-    def check_pair(a_picked: int, b_picked: int, run_shift: bool) -> tuple[bool, int]:
-        nonlocal shifts
-        sa, sb = a_picked.bit_count(), b_picked.bit_count()
-        if not lex_ok[(sa, sb)]:
-            return False, 0
-        if run_shift:
-            shifts += 1
-            am = {ua.masks[i] for i in range(ua.size) if a_picked >> i & 1}
-            bm = {ub.masks[i] for i in range(ub.size) if b_picked >> i & 1}
-            if not _shift_route_ok(n, a, b, am, bm):
-                return False, 1
-        return True, 0
-
-    if exhaustive:
-        for a_picked in range(0, 1 << ua.size):
-            bad = 0
-            rest = a_picked
-            while rest:
-                low = rest & -rest
-                bad |= cross_disj[low.bit_length() - 1]
-                rest ^= low
-            compat = ~bad & full_b
-            b_picked = compat
-            while True:
-                pairs += 1
-                run_shift = a_picked != 0 and b_picked != 0 and pairs % shift_sample_stride == 0
-                ok, _ = check_pair(a_picked, b_picked, run_shift)
-                if not ok:
-                    return HiltonReport(
-                        n, a, b, True, pairs, shifts, False,
-                        (_to_family(ua, a_picked, a), _to_family(ub, b_picked, b)),
-                    )
-                if b_picked == 0:
-                    break
-                b_picked = (b_picked - 1) & compat
-        return HiltonReport(n, a, b, True, pairs, shifts, True)
-
     rng = random.Random(seed)
-    for _ in range(trials):
-        a_picked = rng.getrandbits(ua.size)
-        bad = 0
-        rest = a_picked
-        while rest:
-            low = rest & -rest
-            bad |= cross_disj[low.bit_length() - 1]
-            rest ^= low
-        compat = ~bad & full_b
-        b_picked = compat & rng.getrandbits(ub.size)
+
+    def candidate_pairs():
+        if exhaustive:
+            for a_picked in range(ua.full + 1):
+                compat = b_picked = ub.meeting(a_picked, cross)
+                while True:  # every submask of compat
+                    yield a_picked, b_picked
+                    if b_picked == 0:
+                        break
+                    b_picked = (b_picked - 1) & compat
+        else:
+            for _ in range(trials):
+                a_picked = rng.getrandbits(len(ua.masks))
+                yield a_picked, ub.meeting(a_picked, cross) & rng.getrandbits(len(ub.masks))
+
+    pairs = shifts = 0
+    for a_picked, b_picked in candidate_pairs():
         pairs += 1
-        ok, _ = check_pair(a_picked, b_picked, a_picked != 0 and b_picked != 0)
+        ok = lex_ok[(a_picked.bit_count(), b_picked.bit_count())]
+        if ok and a_picked and b_picked and (not exhaustive or pairs % shift_sample_stride == 0):
+            shifts += 1
+            ok = _shift_route_ok(n, ua.family(a_picked).members, ub.family(b_picked).members)
         if not ok:
             return HiltonReport(
-                n, a, b, False, pairs, shifts, False,
-                (_to_family(ua, a_picked, a), _to_family(ub, b_picked, b)),
+                n, a, b, exhaustive, pairs, shifts, False,
+                (ua.family(a_picked), ub.family(b_picked)),
             )
-    return HiltonReport(n, a, b, False, pairs, shifts, True)
+    return HiltonReport(n, a, b, exhaustive, pairs, shifts, True)

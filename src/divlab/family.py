@@ -42,6 +42,55 @@ def iter_ksets(n: int, k: int) -> Iterator[int]:
         yield m
 
 
+def disjointness(xs: list[int], ys: list[int]) -> list[int]:
+    """table[i] = bitset of the indices j with ys[j] disjoint from xs[i]."""
+    table = []
+    for x in xs:
+        row = 0
+        for j, y in enumerate(ys):
+            if not x & y:
+                row |= 1 << j
+        table.append(row)
+    return table
+
+
+class Universe:
+    """All k-subsets of [n], indexed in lex order.
+
+    A subfamily is a bitset of indices ("picked"), so set-system queries
+    reduce to ands and popcounts: disjoint[i] holds the sets disjoint from
+    set i, avoids[e] the sets without element e (avoids[0] is everything).
+    """
+
+    __slots__ = ("n", "k", "masks", "full", "disjoint", "avoids")
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+        self.masks = list(iter_ksets(n, k))
+        self.full = (1 << len(self.masks)) - 1
+        self.disjoint = disjointness(self.masks, self.masks)
+        self.avoids = [self.full] + disjointness([1 << e for e in range(n)], self.masks)
+
+    def meeting(self, picked: int, table: list[int] | None = None) -> int:
+        """Bitset of the sets meeting every picked one.
+
+        table[i] lists the sets of this universe disjoint from picked set i;
+        it defaults to `disjoint`, and a cross table from disjointness(...)
+        lets `picked` index another universe.
+        """
+        table = self.disjoint if table is None else table
+        bad = 0
+        while picked:
+            low = picked & -picked
+            bad |= table[low.bit_length() - 1]
+            picked ^= low
+        return self.full & ~bad
+
+    def family(self, picked: int) -> "Family":
+        """The picked sets as a Family."""
+        return Family(self.n, self.k, (self.masks[i - 1] for i in elements_of(picked)))
+
+
 class Family:
     """An immutable k-uniform family of subsets of {1, ..., n}."""
 

@@ -12,8 +12,9 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .family import Family, elements_of, iter_ksets
+from .family import Family, Universe, elements_of
 
 DEFAULT_NODE_BUDGET = 5_000_000
 EXACT_UNIVERSE_GUARD = 40
@@ -74,84 +75,72 @@ def max_size_with_degree_cap(
         empty = Family(n, k)
         return CapSearch(0, empty, True, 0, [empty] if collect_optima else None)
 
-    universe = list(iter_ksets(n, k))
-    elems = {m: elements_of(m) for m in universe}
-    root = universe[0]
+    u = Universe(n, k)
+    elems = [elements_of(m) for m in u.masks]
+    deg = [0] * (n + 1)
 
-    best_size = 0
-    best: list[int] = []
-    all_best: list[tuple[int, ...]] = [()] if collect_optima else []
+    def take(i: int, rest: int) -> int:
+        """Add set i to the degrees; the sets of `rest` that may still follow it."""
+        cands = rest & ~u.disjoint[i]
+        for e in elems[i]:
+            deg[e] += 1
+            if deg[e] == cap:
+                cands &= u.avoids[e]
+        return cands
+
+    def drop(i: int) -> None:
+        for e in elems[i]:
+            deg[e] -= 1
+
+    # greedy incumbent for pruning power: the leftmost leaf of the search
+    best = 0
+    cands = u.full
+    while cands:
+        low = cands & -cands
+        best |= low
+        cands = take(low.bit_length() - 1, cands ^ low)
+    for i in elements_of(best):
+        drop(i - 1)
+    best_size = best.bit_count()
+    all_best = [best] if collect_optima else []
     nodes = 0
     out_of_budget = False
 
-    # greedy incumbent for pruning power
-    greedy: list[int] = []
-    gdeg = [0] * (n + 1)
-    for m in universe:
-        if all(m & g for g in greedy) and all(gdeg[e] < cap for e in elems[m]):
-            greedy.append(m)
-            for e in elems[m]:
-                gdeg[e] += 1
-    if greedy:
-        best_size = len(greedy)
-        best = list(greedy)
-        if collect_optima:
-            all_best = [tuple(greedy)]
-
-    def descend(chosen: list[int], cands: list[int], deg: list[int], capacity: int) -> None:
+    def descend(picked: int, size: int, cands: int, capacity: int) -> None:
         nonlocal best_size, best, nodes, out_of_budget
         nodes += 1
         if nodes > limit:
             out_of_budget = True
             return
-        size = len(chosen)
         if size > best_size:
             best_size = size
-            best = list(chosen)
+            best = picked
             if collect_optima:
                 all_best.clear()
         if collect_optima and size == best_size:
-            all_best.append(tuple(chosen))
-        bound = size + min(len(cands), capacity // k)
+            all_best.append(picked)
+        bound = size + min(cands.bit_count(), capacity // k)
         if bound < best_size or (not collect_optima and bound == best_size):
             return
-        for idx, c in enumerate(cands):
+        while cands:  # branch in lex order
             if out_of_budget:
                 return
-            ce = elems[c]
-            deg2 = list(deg)
-            ok = True
-            for e in ce:
-                deg2[e] += 1
-                if deg2[e] > cap:
-                    ok = False
-            if not ok:
-                continue
-            nxt = [
-                d
-                for d in cands[idx + 1 :]
-                if d & c and all(deg2[e] < cap for e in elems[d])
-            ]
-            chosen.append(c)
-            descend(chosen, nxt, deg2, capacity - k)
-            chosen.pop()
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
+            descend(picked | low, size + 1, take(i, cands), capacity - k)
+            drop(i)
 
-    deg0 = [0] * (n + 1)
-    for e in elems[root]:
-        deg0[e] = 1
-    first_cands = [
-        d for d in universe[1:] if d & root and all(deg0[e] < cap for e in elems[d])
-    ]
-    descend([root], first_cands, deg0, n * cap - k)
+    # root forcing: set 0 is {1,...,k}
+    descend(1, 1, take(0, u.full ^ 1), n * cap - k)
 
-    fam = Family(n, k, best)
     optima = None
     if collect_optima:
-        uniq = {frozenset(t) for t in all_best if len(t) == best_size}
         optima = sorted(
-            (Family(n, k, fs) for fs in uniq), key=lambda f: f.members
+            (u.family(p) for p in set(all_best) if p.bit_count() == best_size),
+            key=lambda f: f.members,
         )
-    return CapSearch(best_size, fam, not out_of_budget, nodes, optima)
+    return CapSearch(best_size, u.family(best), not out_of_budget, nodes, optima)
 
 
 def unconstrained_max(n: int, k: int) -> int:
@@ -159,11 +148,51 @@ def unconstrained_max(n: int, k: int) -> int:
     return math.comb(n - 1, k - 1) if n >= 2 * k else math.comb(n, k)
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    return min(workers, tasks, os.cpu_count() or 1)
+
+
 def _cap_slot(args: tuple) -> CapSearch:
     n, k, cap, budget, override_guard = args
     return max_size_with_degree_cap(
         n, k, cap, budget=budget, override_guard=override_guard
     )
+
+
+def _cap_searches(
+    n: int,
+    k: int,
+    *,
+    budget: int | None,
+    override_guard: bool,
+    workers: int = 1,
+    collect_optima: bool = False,
+) -> Iterator[tuple[int, CapSearch]]:
+    """(cap, max-|F| search under that cap) for caps 0, 1, ... in order.
+
+    Sequentially the loop stops once a size reaches the unconstrained
+    maximum; a pool runs every cap, and the merge cannot depend on
+    scheduling.  Yielding one cap at a time keeps a single optima list alive.
+    """
+    caps = range(0, math.comb(n - 1, k - 1) + 1)
+    if workers > 1:
+        import multiprocessing as mp
+
+        with mp.Pool(_pool_size(workers, len(caps))) as pool:
+            results = pool.map(
+                _cap_slot, [(n, k, cap, budget, override_guard) for cap in caps]
+            )
+        yield from enumerate(results)
+        return
+    ceiling = unconstrained_max(n, k)
+    for cap in caps:
+        res = max_size_with_degree_cap(
+            n, k, cap, budget=budget, collect_optima=collect_optima,
+            override_guard=override_guard,
+        )
+        yield cap, res
+        if res.size >= ceiling:
+            return
 
 
 def max_c_diversity_exact(
@@ -175,41 +204,21 @@ def max_c_diversity_exact(
     workers: int = 1,
     override_guard: bool = False,
 ) -> SearchResult:
-    """Exact max of |F| - C max-degree by iterating over degree caps.
-
-    Cap searches are independent, so the pool just splits them; the merge
-    walks caps in order and cannot depend on scheduling.
-    """
+    """Exact max of |F| - C max-degree by iterating over degree caps."""
     c = Fraction(c)
-    ceiling = unconstrained_max(n, k)
-    caps = range(0, math.comb(n - 1, k - 1) + 1)
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            results = pool.map(
-                _cap_slot, [(n, k, cap, budget, override_guard) for cap in caps]
-            )
-    else:
-        results = []
-        for cap in caps:  # sequential mode can stop once sizes saturate
-            res = max_size_with_degree_cap(
-                n, k, cap, budget=budget, override_guard=override_guard
-            )
-            results.append(res)
-            if res.size >= ceiling:
-                break
-
     best_val: Fraction | None = None
     best_fam = Family(n, k)
     best_cap = 0
     exact = True
-    for cap, res in enumerate(results):
+    total_nodes = 0
+    for cap, res in _cap_searches(
+        n, k, budget=budget, override_guard=override_guard, workers=workers
+    ):
         exact = exact and res.exact
+        total_nodes += res.nodes
         value = res.family.c_diversity(c) if res.size else Fraction(0)
         if best_val is None or value > best_val:
             best_val, best_fam, best_cap = value, res.family, cap
-    total_nodes = sum(res.nodes for res in results)
     assert best_val is not None
     return SearchResult(best_fam, best_val, exact, total_nodes, degree_cap_used=best_cap)
 
@@ -231,11 +240,9 @@ def extremal_c_diversity_families(
     c = Fraction(c)
     best_val: Fraction | None = None
     winners: list[Family] = []
-    ceiling = unconstrained_max(n, k)
-    for cap in range(0, math.comb(n - 1, k - 1) + 1):
-        res = max_size_with_degree_cap(
-            n, k, cap, budget=budget, collect_optima=True, override_guard=override_guard
-        )
+    for _, res in _cap_searches(
+        n, k, budget=budget, override_guard=override_guard, collect_optima=True
+    ):
         if not res.exact:
             raise RuntimeError("budget exceeded while collecting extremal families")
         for fam in res.optima or []:
@@ -245,8 +252,6 @@ def extremal_c_diversity_families(
                 winners = [fam]
             elif value == best_val and fam not in winners:
                 winners.append(fam)
-        if res.size >= ceiling:
-            break
     assert best_val is not None
     return best_val, winners
 
@@ -367,7 +372,7 @@ def max_c_diversity_heuristic(
     if workers > 1:
         import multiprocessing as mp
 
-        with mp.Pool(workers) as pool:
+        with mp.Pool(_pool_size(workers, len(specs))) as pool:
             outcomes = pool.map(_run_restart, specs)
     else:
         outcomes = [_run_restart(s) for s in specs]
@@ -469,12 +474,16 @@ def max_c_diversity(
 ) -> SearchResult:
     """Front door: exact degree-cap decomposition or seeded local search."""
     c = Fraction(c)
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if mode == "exact":
         return max_c_diversity_exact(
             n, k, c, budget=budget, workers=workers, override_guard=override_guard
         )
     if mode == "heuristic":
         return max_c_diversity_heuristic(
-            n, k, c, budget=budget or 100_000, seed=seed, workers=workers
+            n, k, c, budget=100_000 if budget is None else budget, seed=seed, workers=workers
         )
     raise ValueError(f"unknown mode {mode!r}")

@@ -7,6 +7,7 @@ no sweep is ever expected to produce).
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -252,4 +253,8 @@ SWEEPS = {
 def run_sweep(name: str, **kwargs) -> list[Row]:
     if name not in SWEEPS:
         raise ValueError(f"unknown sweep {name!r}; choose from {sorted(SWEEPS)}")
+    known = inspect.signature(SWEEPS[name]).parameters
+    unknown = sorted(set(kwargs) - set(known))
+    if unknown:
+        raise ValueError(f"sweep {name!r} has no parameter {unknown}; choose from {list(known)}")
     return SWEEPS[name](**kwargs)

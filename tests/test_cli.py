@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from divlab import cli
 from divlab.formulas import BoundVerdict
 from divlab.io import read_family, dump_json
@@ -91,6 +93,13 @@ def test_usage_and_input_errors(tmp_path, capsys):
     )
     assert code == 1
     assert "guard" in err
+    # budgets and workers below 1 are input errors, not silent defaults
+    base = ("search", "max-cdiv", "--n", "6", "--k", "2", "--c", "5/4")
+    for extra in (("--heuristic", "--budget", "0"), ("--heuristic", "--budget", "-5"),
+                  ("--exact", "--budget", "0"), ("--exact", "--workers", "0")):
+        code, text, err = run(capsys, *base, *extra)
+        assert code == 1, extra
+        assert text == "" and err.count("\n") == 1, extra
 
 
 def test_construct_bad_kernels_and_missing_args(tmp_path, capsys):
@@ -128,6 +137,19 @@ def test_search_json_report(capsys):
     assert data["values"]["exact"] is True
     assert data["witness_family"]["k"] == 2
     assert "nodes" in data and "elapsed_ms" in data
+
+
+def test_search_truncated_exact_label(capsys):
+    args = ("search", "max-cdiv", "--n", "7", "--k", "3", "--c", "5/4",
+            "--exact", "--budget", "50")
+    code, text, _ = run(capsys, *args)
+    assert code == 0
+    assert "[exact search, budget hit: lower bound]: 7/4" in text
+    assert "[exact]" not in text
+    code, text, _ = run(capsys, *args, "--json")
+    assert json.loads(text)["values"]["exact"] is False
+    code, text, _ = run(capsys, *args[:-2])
+    assert "[exact]: 15/4" in text
 
 
 def test_search_determinism_modulo_elapsed(capsys):
@@ -182,6 +204,23 @@ def test_sweep_cli(tmp_path, capsys):
     assert header.startswith("check,n,k,params")
     code, _, _ = run(capsys, "sweep", str(tmp_path / "nope.json"))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"sweeps": [{"n_max": 10}]},
+        {"sweeps": [{"name": "prop28", "n_mx": 10}]},
+        {"sweeps": {"name": "prop28"}},
+    ],
+    ids=["missing-name", "unknown-key", "sweeps-not-a-list"],
+)
+def test_sweep_config_errors(tmp_path, capsys, config):
+    path = tmp_path / "bad_sweep.json"
+    path.write_text(json.dumps(config))
+    code, text, err = run(capsys, "sweep", str(path))
+    assert code == 1
+    assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error:")
 
 
 def test_manifest(tmp_path, capsys):

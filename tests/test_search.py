@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,8 @@ from divlab.search import (
     max_size_with_degree_cap,
     unconstrained_max,
 )
-from helpers import brute_max_size_with_cap
+from divlab.family import mask_of
+from helpers import all_intersecting_families, brute_max_size_with_cap
 
 
 def test_degree_cap_tiny():
@@ -25,10 +28,28 @@ def test_degree_cap_tiny():
 
 def test_degree_cap_against_brute_force():
     # independent oracle: scan every subset of the universe
-    for n, k in ((4, 2), (5, 2)):
+    for n, k in ((4, 2), (5, 2), (5, 3)):
         for cap in range(0, math.comb(n - 1, k - 1) + 1):
             got = max_size_with_degree_cap(n, k, cap)
             assert got.size == brute_max_size_with_cap(n, k, cap), (n, k, cap)
+
+
+def test_collect_optima_are_all_rooted_maxima():
+    # independent oracle: every intersecting family, filtered by the cap;
+    # the search forces {1..k}, so exactly the maxima containing it come back
+    for n, k in ((5, 2), (6, 2), (5, 3)):
+        families = list(all_intersecting_families(n, k))
+        root = mask_of(range(1, k + 1))
+        for cap in range(0, math.comb(n - 1, k - 1) + 1):
+            under = [f for f in families if f.max_degree()[0] <= cap]
+            top = max(len(f) for f in under)
+            want = sorted(
+                {f for f in under if len(f) == top and (root in f or top == 0)},
+                key=lambda f: f.members,
+            )
+            got = max_size_with_degree_cap(n, k, cap, collect_optima=True)
+            assert got.size == top, (n, k, cap)
+            assert got.optima == want, (n, k, cap)
 
 
 def test_degree_cap_reaches_ekr_maximum():
@@ -152,3 +173,52 @@ def test_node_budget_env(monkeypatch):
     monkeypatch.setenv("DIVLAB_BUDGET", "1234")
     assert node_budget() == 1234
     assert node_budget(99) == 99  # explicit argument wins
+
+
+def test_front_door_rejects_bad_budget_and_workers():
+    for mode in ("exact", "heuristic"):
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="budget"):
+                max_c_diversity(5, 2, Fraction(5, 4), mode, budget=bad)
+            with pytest.raises(ValueError, match="workers"):
+                max_c_diversity(5, 2, Fraction(5, 4), mode, workers=bad)
+    # a small budget is kept, not replaced by the default (each of the
+    # seven restarts still gets one move)
+    assert max_c_diversity(8, 2, Fraction(1), "heuristic", budget=1).nodes_explored == 7
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, size):
+        self.sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def test_pool_size_is_capped(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    c = Fraction(5, 4)
+    serial_exact = max_c_diversity(5, 2, c, "exact")
+    serial_heur = max_c_diversity(10, 3, c, "heuristic", budget=200, seed=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    exact = max_c_diversity(5, 2, c, "exact", workers=10**6)
+    heur = max_c_diversity(10, 3, c, "heuristic", budget=200, seed=1, workers=10**6)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    max_c_diversity(5, 2, c, "exact", workers=10**6)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    max_c_diversity(5, 2, c, "exact", workers=10**6)
+    # exact: one task per cap 0..4; heuristic: one per restart slot (8 here)
+    assert _RecordingPool.sizes == [5, 8, 3, 1]
+    assert (exact.best_value, exact.best_family) == (serial_exact.best_value, serial_exact.best_family)
+    assert (heur.best_value, heur.best_family) == (serial_heur.best_value, serial_heur.best_family)
