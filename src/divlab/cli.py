@@ -305,6 +305,7 @@ def _cmd_search(args, argv, started) -> int:
             "best_size": len(result.best_family),
         },
         "nodes": result.nodes_explored,
+        "stats": result.stats,
     }
     if args.witness:
         report["witness_family"] = family_to_dict(result.best_family)
@@ -316,6 +317,14 @@ def _cmd_search(args, argv, started) -> int:
         f"{fx.ratio_str(result.best_value)} with |F|={len(result.best_family)}",
         f"bound {label}: {fx.ratio_str(bound) if bound is not None else 'n/a'} -> {verdict}",
     ]
+    if result.stats is not None:
+        st = result.stats
+        human.append(
+            f"{result.nodes_explored} moves in {st['slots']} slots, {st['restarts']} restarts; "
+            "accepted/tried: " + ", ".join(
+                f"{kind} {st['accepted'][kind]}/{st['tried'][kind]}" for kind in st["tried"]
+            )
+        )
     _finish(
         args, argv, report, human, {},
         seed=args.seed, workers=args.workers, started=started,

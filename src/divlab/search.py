@@ -18,6 +18,7 @@ from .family import Family, Universe, elements_of
 
 DEFAULT_NODE_BUDGET = 5_000_000
 EXACT_UNIVERSE_GUARD = 40
+HEURISTIC_SEED_GUARD = 1_000_000
 
 
 def node_budget(budget: int | None = None) -> int:
@@ -35,6 +36,7 @@ class SearchResult:
     nodes_explored: int
     degree_cap_used: int | None = None
     seed: int | None = None
+    stats: dict | None = None
 
 
 @dataclass
@@ -276,33 +278,50 @@ def canonical_seeds(n: int, k: int) -> list[Family]:
 
 
 class _LocalState:
-    """Mutable family with incremental size/degree/score bookkeeping."""
+    """Mutable family with incremental size/degree/score bookkeeping.
 
-    __slots__ = ("n", "k", "p", "q", "members", "deg", "delta")
+    Members sit in a list with a position map, so a uniform pick, a
+    membership test and a (swap-)removal are O(1) and a move costs O(k)
+    beyond the compatibility scan.
+    """
+
+    __slots__ = ("n", "k", "p", "q", "members", "pos", "deg", "delta")
 
     def __init__(self, n: int, k: int, c: Fraction, members):
         self.n, self.k = n, k
         self.p, self.q = c.numerator, c.denominator
-        self.members = set(members)
+        self.members = sorted(members)
+        self.pos = {m: i for i, m in enumerate(self.members)}
         self.deg = [0] * (n + 1)
         for m in self.members:
             for e in elements_of(m):
                 self.deg[e] += 1
         self.delta = max(self.deg) if self.members else 0
 
+    def __contains__(self, mask: int) -> bool:
+        return mask in self.pos
+
+    def pick(self, rng: random.Random) -> int:
+        return self.members[rng.randrange(len(self.members))]
+
     def score(self) -> int:
         """q|F| - p*Delta; exact integer proxy for gamma_C."""
         return self.q * len(self.members) - self.p * self.delta
 
     def add(self, mask: int) -> None:
-        self.members.add(mask)
+        self.pos[mask] = len(self.members)
+        self.members.append(mask)
         for e in elements_of(mask):
             self.deg[e] += 1
             if self.deg[e] > self.delta:
                 self.delta = self.deg[e]
 
     def remove(self, mask: int) -> None:
-        self.members.remove(mask)
+        slot = self.pos.pop(mask)
+        last = self.members.pop()
+        if last != mask:
+            self.members[slot] = last
+            self.pos[last] = slot
         peak = False
         for e in elements_of(mask):
             if self.deg[e] == self.delta:
@@ -326,14 +345,16 @@ class _LocalState:
 
 
 def _random_candidate(state: _LocalState, rng: random.Random) -> int | None:
+    """A random k-set through a random element of a random member."""
     if not state.members:
         return None
-    anchor = rng.choice(tuple(state.members))
-    x = rng.choice(elements_of(anchor))
-    others = rng.sample([e for e in range(1, state.n + 1) if e != x], state.k - 1)
+    x = rng.choice(elements_of(state.pick(rng)))
     mask = 1 << (x - 1)
-    for e in others:
-        mask |= 1 << (e - 1)
+    for _ in range(state.k - 1):
+        bit = 1 << rng.randrange(state.n)
+        while mask & bit:
+            bit = 1 << rng.randrange(state.n)
+        mask |= bit
     return mask
 
 
@@ -365,9 +386,20 @@ def max_c_diversity_heuristic(
     """Seeded local search (add/remove/swap accepting strict improvement).
 
     Deterministic for a given (seed, budget); the worker count only splits
-    restarts and never changes the merged result.
+    restarts and never changes the merged result.  `stats` counts the restart
+    slots, the random restarts (after 400 rejected moves in a row) and the
+    moves tried and accepted per kind.  An (n, k) whose star seed has more
+    than HEURISTIC_SEED_GUARD sets is refused before any set is built.
     """
     c = Fraction(c)
+    if not 1 <= k <= n:
+        raise ValueError(f"uniformity k={k} out of range for n={n}")
+    star = math.comb(n - 1, k - 1)
+    if star > HEURISTIC_SEED_GUARD:
+        raise ValueError(
+            f"heuristic search refused: the star seed has C({n - 1},{k - 1})={star} "
+            f"sets, above the {HEURISTIC_SEED_GUARD}-set guard"
+        )
     specs = _restart_specs(n, k, c, budget, seed)
     if workers > 1:
         import multiprocessing as mp
@@ -379,11 +411,18 @@ def max_c_diversity_heuristic(
 
     # merge is a pure max with a structural tie-break, so scheduling order
     # can never change the result
-    best_score, best_members, _ = max(outcomes, key=lambda o: (o[0], o[1]))
+    best_score, best_members, _, _ = max(outcomes, key=lambda o: (o[0], o[1]))
     moves = sum(o[2] for o in outcomes)
+    restarts, *counts = (sum(col) for col in zip(*(o[3] for o in outcomes)))
+    stats = {
+        "slots": len(specs),
+        "restarts": restarts,
+        "tried": dict(zip(_MOVE_KINDS, counts[:3])),
+        "accepted": dict(zip(_MOVE_KINDS, counts[3:])),
+    }
     fam = Family(n, k, best_members)
     value = fam.c_diversity(c) if len(fam) else Fraction(0)
-    return SearchResult(fam, value, False, moves, seed=seed)
+    return SearchResult(fam, value, False, moves, seed=seed, stats=stats)
 
 
 def _restart_specs(n, k, c, budget, seed):
@@ -401,64 +440,84 @@ def _restart_specs(n, k, c, budget, seed):
     return specs
 
 
+_MOVE_KINDS = ("add", "remove", "swap")  # the move indices of _run_restart
+
+
+def _keep_best(best: tuple | None, state: _LocalState) -> tuple:
+    """Snapshot an abandoned state if it beats the best so far.
+
+    Every accepted move strictly raises the score, so a state is at its best
+    when it is abandoned, and snapshotting only then keeps the best score and
+    the first state to reach it.
+    """
+    score = state.score()
+    if best is None or score > best[0]:
+        return score, tuple(sorted(state.members))
+    return best
+
+
 def _run_restart(spec):
     n, k, p, q, start, moves, rng_seed = spec
     c = Fraction(p, q)
     rng = random.Random(rng_seed)
-    members = set(start) if start is not None else _greedy_random(n, k, c, rng)
-    state = _LocalState(n, k, c, members)
-    best_score = state.score()
-    best_members = frozenset(state.members)
+    state = _LocalState(n, k, c, start if start is not None else _greedy_random(n, k, c, rng))
+    best = None
+    tried = [0, 0, 0]
+    taken = [0, 0, 0]
+    restarts = 0
     since_accept = 0
     used = 0
     while used < moves:
         used += 1
-        kind = rng.random()
-        accepted = False
-        if kind < 0.5 or len(state.members) <= 1:
+        roll = rng.random()
+        if roll < 0.5 or len(state.members) <= 1:
+            move = 0
             cand = _random_candidate(state, rng)
-            if cand is not None and cand not in state.members and state.compatible(cand):
-                if state.add_score(cand) > state.score():
-                    state.add(cand)
-                    accepted = True
-        elif kind < 0.75:
-            victim = rng.choice(tuple(state.members))
+            accepted = (
+                cand is not None
+                and cand not in state
+                and state.compatible(cand)
+                and state.add_score(cand) > state.score()
+            )
+            if accepted:
+                state.add(cand)
+        elif roll < 0.75:
+            move = 1
+            victim = state.pick(rng)
             old = state.score()
             state.remove(victim)
-            if state.score() > old:
-                accepted = True
-            else:
+            accepted = state.score() > old
+            if not accepted:
                 state.add(victim)
         else:
-            victim = rng.choice(tuple(state.members))
+            move = 2
+            victim = state.pick(rng)
             old = state.score()
             state.remove(victim)
             cand = _random_candidate(state, rng)
-            if (
+            accepted = (
                 cand is not None
-                and cand not in state.members
+                and cand not in state
                 and state.compatible(cand)
                 and state.add_score(cand) > old
-            ):
+            )
+            if accepted:
                 state.add(cand)
-                accepted = True
             else:
                 state.add(victim)
+        tried[move] += 1
         if accepted:
+            taken[move] += 1
             since_accept = 0
-            if state.score() > best_score:
-                best_score = state.score()
-                best_members = frozenset(state.members)
         else:
             since_accept += 1
             if since_accept > 400:
-                restart = _greedy_random(n, k, c, rng)
-                state = _LocalState(n, k, c, restart)
+                best = _keep_best(best, state)
+                state = _LocalState(n, k, c, _greedy_random(n, k, c, rng))
+                restarts += 1
                 since_accept = 0
-                if state.score() > best_score:
-                    best_score = state.score()
-                    best_members = frozenset(state.members)
-    return best_score, tuple(sorted(best_members)), used
+    best_score, best_members = _keep_best(best, state)
+    return best_score, best_members, used, (restarts, *tried, *taken)
 
 
 def max_c_diversity(

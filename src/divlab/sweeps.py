@@ -250,6 +250,19 @@ SWEEPS = {
 }
 
 
+def _fits(value, default) -> bool:
+    """Whether a config value has the type of a parameter's default.
+
+    A bool is not an int here, and a tuple default takes a list (JSON has
+    no tuples) whose items fit the default's first item.
+    """
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    if isinstance(value, bool) and not isinstance(default, bool):
+        return False
+    return isinstance(value, type(default))
+
+
 def run_sweep(name: str, **kwargs) -> list[Row]:
     if name not in SWEEPS:
         raise ValueError(f"unknown sweep {name!r}; choose from {sorted(SWEEPS)}")
@@ -257,4 +270,11 @@ def run_sweep(name: str, **kwargs) -> list[Row]:
     unknown = sorted(set(kwargs) - set(known))
     if unknown:
         raise ValueError(f"sweep {name!r} has no parameter {unknown}; choose from {list(known)}")
+    for key, value in kwargs.items():
+        default = known[key].default
+        if not _fits(value, default):
+            raise ValueError(
+                f"sweep {name!r} parameter {key!r} must have the type of its "
+                f"default {default!r}, got {value!r}"
+            )
     return SWEEPS[name](**kwargs)

@@ -93,6 +93,12 @@ def test_usage_and_input_errors(tmp_path, capsys):
     )
     assert code == 1
     assert "guard" in err
+    # so does heuristic mode, before it builds the C(n-1,k-1)-set star seed
+    code, text, err = run(
+        capsys, "search", "max-cdiv", "--n", "10000", "--k", "4", "--c", "5/4", "--heuristic"
+    )
+    assert code == 1
+    assert text == "" and err.count("\n") == 1 and "guard" in err
     # budgets and workers below 1 are input errors, not silent defaults
     base = ("search", "max-cdiv", "--n", "6", "--k", "2", "--c", "5/4")
     for extra in (("--heuristic", "--budget", "0"), ("--heuristic", "--budget", "-5"),
@@ -159,6 +165,8 @@ def test_search_determinism_modulo_elapsed(capsys):
     code2, text2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert stripped(text1) == stripped(text2)
+    stats = stripped(text1)["stats"]
+    assert sum(stats["tried"].values()) == stripped(text1)["nodes"] == 2000
 
 
 def test_stability_cli(tmp_path, capsys):
@@ -207,20 +215,25 @@ def test_sweep_cli(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, named",
     [
-        {"sweeps": [{"n_max": 10}]},
-        {"sweeps": [{"name": "prop28", "n_mx": 10}]},
-        {"sweeps": {"name": "prop28"}},
+        ({"sweeps": [{"n_max": 10}]}, "sweeps"),
+        ({"sweeps": [{"name": "prop28", "n_mx": 10}]}, "n_mx"),
+        ({"sweeps": {"name": "prop28"}}, "sweeps"),
+        ({"sweeps": [{"name": "chain12", "n_max": "x"}]}, "n_max"),
+        ({"sweeps": [{"name": "chain12", "n_max": True}]}, "n_max"),
+        ({"sweeps": [{"name": "stability-rhs", "d_values": [36, "40"]}]}, "d_values"),
     ],
-    ids=["missing-name", "unknown-key", "sweeps-not-a-list"],
+    ids=["missing-name", "unknown-key", "sweeps-not-a-list", "bad-type", "bool-for-int",
+         "bad-item-type"],
 )
-def test_sweep_config_errors(tmp_path, capsys, config):
+def test_sweep_config_errors(tmp_path, capsys, config, named):
     path = tmp_path / "bad_sweep.json"
     path.write_text(json.dumps(config))
     code, text, err = run(capsys, "sweep", str(path))
     assert code == 1
     assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error:")
+    assert named in err
 
 
 def test_manifest(tmp_path, capsys):

@@ -1,20 +1,23 @@
 import math
 import multiprocessing
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
+from divlab import search
 from divlab.canonical import canonical_form
 from divlab.constructions import family_triangle, fano_families
+from divlab.family import Family, iter_ksets, mask_of
 from divlab.search import (
+    HEURISTIC_SEED_GUARD,
     canonical_seeds,
     extremal_c_diversity_families,
     max_c_diversity,
     max_size_with_degree_cap,
     unconstrained_max,
 )
-from divlab.family import mask_of
 from helpers import all_intersecting_families, brute_max_size_with_cap
 
 
@@ -146,6 +149,11 @@ def test_heuristic_reproducible_and_worker_independent():
     pooled = max_c_diversity(16, 3, c, "heuristic", budget=3000, seed=11, workers=2)
     assert pooled.best_value == one.best_value
     assert pooled.best_family == one.best_family
+    # the move counts are part of the deterministic result, too
+    assert one.stats == two.stats == pooled.stats
+    assert sum(one.stats["tried"].values()) == one.nodes_explored == 3000
+    assert all(one.stats["accepted"][kind] <= one.stats["tried"][kind] for kind in one.stats["tried"])
+    assert one.stats["slots"] == 8
 
 
 def test_unknown_mode():
@@ -222,3 +230,94 @@ def test_pool_size_is_capped(monkeypatch):
     assert _RecordingPool.sizes == [5, 8, 3, 1]
     assert (exact.best_value, exact.best_family) == (serial_exact.best_value, serial_exact.best_family)
     assert (heur.best_value, heur.best_family) == (serial_heur.best_value, serial_heur.best_family)
+
+
+def _recount(state: search._LocalState) -> Family:
+    """Check the state's bookkeeping against a fresh Family; return that Family."""
+    fam = Family(state.n, state.k, state.members)
+    assert len(fam) == len(state.members)  # no duplicates
+    assert sorted(state.pos) == sorted(state.members)
+    assert all(state.members[i] == m for m, i in state.pos.items())
+    assert state.deg[1:] == list(fam.degrees)
+    delta = fam.max_degree()[0] if len(fam) else 0
+    assert state.delta == delta
+    assert state.score() == state.q * len(fam) - state.p * delta
+    return fam
+
+
+def test_local_state_matches_recount():
+    # seeded random add/remove sequences, down to the empty family and back
+    for n, k, c, seed in ((7, 3, Fraction(5, 4), 1), (9, 2, Fraction(1), 2), (6, 3, Fraction(3, 2), 3)):
+        rng = random.Random(seed)
+        universe = list(iter_ksets(n, k))
+        start = rng.sample(universe, 5)
+        state = search._LocalState(n, k, c, start)
+        _recount(state)
+        for _ in range(400):
+            if state.members and (rng.random() < 0.5 or len(state.members) == len(universe)):
+                # the last slot, the only member, or a random one
+                victim = state.members[-1] if rng.random() < 0.3 else state.pick(rng)
+                state.remove(victim)
+                assert victim not in state
+            else:
+                cand = rng.choice([m for m in universe if m not in state])
+                assert state.add_score(cand) == _score_with(state, cand)
+                state.add(cand)
+                assert cand in state
+            _recount(state)
+        while state.members:
+            state.remove(state.members[0])
+            _recount(state)
+        assert state.delta == 0 and state.score() == 0
+
+
+def _score_with(state: search._LocalState, cand: int) -> int:
+    fam = Family(state.n, state.k, [*state.members, cand])
+    return state.q * len(fam) - state.p * fam.max_degree()[0]
+
+
+def test_restart_outcomes_are_sound():
+    # each slot on its own, the shrinking star slot included: the score is
+    # q|F| - p*Delta of the returned members, which form an intersecting family
+    for n, k, c in ((16, 3, Fraction(5, 4)), (20, 3, Fraction(1))):
+        for seed in (0, 1, 5):
+            specs = search._restart_specs(n, k, c, 2000, seed)
+            assert specs[0][4] == tuple(canonical_seeds(n, k)[0].members)  # the star
+            for spec in specs:
+                score, members, used, (restarts, *counts) = search._run_restart(spec)
+                tried, taken = counts[:3], counts[3:]
+                fam = Family(n, k, members)
+                assert len(fam) == len(members) and fam.is_intersecting()
+                assert score == c.denominator * len(fam) - c.numerator * fam.max_degree()[0]
+                assert used == spec[5] == sum(tried)
+                assert all(a <= t for a, t in zip(taken, tried)) and restarts >= 0
+                if spec[4] is not None:  # never worse than its seed
+                    start = Family(n, k, spec[4])
+                    assert score >= c.denominator * len(start) - c.numerator * start.max_degree()[0]
+
+
+def test_random_candidate_meets_anchor():
+    for n, k in ((9, 3), (5, 5), (6, 1), (30, 4)):
+        rng = random.Random(n * k)
+        anchor = mask_of(range(1, k + 1))
+        state = search._LocalState(n, k, Fraction(1), [anchor])
+        for _ in range(200):
+            cand = search._random_candidate(state, rng)
+            assert cand.bit_count() == k and cand & anchor
+            assert cand < 1 << n
+    empty = search._LocalState(6, 2, Fraction(1), [])
+    assert search._random_candidate(empty, random.Random(0)) is None
+
+
+def test_heuristic_refuses_oversized_star(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a seed family was built")
+
+    monkeypatch.setattr(search, "canonical_seeds", fail)
+    assert math.comb(9999, 3) > HEURISTIC_SEED_GUARD
+    for n, k in ((10000, 4), (10**9, 2)):
+        with pytest.raises(ValueError, match="guard"):
+            max_c_diversity(n, k, Fraction(5, 4), "heuristic", budget=10)
+    for n, k in ((6, 0), (5, 6)):
+        with pytest.raises(ValueError, match="out of range"):
+            max_c_diversity(n, k, Fraction(5, 4), "heuristic", budget=10)
