@@ -360,6 +360,8 @@ def _cmd_stability(args, argv, started) -> int:
         f"missing={rep.missing} (bound {fx.ratio_str(rep.bound_missing)})",
         f"alpha={fx.ratio_str(rep.alpha)}, hypotheses_hold={rep.hypotheses_hold}, "
         f"scan_exhaustive={rep.scan_exhaustive}",
+        f"scanned {rep.triples_scanned} triples; lemma 4.1: "
+        f"empty ok={rep.lemma41_empty_ok}, singles ok={rep.lemma41_singles_ok}",
     ]
     _finish(args, argv, report, human, {"family": args.family}, started=started)
     return VIOLATION if genuine else OK

@@ -7,12 +7,13 @@ chart where hypotheses fail.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .family import Family
+from .family import Family, elements_of, trace_counter
 
 _RATIO_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -276,25 +277,23 @@ def sandwich_triple(fam: Family) -> tuple[int, int, int] | None:
     """A triple T with F_uvw <= F <= F*_uvw, if one exists.
 
     A valid T shares >= 2 elements with the first member, so candidates are
-    pairs inside it extended by an arbitrary third element.
+    pairs inside it extended by an arbitrary third element.  T is valid iff
+    no member meets it in fewer than two elements (F <= F*_uvw) and all
+    3 C(n-3,k-2) sets meeting it in exactly two are members (F_uvw <= F).
     """
-    import itertools as _it
-
-    from .constructions import family_uvw
-    from .family import elements_of
-
     if not fam.members:
         return None
+    cells = trace_counter(fam)
+    full = 3 * binom(fam.n - 3, fam.k - 2)
     first = elements_of(fam.members[0])
-    for pair in _it.combinations(first, 2):
+    for pair in itertools.combinations(first, 2):
         for w in range(1, fam.n + 1):
             if w in pair:
                 continue
             t = tuple(sorted((*pair, w)))
-            tm = (1 << (t[0] - 1)) | (1 << (t[1] - 1)) | (1 << (t[2] - 1))
-            if all((m & tm).bit_count() >= 2 for m in fam.members):
-                if all(m in fam for m in family_uvw(fam.n, fam.k, t).members):
-                    return t
+            h, g_u, g_v, g_w, m_uv, m_uw, m_vw, _ = cells(t)
+            if h + g_u + g_v + g_w == 0 and m_uv + m_uw + m_vw == full:
+                return t
     return None
 
 

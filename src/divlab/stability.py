@@ -1,17 +1,17 @@
-"""Triangle decompositions and the stability-triple finder.
+"""Triangle decompositions, the stability-triple finder and the key-2 lemma.
 
-The per-triple counts come from element, pair and triple co-degree tables,
-so scanning all C(n,3) triples costs O(1) per triple after one pass over
-the members.
+Every trace size |F(P,T)| here comes from family.trace_counter, which reads
+it off element, pair and triple co-degree tables: scanning all C(n,3)
+triples costs O(1) per triple after one pass over the members.
+Family.trace is the slow reference those counts are tested against.
 """
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .family import Family, elements_of
+from .family import Family, trace_counter
 from .formulas import binom, stability_rhs
 
 EXHAUSTIVE_TRIPLE_LIMIT = 300
@@ -79,22 +79,9 @@ def triangle_decomposition(fam: Family, triple: tuple[int, int, int]) -> Triangl
         raise ValueError(f"triple {triple} exceeds the ground set [1,{fam.n}]")
     t = (u, v, w)
     base = binom(fam.n - 3, fam.k - 2)
-    counts = {
-        frozenset(p): len(fam.trace(p, t))
-        for p in ((), (u,), (v,), (w,), (u, v), (u, w), (v, w), (u, v, w))
-    }
+    h, g_u, g_v, g_w, m_uv, m_uw, m_vw, m = trace_counter(fam)(t)
     return TriangleDecomposition(
-        fam.n,
-        fam.k,
-        t,
-        base - counts[frozenset((u, v))],
-        base - counts[frozenset((u, w))],
-        base - counts[frozenset((v, w))],
-        counts[frozenset((u,))],
-        counts[frozenset((v,))],
-        counts[frozenset((w,))],
-        counts[frozenset(())],
-        counts[frozenset((u, v, w))],
+        fam.n, fam.k, t, base - m_uv, base - m_uw, base - m_vw, g_u, g_v, g_w, h, m
     )
 
 
@@ -116,47 +103,25 @@ class StabilityReport:
     triples_scanned: int
 
 
-def _codegree_tables(fam: Family):
-    deg1: Counter = Counter()
-    deg2: Counter = Counter()
-    deg3: Counter = Counter()
-    for m in fam.members:
-        es = elements_of(m)
-        deg1.update(es)
-        deg2.update(itertools.combinations(es, 2))
-        deg3.update(itertools.combinations(es, 3))
-    return deg1, deg2, deg3
-
-
-def _triple_counts(fam, deg1, deg2, deg3, t):
-    u, v, w = t
-    c3 = deg3.get(t, 0)
-    s2 = deg2.get((u, v), 0) + deg2.get((u, w), 0) + deg2.get((v, w), 0)
-    s1 = deg1.get(u, 0) + deg1.get(v, 0) + deg1.get(w, 0)
-    exactly2 = s2 - 3 * c3
-    exactly1 = s1 - 2 * s2 + 3 * c3
-    exactly0 = len(fam) - exactly1 - exactly2 - c3
-    outside = exactly0 + exactly1
-    missing = 3 * binom(fam.n - 3, fam.k - 2) - exactly2
-    return outside, missing
-
-
 def find_stability_triple(fam: Family, d: int = 36) -> StabilityReport:
     """Scan triples for the one minimizing (|F \\ F*_T|, |F_T \\ F|) and fill
     in the stability bounds for the given d.
 
     The scan is exhaustive for n <= 300; beyond that it shortlists the 30
     elements of largest degree (the construction in the proofs only ever
-    uses maximum-degree elements) and says so in the report.
+    uses maximum-degree elements) and says so in the report.  The theorem
+    assumes F intersecting, so its hypotheses fail on any other family.
     """
     if not len(fam):
         raise ValueError("stability analysis needs a nonempty family")
     n, k = fam.n, fam.k
+    if n < 3:
+        raise ValueError(f"stability analysis needs n >= 3, got n={n}")
     base = binom(n - 3, k - 2)
     gamma = fam.diversity()
     alpha = 1 - Fraction(gamma, base) if base else Fraction(1)
 
-    deg1, deg2, deg3 = _codegree_tables(fam)
+    cells = trace_counter(fam)
     exhaustive = n <= EXHAUSTIVE_TRIPLE_LIMIT
     if exhaustive:
         pool = range(1, n + 1)
@@ -164,26 +129,23 @@ def find_stability_triple(fam: Family, d: int = 36) -> StabilityReport:
         ranked = sorted(range(1, n + 1), key=lambda x: (-fam.degrees[x - 1], x))
         pool = sorted(ranked[:SHORTLIST_SIZE])
 
-    best = None
+    full = 3 * base
     best_key = None
-    scanned = 0
     for t in itertools.combinations(pool, 3):
-        scanned += 1
-        outside, missing = _triple_counts(fam, deg1, deg2, deg3, t)
-        key = (outside, missing, t)
+        h, g_u, g_v, g_w, m_uv, m_uw, m_vw, _ = cells(t)
+        key = (h + g_u + g_v + g_w, full - m_uv - m_uw - m_vw, t)
         if best_key is None or key < best_key:
             best_key = key
-            best = t
-    assert best is not None
-    outside, missing, _ = best_key
+    outside, missing, best = best_key
 
     hyp = (
         d >= 36
         and 0 <= alpha < 1
         and Fraction(n) >= Fraction(d * k) / (1 - alpha)
+        and fam.is_intersecting()
     )
     bound_out, bound_miss = stability_rhs(alpha, n, k, d)
-    dec = triangle_decomposition(fam, best)
+    h, g_u, g_v, g_w = cells(best)[:4]
     return StabilityReport(
         alpha=alpha,
         d=d,
@@ -196,9 +158,9 @@ def find_stability_triple(fam: Family, d: int = 36) -> StabilityReport:
         pass_15=Fraction(missing) <= bound_miss,
         hypotheses_hold=hyp,
         scan_exhaustive=exhaustive,
-        lemma41_empty_ok=dec.h <= binom(n - 7, k - 4),
-        lemma41_singles_ok=max(dec.g_u, dec.g_v, dec.g_w) <= binom(n - 4, k - 3),
-        triples_scanned=scanned,
+        lemma41_empty_ok=h <= binom(n - 7, k - 4),
+        lemma41_singles_ok=max(g_u, g_v, g_w) <= binom(n - 4, k - 3),
+        triples_scanned=binom(len(pool), 3),
     )
 
 
@@ -226,7 +188,10 @@ def verify_lemma_key2(fam: Family, u: int, v: int) -> Key2Report:
     if fam.degree(u) != delta:
         raise ValueError(f"element {u} does not attain the maximum degree")
     n, k = fam.n, fam.k
-    link = len(fam.trace((v,), (u, v)))
+    if v == u or not 1 <= v <= n:
+        raise ValueError(f"v={v} must be an element of [1,{n}] other than u={u}")
+    cells = trace_counter(fam)
+    link = fam.degree(v) - cells((0, *sorted((u, v))))[6]  # |F(v)| - codeg(u,v)
     threshold = 5 * binom(n - 4, k - 3)
     if link < threshold:
         return Key2Report(u, v, False, link, threshold, None, None, None, False)
@@ -235,9 +200,8 @@ def verify_lemma_key2(fam: Family, u: int, v: int) -> Key2Report:
     for w in range(1, n + 1):
         if w in (u, v):
             continue
-        t = tuple(sorted((u, v, w)))
-        h = len(fam.trace((), t))
-        singles = tuple(len(fam.trace((x,), t)) for x in t)
+        cell = cells(tuple(sorted((u, v, w))))
+        h, singles = cell[0], cell[1:4]
         if h <= cap_empty and all(s <= cap_single for s in singles):
             return Key2Report(u, v, True, link, threshold, w, h, singles, True)
     return Key2Report(u, v, True, link, threshold, None, None, None, False)

@@ -4,7 +4,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from divlab.family import Family, iter_ksets, mask_of
+from divlab.constructions import family_triangle, family_uvw
+from divlab.family import Family, elements_of, iter_ksets, mask_of
 
 
 def random_family(rng: random.Random, n: int, k: int, density: float = 0.3) -> Family:
@@ -123,3 +124,30 @@ def all_intersecting_families(n: int, k: int):
 
     for members in extend(0, []):
         yield Family(n, k, members)
+
+
+def brute_sandwich_triple(fam: Family) -> tuple[int, int, int] | None:
+    """A triple T with F_uvw <= F <= F*_uvw, by scanning every member and
+    building F_uvw for each candidate T (pairs of the first member plus a
+    third element, in the same order as formulas.sandwich_triple)."""
+    if not fam.members:
+        return None
+    first = elements_of(fam.members[0])
+    for pair in itertools.combinations(first, 2):
+        for w in range(1, fam.n + 1):
+            if w in pair:
+                continue
+            t = tuple(sorted((*pair, w)))
+            tm = mask_of(t)
+            if all((m & tm).bit_count() >= 2 for m in fam.members):
+                if all(m in fam for m in family_uvw(fam.n, fam.k, t).members):
+                    return t
+    return None
+
+
+def triangle_with_disjoint_pair(n: int) -> Family:
+    """The (n,3) triangle family with {2,3,10} and {2,3,11} swapped for the
+    disjoint sets {4,5,6} and {7,8,9}: same size, not intersecting."""
+    drop = {mask_of((2, 3, 10)), mask_of((2, 3, 11))}
+    kept = [m for m in family_triangle(n, 3).members if m not in drop]
+    return Family(n, 3, kept + [mask_of((4, 5, 6)), mask_of((7, 8, 9))])

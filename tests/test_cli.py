@@ -4,7 +4,9 @@ import pytest
 
 from divlab import cli
 from divlab.formulas import BoundVerdict
-from divlab.io import read_family, dump_json
+from divlab.family import Family
+from divlab.io import read_family, dump_json, write_family
+from helpers import triangle_with_disjoint_pair
 
 
 def run(capsys, *argv):
@@ -106,6 +108,12 @@ def test_usage_and_input_errors(tmp_path, capsys):
         code, text, err = run(capsys, *base, *extra)
         assert code == 1, extra
         assert text == "" and err.count("\n") == 1, extra
+    # stability needs a triple of the ground set
+    tiny = tmp_path / "tiny.json"
+    write_family(Family.from_sets(2, 2, [(1, 2)]), tiny)
+    code, text, err = run(capsys, "stability", str(tiny))
+    assert code == 1
+    assert text == "" and err.count("\n") == 1 and "n >= 3" in err
 
 
 def test_construct_bad_kernels_and_missing_args(tmp_path, capsys):
@@ -178,6 +186,20 @@ def test_stability_cli(tmp_path, capsys):
     assert data["values"]["triple"] == [1, 2, 3]
     assert data["values"]["alpha"] == "0"
     assert data["values"]["scan_exhaustive"] is True
+
+
+def test_stability_cli_non_intersecting(tmp_path, capsys):
+    out = tmp_path / "swapped.json"
+    write_family(triangle_with_disjoint_pair(110), out)
+    code, text, _ = run(capsys, "stability", str(out), "--json")
+    assert code == 0
+    data = json.loads(text)
+    assert data["verdict"] == "pass"
+    assert data["values"]["hypotheses_hold"] is False
+    assert data["values"]["outside"] == 2
+    code, text, _ = run(capsys, "stability", str(out))
+    assert code == 0
+    assert "scanned 215820 triples; lemma 4.1: empty ok=False, singles ok=True" in text
 
 
 def test_lemma_cli(capsys):

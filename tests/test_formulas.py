@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from divlab.constructions import (
+    example_t,
     family_fi,
     family_triangle,
     family_uvw,
     fano_families,
     full_star,
+    sample_kernels,
 )
 from divlab.family import Family, mask_of
 from divlab.formulas import (
@@ -25,6 +28,7 @@ from divlab.formulas import (
     sandwich_triple,
     stability_rhs,
 )
+from helpers import brute_sandwich_triple, random_intersecting
 
 
 def test_binom_conventions():
@@ -199,6 +203,14 @@ def test_sandwich_triple():
     # removing a triangle member breaks the lower containment
     broken = Family(9, 4, tri.members[1:])
     assert sandwich_triple(broken) is None
+    # the co-degree test against the member-scanning oracle
+    fams = [tri, grown, full_star(9, 4, 1), broken, example_t(16, 3, sample_kernels(2))]
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        fams.append(random_intersecting(rng, n, rng.randint(1, min(4, n))))
+    for fam in fams:
+        assert sandwich_triple(fam) == brute_sandwich_triple(fam), fam
 
 
 def test_prop28_full_sweep():

@@ -18,7 +18,7 @@ from divlab.stability import (
     triangle_decomposition,
     verify_lemma_key2,
 )
-from helpers import random_family
+from helpers import random_family, triangle_with_disjoint_pair
 
 
 def test_sample_kernels_shape():
@@ -129,6 +129,20 @@ def test_stability_equal_kernels_pick_blended_triple():
 def test_stability_requires_nonempty():
     with pytest.raises(ValueError):
         find_stability_triple(Family(8, 3), 36)
+    with pytest.raises(ValueError, match="n >= 3"):
+        find_stability_triple(Family.from_sets(2, 2, [(1, 2)]), 36)
+
+
+def test_stability_hypotheses_need_intersecting():
+    # n = 110 >= 36k and alpha = 0, so only non-intersection voids the theorem
+    fam = triangle_with_disjoint_pair(110)
+    assert len(fam) == 321 and not fam.is_intersecting()
+    rep = find_stability_triple(fam, 36)
+    assert rep.triple == (1, 2, 3)
+    assert rep.alpha == 0
+    assert (rep.outside, rep.missing) == (2, 2)
+    assert not rep.pass_14
+    assert not rep.hypotheses_hold
 
 
 def test_stability_shortlist_above_exhaustive_limit():
@@ -172,3 +186,6 @@ def test_lemma_key2_fano_probe():
     assert rep.hypotheses_hold == (rep.link_size >= rep.link_threshold)
     with pytest.raises(ValueError):
         verify_lemma_key2(fl, v, u)  # v is not a max-degree element
+    for bad_v in (u, 41):  # v = u, and v outside [1, 40]
+        with pytest.raises(ValueError, match=f"v={bad_v} "):
+            verify_lemma_key2(fl, u, bad_v)
