@@ -1,13 +1,14 @@
 """Triangle decompositions, the stability-triple finder and the key-2 lemma.
 
-Every trace size |F(P,T)| here comes from family.trace_counter, which reads
-it off element, pair and triple co-degree tables: scanning all C(n,3)
-triples costs O(1) per triple after one pass over the members.
-Family.trace is the slow reference those counts are tested against.
+Scans over many triples read each |F(P,T)| from family.trace_counter in
+O(1) after one pass over the members; triangle_decomposition, for a single
+triple, counts in one pass without the co-degree tables.  Family.trace is
+the slow reference both are tested against.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,11 +78,13 @@ def triangle_decomposition(fam: Family, triple: tuple[int, int, int]) -> Triangl
     u, v, w = sorted(triple)
     if not (1 <= u and w <= fam.n):
         raise ValueError(f"triple {triple} exceeds the ground set [1,{fam.n}]")
-    t = (u, v, w)
+    bu, bv, bw = 1 << (u - 1), 1 << (v - 1), 1 << (w - 1)
+    cell = Counter(m & (bu | bv | bw) for m in fam.members)  # keyed by F(P,T)'s P
     base = binom(fam.n - 3, fam.k - 2)
-    h, g_u, g_v, g_w, m_uv, m_uw, m_vw, m = trace_counter(fam)(t)
     return TriangleDecomposition(
-        fam.n, fam.k, t, base - m_uv, base - m_uw, base - m_vw, g_u, g_v, g_w, h, m
+        fam.n, fam.k, (u, v, w),
+        base - cell[bu | bv], base - cell[bu | bw], base - cell[bv | bw],
+        cell[bu], cell[bv], cell[bw], cell[0], cell[bu | bv | bw],
     )
 
 
@@ -142,10 +145,11 @@ def find_stability_triple(fam: Family, d: int = 36) -> StabilityReport:
         d >= 36
         and 0 <= alpha < 1
         and Fraction(n) >= Fraction(d * k) / (1 - alpha)
-        and fam.is_intersecting()
+        # outside == 0 puts >= 2 elements of T in every member, so any two meet
+        and (outside == 0 or fam.is_intersecting())
     )
     bound_out, bound_miss = stability_rhs(alpha, n, k, d)
-    h, g_u, g_v, g_w = cells(best)[:4]
+    dec = triangle_decomposition(fam, best)
     return StabilityReport(
         alpha=alpha,
         d=d,
@@ -158,8 +162,8 @@ def find_stability_triple(fam: Family, d: int = 36) -> StabilityReport:
         pass_15=Fraction(missing) <= bound_miss,
         hypotheses_hold=hyp,
         scan_exhaustive=exhaustive,
-        lemma41_empty_ok=h <= binom(n - 7, k - 4),
-        lemma41_singles_ok=max(g_u, g_v, g_w) <= binom(n - 4, k - 3),
+        lemma41_empty_ok=dec.h <= binom(n - 7, k - 4),
+        lemma41_singles_ok=max(dec.g_u, dec.g_v, dec.g_w) <= binom(n - 4, k - 3),
         triples_scanned=binom(len(pool), 3),
     )
 

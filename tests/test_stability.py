@@ -145,6 +145,20 @@ def test_stability_hypotheses_need_intersecting():
     assert not rep.hypotheses_hold
 
 
+def test_stability_triangle_k4_hypotheses_skip_pair_scan(monkeypatch):
+    # outside == 0 already certifies an intersecting family, so the
+    # O(|F|^2) pair check must not run on an exact triangle (n = 36k)
+    fam = family_triangle(144, 4)
+
+    def unexpected(self):
+        raise AssertionError("is_intersecting called although outside == 0")
+
+    monkeypatch.setattr(Family, "is_intersecting", unexpected)
+    rep = find_stability_triple(fam, 36)
+    assert (rep.triple, rep.outside, rep.missing, rep.alpha) == ((1, 2, 3), 0, 0, 0)
+    assert rep.hypotheses_hold and rep.pass_14 and rep.pass_15
+
+
 def test_stability_shortlist_above_exhaustive_limit():
     # beyond n = 300 the scan shortlists the highest-degree elements and
     # says so; on a pure triangle those are exactly {1,2,3}

@@ -1,9 +1,12 @@
-"""family.trace_counter against Family.trace, the reference it replaces."""
+"""family.trace_counter and triangle_decomposition against Family.trace, the
+reference both replace."""
 import itertools
 
 import pytest
 
 from divlab.family import Family, iter_ksets, trace_counter
+from divlab.formulas import binom
+from divlab.stability import TriangleDecomposition, triangle_decomposition
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -23,6 +26,10 @@ def test_cells_match_trace(data):
     for t in itertools.combinations(range(1, n + 1), 3):
         want = tuple(len(fam.trace([t[i] for i in p], t)) for p in _PARTS)
         assert cells(t) == want, t
+        h, g_u, g_v, g_w, m_uv, m_uw, m_vw, m = want
+        base = binom(n - 3, k - 2)
+        assert triangle_decomposition(fam, t) == TriangleDecomposition(
+            n, k, t, base - m_uv, base - m_uw, base - m_vw, g_u, g_v, g_w, h, m), t
     for pair in itertools.combinations(range(1, n + 1), 2):
         empty, only_u, only_v, both = (
             len(fam.trace(p, pair)) for p in ((), pair[:1], pair[1:], pair)
