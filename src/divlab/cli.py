@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from . import sweeps
 from .cross import verify_hilton, verify_lemma_fk
 from .io import (
     FamilyFormatError,
-    build_manifest,
     dump_json,
     family_to_dict,
     read_family,
@@ -62,10 +62,7 @@ def build_parser() -> _Parser:
     c.add_argument(
         "--family",
         required=True,
-        choices=[
-            "star", "fi", "triangle", "uvw", "uvw-star", "lex",
-            "fano-l", "fano-lplus", "example-t",
-        ],
+        choices=list(_BUILDERS),
     )
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--k", type=int, required=True)
@@ -137,75 +134,61 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", metavar="FILE", help="write a reproducibility manifest")
 
 
-def _emit(args, report: dict, human: list[str]) -> None:
-    if args.json:
-        sys.stdout.write(dump_json(report))
-    else:
-        for line in human:
-            print(line)
+@dataclass
+class Report:
+    """What a subcommand found: its verdict, its rendered values, the human
+    lines made from those values, and any further top-level JSON keys
+    (``nodes``, ``stats``, ``witness_family``) in output order."""
+
+    verdict: str
+    values: dict
+    human: list[str]
+    extra: dict = field(default_factory=dict)
 
 
-def _finish(args, argv, report, human, inputs, *, seed=None, workers=None, started) -> None:
-    elapsed = int((time.monotonic() - started) * 1000)
-    report["elapsed_ms"] = elapsed
-    _emit(args, report, human)
-    if args.manifest:
-        digests = {name: sha256_file(path) for name, path in inputs.items()}
-        summary = {k: v for k, v in report.items() if k not in ("witness_family", "elapsed_ms")}
-        manifest = build_manifest(
-            argv=argv, version=__version__, inputs=digests, seed=seed,
-            workers=workers, elapsed_ms=elapsed, summary=summary,
-        )
-        Path(args.manifest).write_text(dump_json(manifest))
+def _kernels(text: str) -> cons.KernelTriple:
+    parts = json.loads(text)
+    if not (isinstance(parts, list) and len(parts) == 3 and all(
+        isinstance(part, list)
+        and all(isinstance(e, int) and not isinstance(e, bool) for e in part)
+        for part in parts
+    )):
+        raise ValueError("--kernels must be a JSON list of three element lists")
+    return cons.KernelTriple(*(frozenset(part) for part in parts))
 
 
-def _cmd_construct(args, argv, started) -> int:
-    name = args.family
-    n, k = args.n, args.k
-    if name == "star":
-        fam = cons.full_star(n, k, args.center)
-    elif name == "fi":
-        if args.i is None:
-            raise ValueError("--family fi needs --i")
-        fam = cons.family_fi(n, k, args.i)
-    elif name == "triangle":
-        fam = cons.family_triangle(n, k)
-    elif name in ("uvw", "uvw-star"):
-        if args.t is None:
-            raise ValueError(f"--family {name} needs --t u,v,w")
-        build = cons.family_uvw if name == "uvw" else cons.family_uvw_star
-        fam = build(n, k, args.t)
-    elif name == "lex":
-        if args.m is None:
-            raise ValueError("--family lex needs --m")
-        fam = cons.lex_family(n, k, args.m)
-    elif name == "fano-l":
-        fam = cons.fano_families(n, k)[0]
-    elif name == "fano-lplus":
-        fam = cons.fano_families(n, k)[1]
-    else:
-        if args.kernels is None:
-            raise ValueError("--family example-t needs --kernels")
-        parts = json.loads(args.kernels)
-        if not (isinstance(parts, list) and len(parts) == 3):
-            raise ValueError("--kernels must be a JSON list of three element lists")
-        kern = cons.KernelTriple(*(frozenset(p) for p in parts))
-        fam = cons.example_t(n, k, kern)
+# family name -> (the option it needs, if any; builder)
+_BUILDERS = {
+    "star": (None, lambda a: cons.full_star(a.n, a.k, a.center)),
+    "fi": ("--i", lambda a: cons.family_fi(a.n, a.k, a.i)),
+    "triangle": (None, lambda a: cons.family_triangle(a.n, a.k)),
+    "uvw": ("--t u,v,w", lambda a: cons.family_uvw(a.n, a.k, a.t)),
+    "uvw-star": ("--t u,v,w", lambda a: cons.family_uvw_star(a.n, a.k, a.t)),
+    "lex": ("--m", lambda a: cons.lex_family(a.n, a.k, a.m)),
+    "fano-l": (None, lambda a: cons.fano_families(a.n, a.k)[0]),
+    "fano-lplus": (None, lambda a: cons.fano_families(a.n, a.k)[1]),
+    "example-t": ("--kernels", lambda a: cons.example_t(a.n, a.k, _kernels(a.kernels))),
+}
+
+
+def _cmd_construct(args) -> Report:
+    needs, build = _BUILDERS[args.family]
+    if needs and getattr(args, needs.split()[0][2:]) is None:
+        raise ValueError(f"--family {args.family} needs {needs}")
+    fam = build(args)
     write_family(fam, args.out)
     delta, witness = fam.max_degree()
-    report = {
-        "verdict": "constructed",
-        "values": {
-            "family": name, "n": n, "k": k, "size": len(fam),
-            "delta": delta, "witness": witness, "out": args.out,
-        },
+    values = {
+        "family": args.family, "n": args.n, "k": args.k, "size": len(fam),
+        "delta": delta, "witness": witness, "out": args.out,
     }
-    human = [f"wrote {name} family on (n={n}, k={k}) with {len(fam)} sets to {args.out}"]
-    _finish(args, argv, report, human, {}, started=started)
-    return OK
+    return Report("constructed", values, [
+        f"wrote {values['family']} family on (n={values['n']}, k={values['k']}) "
+        f"with {values['size']} sets to {values['out']}"
+    ])
 
 
-def _cmd_measure(args, argv, started) -> int:
+def _cmd_measure(args) -> Report:
     fam = read_family(args.family)
     delta, witness = fam.max_degree()
     values = {
@@ -214,25 +197,25 @@ def _cmd_measure(args, argv, started) -> int:
         "gamma": len(fam) - delta,
         "intersecting": fam.is_intersecting(),
     }
-    human = [
-        f"|F| = {len(fam)}",
-        f"Delta = {delta} (at element {witness})",
-        f"gamma = {len(fam) - delta}",
-    ]
     if len(fam):
         values["rho"] = fx.ratio_str(fam.rho())
-        human.append(f"rho = {values['rho']}")
     if args.c is not None:
-        gc = fam.c_diversity(args.c)
         values["c"] = fx.ratio_str(args.c)
-        values["gamma_c"] = fx.ratio_str(gc)
+        values["gamma_c"] = fx.ratio_str(fam.c_diversity(args.c))
+    human = [
+        f"|F| = {values['size']}",
+        f"Delta = {values['delta']} (at element {values['delta_witness']})",
+        f"gamma = {values['gamma']}",
+        f"intersecting = {values['intersecting']}",
+    ]
+    if "rho" in values:
+        human.append(f"rho = {values['rho']}")
+    if "c" in values:
         human.append(f"gamma_C (C={values['c']}) = {values['gamma_c']}")
-    report = {"verdict": "measured", "values": values}
-    _finish(args, argv, report, human, {"family": args.family}, started=started)
-    return OK
+    return Report("measured", values, human)
 
 
-def _cmd_verify(args, argv, started) -> int:
+def _cmd_verify(args) -> Report:
     fam = read_family(args.family)
     v = fx.check_theorem(fam, args.theorem, i=args.i, c=args.c)
     verdict = (
@@ -240,29 +223,25 @@ def _cmd_verify(args, argv, started) -> int:
         else "satisfied" if v.satisfied
         else "hypotheses-not-applicable"
     )
-    report = {
-        "verdict": verdict,
-        "values": {
-            "name": v.name,
-            "hypotheses_hold": v.hypotheses_hold,
-            "lhs": fx.ratio_str(v.lhs),
-            "rhs": fx.ratio_str(v.rhs),
-            "direction": v.direction,
-            "satisfied": v.satisfied,
-            "tight": v.tight,
-            "note": v.note,
-        },
+    values = {
+        "name": v.name,
+        "hypotheses_hold": v.hypotheses_hold,
+        "lhs": fx.ratio_str(v.lhs),
+        "rhs": fx.ratio_str(v.rhs),
+        "direction": v.direction,
+        "satisfied": v.satisfied,
+        "tight": v.tight,
+        "note": v.note,
     }
     human = [
-        f"{v.name}: lhs {fx.ratio_str(v.lhs)} {v.direction} rhs {fx.ratio_str(v.rhs)} -> "
-        f"{'satisfied' if v.satisfied else 'VIOLATED'}"
-        + (" (tight)" if v.tight else "")
-        + ("" if v.hypotheses_hold else " [hypotheses do not hold]")
+        f"{values['name']}: lhs {values['lhs']} {values['direction']} rhs {values['rhs']} -> "
+        f"{'satisfied' if values['satisfied'] else 'VIOLATED'}"
+        + (" (tight)" if values["tight"] else "")
+        + ("" if values["hypotheses_hold"] else " [hypotheses do not hold]")
     ]
-    if v.note:
-        human.append(v.note)
-    _finish(args, argv, report, human, {"family": args.family}, started=started)
-    return VIOLATION if v.violated() else OK
+    if values["note"]:
+        human.append(values["note"])
+    return Report(verdict, values, human)
 
 
 def _applicable_bound(c: Fraction, n: int, k: int):
@@ -278,7 +257,7 @@ def _applicable_bound(c: Fraction, n: int, k: int):
     return None, False, "none"
 
 
-def _cmd_search(args, argv, started) -> int:
+def _cmd_search(args) -> Report:
     mode = "exact" if args.exact else "heuristic"
     result = max_c_diversity(
         args.n, args.k, args.c, mode,
@@ -292,121 +271,98 @@ def _cmd_search(args, argv, started) -> int:
         verdict = "hypotheses-not-applicable" if not exceeded else "exceeds-inapplicable-bound"
     else:
         verdict = "within-bound"
-    report = {
-        "verdict": verdict,
-        "values": {
-            "n": args.n, "k": args.k, "c": fx.ratio_str(args.c), "mode": mode,
-            "best": fx.ratio_str(result.best_value),
-            "exact": result.exact,
-            "bound": fx.ratio_str(bound) if bound is not None else None,
-            "bound_kind": label,
-            "bound_hypotheses_hold": hyp,
-            "degree_cap_used": result.degree_cap_used,
-            "best_size": len(result.best_family),
-        },
-        "nodes": result.nodes_explored,
-        "stats": result.stats,
+    values = {
+        "n": args.n, "k": args.k, "c": fx.ratio_str(args.c), "mode": mode,
+        "best": fx.ratio_str(result.best_value),
+        "exact": result.exact,
+        "bound": fx.ratio_str(bound) if bound is not None else None,
+        "bound_kind": label,
+        "bound_hypotheses_hold": hyp,
+        "degree_cap_used": result.degree_cap_used,
+        "best_size": len(result.best_family),
     }
+    extra = {"nodes": result.nodes_explored, "stats": result.stats}
     if args.witness:
-        report["witness_family"] = family_to_dict(result.best_family)
+        extra["witness_family"] = family_to_dict(result.best_family)
     searched = mode
-    if mode == "exact" and not result.exact:
+    if mode == "exact" and not values["exact"]:
         searched = "exact search, budget hit: lower bound"
     human = [
-        f"max gamma_C over (n={args.n}, k={args.k}), C={fx.ratio_str(args.c)} [{searched}]: "
-        f"{fx.ratio_str(result.best_value)} with |F|={len(result.best_family)}",
-        f"bound {label}: {fx.ratio_str(bound) if bound is not None else 'n/a'} -> {verdict}",
+        f"max gamma_C over (n={values['n']}, k={values['k']}), C={values['c']} [{searched}]: "
+        f"{values['best']} with |F|={values['best_size']}",
+        f"bound {values['bound_kind']}: {values['bound'] or 'n/a'} -> {verdict}",
     ]
-    if result.stats is not None:
-        st = result.stats
+    st = result.stats
+    if st is not None:
         human.append(
             f"{result.nodes_explored} moves in {st['slots']} slots, {st['restarts']} restarts; "
             "accepted/tried: " + ", ".join(
                 f"{kind} {st['accepted'][kind]}/{st['tried'][kind]}" for kind in st["tried"]
             )
         )
-    _finish(
-        args, argv, report, human, {},
-        seed=args.seed, workers=args.workers, started=started,
-    )
-    return VIOLATION if verdict == "counterexample" else OK
+    return Report(verdict, values, human, extra)
 
 
-def _cmd_stability(args, argv, started) -> int:
+def _cmd_stability(args) -> Report:
     fam = read_family(args.family)
     rep = find_stability_triple(fam, args.d)
     genuine = rep.hypotheses_hold and not (rep.pass_14 and rep.pass_15)
-    report = {
-        "verdict": "violation" if genuine else "pass",
-        "values": {
-            "alpha": fx.ratio_str(rep.alpha),
-            "d": rep.d,
-            "triple": list(rep.triple),
-            "outside": rep.outside,
-            "missing": rep.missing,
-            "bound_outside": fx.ratio_str(rep.bound_outside),
-            "bound_missing": fx.ratio_str(rep.bound_missing),
-            "pass_14": rep.pass_14,
-            "pass_15": rep.pass_15,
-            "hypotheses_hold": rep.hypotheses_hold,
-            "scan_exhaustive": rep.scan_exhaustive,
-            "lemma41_empty_ok": rep.lemma41_empty_ok,
-            "lemma41_singles_ok": rep.lemma41_singles_ok,
-        },
-        "nodes": rep.triples_scanned,
+    values = {
+        "alpha": fx.ratio_str(rep.alpha),
+        "d": rep.d,
+        "triple": list(rep.triple),
+        "outside": rep.outside,
+        "missing": rep.missing,
+        "bound_outside": fx.ratio_str(rep.bound_outside),
+        "bound_missing": fx.ratio_str(rep.bound_missing),
+        "pass_14": rep.pass_14,
+        "pass_15": rep.pass_15,
+        "hypotheses_hold": rep.hypotheses_hold,
+        "scan_exhaustive": rep.scan_exhaustive,
+        "lemma41_empty_ok": rep.lemma41_empty_ok,
+        "lemma41_singles_ok": rep.lemma41_singles_ok,
     }
     human = [
-        f"triple {rep.triple}: outside={rep.outside} (bound {fx.ratio_str(rep.bound_outside)}), "
-        f"missing={rep.missing} (bound {fx.ratio_str(rep.bound_missing)})",
-        f"alpha={fx.ratio_str(rep.alpha)}, hypotheses_hold={rep.hypotheses_hold}, "
-        f"scan_exhaustive={rep.scan_exhaustive}",
+        f"triple {tuple(values['triple'])}: outside={values['outside']} "
+        f"(bound {values['bound_outside']}), "
+        f"missing={values['missing']} (bound {values['bound_missing']})",
+        f"alpha={values['alpha']}, hypotheses_hold={values['hypotheses_hold']}, "
+        f"scan_exhaustive={values['scan_exhaustive']}",
         f"scanned {rep.triples_scanned} triples; lemma 4.1: "
-        f"empty ok={rep.lemma41_empty_ok}, singles ok={rep.lemma41_singles_ok}",
+        f"empty ok={values['lemma41_empty_ok']}, singles ok={values['lemma41_singles_ok']}",
     ]
-    _finish(args, argv, report, human, {"family": args.family}, started=started)
-    return VIOLATION if genuine else OK
+    return Report("violation" if genuine else "pass", values, human, {"nodes": rep.triples_scanned})
 
 
-def _cmd_lemma(args, argv, started) -> int:
+def _cmd_lemma(args) -> Report:
     if args.lemma_command == "fk":
         rep = verify_lemma_fk(args.m, args.l, method=args.method)
-        report = {
-            "verdict": "pass" if rep.ok else "counterexample",
-            "values": {
-                "m": rep.m, "l": rep.ell, "threshold": rep.threshold,
-                "cap": rep.cap, "method": rep.method,
-            },
-            "nodes": rep.pairs_checked,
+        values = {
+            "m": rep.m, "l": rep.ell, "threshold": rep.threshold,
+            "cap": rep.cap, "method": rep.method,
         }
-        human = [
-            f"fk({rep.m},{rep.ell}) [{rep.method}]: {report['verdict']} "
-            f"after {rep.pairs_checked} pair checks"
-        ]
-        _finish(args, argv, report, human, {}, started=started)
-        return OK if rep.ok else VIOLATION
-    rep = verify_hilton(
-        args.n, args.a, args.b,
-        exhaustive=args.exhaustive, trials=args.trials, seed=args.seed,
-    )
-    report = {
-        "verdict": "pass" if rep.ok else "counterexample",
-        "values": {
+        run = f"fk({values['m']},{values['l']}) [{values['method']}]"
+        checked = f"{rep.pairs_checked} pair checks"
+    else:
+        rep = verify_hilton(
+            args.n, args.a, args.b,
+            exhaustive=args.exhaustive, trials=args.trials, seed=args.seed,
+        )
+        values = {
             "n": rep.n, "a": rep.a, "b": rep.b,
             "exhaustive": rep.exhaustive,
             "shifts_checked": rep.shifts_checked,
-        },
-        "nodes": rep.pairs_checked,
-    }
-    human = [
-        f"hilton({rep.n},{rep.a},{rep.b}) "
-        f"[{'exhaustive' if rep.exhaustive else 'randomized'}]: {report['verdict']} "
-        f"after {rep.pairs_checked} pairs, {rep.shifts_checked} shift routes"
-    ]
-    _finish(args, argv, report, human, {}, seed=args.seed, started=started)
-    return OK if rep.ok else VIOLATION
+        }
+        run = (
+            f"hilton({values['n']},{values['a']},{values['b']}) "
+            f"[{'exhaustive' if values['exhaustive'] else 'randomized'}]"
+        )
+        checked = f"{rep.pairs_checked} pairs, {values['shifts_checked']} shift routes"
+    verdict = "pass" if rep.ok else "counterexample"
+    return Report(verdict, values, [f"{run}: {verdict} after {checked}"], {"nodes": rep.pairs_checked})
 
 
-def _cmd_sweep(args, argv, started) -> int:
+def _cmd_sweep(args) -> Report:
     try:
         config = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -430,29 +386,25 @@ def _cmd_sweep(args, argv, started) -> int:
             for r in all_rows
         ]
         Path(args.out).write_text("\n".join(lines) + "\n")
-    report = {
-        "verdict": "violation" if counts["fail"] else "pass",
-        "values": counts,
-        "nodes": len(all_rows),
-    }
     human = [
         f"{len(all_rows)} checks: {counts['pass']} pass, "
         f"{counts['flagged']} flagged (hypothesis out of range), {counts['fail']} fail"
     ]
     if args.out:
         human.append(f"matrix written to {args.out}")
-    _finish(args, argv, report, human, {"config": args.config}, started=started)
-    return VIOLATION if counts["fail"] else OK
+    verdict = "violation" if counts["fail"] else "pass"
+    return Report(verdict, counts, human, {"nodes": len(all_rows)})
 
 
+# subcommand -> (handler, the argument naming the input file it reads, if any)
 _HANDLERS = {
-    "construct": _cmd_construct,
-    "measure": _cmd_measure,
-    "verify": _cmd_verify,
-    "search": _cmd_search,
-    "stability": _cmd_stability,
-    "lemma": _cmd_lemma,
-    "sweep": _cmd_sweep,
+    "construct": (_cmd_construct, None),
+    "measure": (_cmd_measure, "family"),
+    "verify": (_cmd_verify, "family"),
+    "search": (_cmd_search, None),
+    "stability": (_cmd_stability, "family"),
+    "lemma": (_cmd_lemma, None),
+    "sweep": (_cmd_sweep, "config"),
 }
 
 
@@ -464,11 +416,33 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     started = time.monotonic()
+    handler, input_arg = _HANDLERS[args.command]
     try:
-        return _HANDLERS[args.command](args, argv, started)
+        report = handler(args)
+        elapsed = int((time.monotonic() - started) * 1000)
+        doc = {"verdict": report.verdict, "values": report.values, **report.extra,
+               "elapsed_ms": elapsed}
+        if args.json:
+            sys.stdout.write(dump_json(doc))
+        else:
+            for line in report.human:
+                print(line)
+        if args.manifest:
+            manifest = {
+                "argv": argv,
+                "version": __version__,
+                "inputs": {input_arg: sha256_file(getattr(args, input_arg))} if input_arg else {},
+                # only search and lemma hilton take --seed; only search takes --workers
+                "seed": getattr(args, "seed", None),
+                "workers": getattr(args, "workers", None),
+                "elapsed_ms": elapsed,
+                "summary": {k: v for k, v in doc.items() if k not in ("witness_family", "elapsed_ms")},
+            }
+            Path(args.manifest).write_text(dump_json(manifest))
     except (FamilyFormatError, FileNotFoundError, ValueError) as exc:
         print(f"divlab: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    return VIOLATION if report.verdict in ("violation", "counterexample") else OK
 
 
 if __name__ == "__main__":

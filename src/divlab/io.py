@@ -1,4 +1,4 @@
-"""Family files, run manifests and deterministic JSON emission.
+"""Family files, file digests and deterministic JSON emission.
 
 Family files are 1-indexed JSON: {"n": int, "k": int, "sets": [[...], ...]}
 with strictly increasing inner lists; everything else is rejected.
@@ -70,25 +70,3 @@ def read_family(path: str | Path) -> Family:
 
 def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def build_manifest(
-    *,
-    argv: list[str],
-    version: str,
-    inputs: dict[str, str],
-    seed: int | None,
-    workers: int | None,
-    elapsed_ms: int,
-    summary: dict[str, Any],
-) -> dict[str, Any]:
-    """Everything needed to replay a run and compare its verdicts."""
-    return {
-        "argv": argv,
-        "version": version,
-        "inputs": inputs,
-        "seed": seed,
-        "workers": workers,
-        "elapsed_ms": elapsed_ms,
-        "summary": summary,
-    }

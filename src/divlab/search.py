@@ -358,13 +358,16 @@ def _random_candidate(state: _LocalState, rng: random.Random) -> int | None:
     return mask
 
 
-def _greedy_random(n: int, k: int, c: Fraction, rng: random.Random, tries: int = 60) -> set[int]:
+_GREEDY_TRIES = 60  # random k-sets a random start tries to add
+
+
+def _greedy_random(n: int, k: int, rng: random.Random) -> set[int]:
     start = 1 << rng.randrange(n)
     mask = start
     for e in rng.sample([e for e in range(1, n + 1) if not mask >> (e - 1) & 1], k - 1):
         mask |= 1 << (e - 1)
     fam = {mask}
-    for _ in range(tries):
+    for _ in range(_GREEDY_TRIES):
         cand = 0
         sample = rng.sample(range(1, n + 1), k)
         for e in sample:
@@ -460,7 +463,7 @@ def _run_restart(spec):
     n, k, p, q, start, moves, rng_seed = spec
     c = Fraction(p, q)
     rng = random.Random(rng_seed)
-    state = _LocalState(n, k, c, start if start is not None else _greedy_random(n, k, c, rng))
+    state = _LocalState(n, k, c, start if start is not None else _greedy_random(n, k, rng))
     best = None
     tried = [0, 0, 0]
     taken = [0, 0, 0]
@@ -513,7 +516,7 @@ def _run_restart(spec):
             since_accept += 1
             if since_accept > 400:
                 best = _keep_best(best, state)
-                state = _LocalState(n, k, c, _greedy_random(n, k, c, rng))
+                state = _LocalState(n, k, c, _greedy_random(n, k, rng))
                 restarts += 1
                 since_accept = 0
     best_score, best_members = _keep_best(best, state)

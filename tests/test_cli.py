@@ -4,6 +4,7 @@ import pytest
 
 from divlab import cli
 from divlab.formulas import BoundVerdict
+from divlab.constructions import family_triangle
 from divlab.family import Family
 from divlab.io import read_family, dump_json, write_family
 from helpers import triangle_with_disjoint_pair
@@ -35,6 +36,7 @@ def test_construct_then_measure(tmp_path, capsys):
     assert "|F| = 21" in text
     assert "Delta = 14" in text
     assert "gamma = 7" in text
+    assert "intersecting = True" in text
     assert "gamma_C (C=5/4) = 7/2" in text
 
 
@@ -123,6 +125,13 @@ def test_construct_bad_kernels_and_missing_args(tmp_path, capsys):
         "--kernels", "[[4,5]", "--out", str(out),
     )
     assert code == 1
+    for third in ("5", "null", "[[5]]"):
+        code, text, err = run(
+            capsys, "construct", "--family", "example-t", "--n", "12", "--k", "3",
+            "--kernels", f"[[4,5],[4,6],{third}]", "--out", str(out),
+        )
+        assert code == 1, third
+        assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error:"), third
     code, _, err = run(
         capsys, "construct", "--family", "fi", "--n", "10", "--k", "3", "--out", str(out),
     )
@@ -271,3 +280,65 @@ def test_manifest(tmp_path, capsys):
     # replaying the recorded argv reproduces the verdict values
     code, text, _ = run(capsys, *data["argv"][:-2], "--json")
     assert stripped(text)["values"]["gamma_c"] == "7/2"
+    assert data["seed"] is None and data["workers"] is None
+    # seed and workers are recorded from the arguments of the subcommands that take them
+    run(capsys, "search", "max-cdiv", "--n", "14", "--k", "3", "--c", "5/4", "--heuristic",
+        "--budget", "200", "--seed", "7", "--workers", "2", "--manifest", str(manifest))
+    data = json.loads(manifest.read_text())
+    assert (data["seed"], data["workers"], data["inputs"]) == (7, 2, {})
+    run(capsys, "lemma", "hilton", "--n", "5", "--a", "2", "--b", "2", "--seed", "3",
+        "--manifest", str(manifest))
+    data = json.loads(manifest.read_text())
+    assert (data["seed"], data["workers"]) == (3, None)
+    run(capsys, "construct", "--family", "triangle", "--n", "10", "--k", "3", "--out", str(out),
+        "--manifest", str(manifest))
+    data = json.loads(manifest.read_text())
+    assert (data["seed"], data["workers"], data["inputs"]) == (None, None, {})
+    assert data["summary"]["verdict"] == "constructed"
+
+
+SEARCH_VALUES = ["n", "k", "c", "mode", "best", "exact", "bound", "bound_kind",
+                 "bound_hypotheses_hold", "degree_cap_used", "best_size"]
+
+
+@pytest.mark.parametrize(
+    "argv, top, values",
+    [
+        (["construct", "--family", "triangle", "--n", "10", "--k", "3", "--out", "{out}"],
+         ["verdict", "values"], ["family", "n", "k", "size", "delta", "witness", "out"]),
+        (["measure", "{fam}"], ["verdict", "values"],
+         ["n", "k", "size", "delta", "delta_witness", "gamma", "intersecting", "rho"]),
+        (["measure", "{fam}", "--c", "5/4"], ["verdict", "values"],
+         ["n", "k", "size", "delta", "delta_witness", "gamma", "intersecting", "rho",
+          "c", "gamma_c"]),
+        (["verify", "--theorem", "ekr", "--family", "{fam}"], ["verdict", "values"],
+         ["name", "hypotheses_hold", "lhs", "rhs", "direction", "satisfied", "tight", "note"]),
+        (["search", "max-cdiv", "--n", "6", "--k", "2", "--c", "5/4", "--exact"],
+         ["verdict", "values", "nodes", "stats"], SEARCH_VALUES),
+        (["search", "max-cdiv", "--n", "14", "--k", "3", "--c", "5/4", "--heuristic",
+          "--budget", "200", "--witness"],
+         ["verdict", "values", "nodes", "stats", "witness_family"], SEARCH_VALUES),
+        (["stability", "{fam}"], ["verdict", "values", "nodes"],
+         ["alpha", "d", "triple", "outside", "missing", "bound_outside", "bound_missing",
+          "pass_14", "pass_15", "hypotheses_hold", "scan_exhaustive", "lemma41_empty_ok",
+          "lemma41_singles_ok"]),
+        (["lemma", "fk", "--m", "4", "--l", "2"], ["verdict", "values", "nodes"],
+         ["m", "l", "threshold", "cap", "method"]),
+        (["lemma", "hilton", "--n", "5", "--a", "2", "--b", "2"], ["verdict", "values", "nodes"],
+         ["n", "a", "b", "exhaustive", "shifts_checked"]),
+        (["sweep", "{cfg}"], ["verdict", "values", "nodes"], ["pass", "flagged", "fail"]),
+    ],
+    ids=["construct", "measure", "measure-c", "verify", "search-exact",
+         "search-heuristic-witness", "stability", "lemma-fk", "lemma-hilton", "sweep"],
+)
+def test_json_key_order(tmp_path, capsys, argv, top, values):
+    fam = tmp_path / "tri.json"
+    write_family(family_triangle(10, 3), fam)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweeps": [{"name": "prop28", "n_max": 12, "k_max": 3}]}))
+    paths = {"{fam}": str(fam), "{cfg}": str(cfg), "{out}": str(tmp_path / "out.json")}
+    code, text, _ = run(capsys, *(paths.get(a, a) for a in argv), "--json")
+    assert code == 0
+    data = json.loads(text)
+    assert list(data) == [*top, "elapsed_ms"]
+    assert list(data["values"]) == values
