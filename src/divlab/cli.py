@@ -318,7 +318,6 @@ def _cmd_stability(args) -> Report:
         "pass_14": rep.pass_14,
         "pass_15": rep.pass_15,
         "hypotheses_hold": rep.hypotheses_hold,
-        "scan_exhaustive": rep.scan_exhaustive,
         "lemma41_empty_ok": rep.lemma41_empty_ok,
         "lemma41_singles_ok": rep.lemma41_singles_ok,
     }
@@ -326,8 +325,7 @@ def _cmd_stability(args) -> Report:
         f"triple {tuple(values['triple'])}: outside={values['outside']} "
         f"(bound {values['bound_outside']}), "
         f"missing={values['missing']} (bound {values['bound_missing']})",
-        f"alpha={values['alpha']}, hypotheses_hold={values['hypotheses_hold']}, "
-        f"scan_exhaustive={values['scan_exhaustive']}",
+        f"alpha={values['alpha']}, hypotheses_hold={values['hypotheses_hold']}",
         f"scanned {rep.triples_scanned} triples; lemma 4.1: "
         f"empty ok={values['lemma41_empty_ok']}, singles ok={values['lemma41_singles_ok']}",
     ]
@@ -439,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
                 "summary": {k: v for k, v in doc.items() if k not in ("witness_family", "elapsed_ms")},
             }
             Path(args.manifest).write_text(dump_json(manifest))
-    except (FamilyFormatError, FileNotFoundError, ValueError) as exc:
+    except (FamilyFormatError, OSError, ValueError) as exc:
         print(f"divlab: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return VIOLATION if report.verdict in ("violation", "counterexample") else OK

@@ -6,6 +6,7 @@ import random
 
 from divlab.constructions import family_triangle, family_uvw
 from divlab.family import Family, elements_of, iter_ksets, mask_of
+from divlab.formulas import binom
 
 
 def random_family(rng: random.Random, n: int, k: int, density: float = 0.3) -> Family:
@@ -143,6 +144,26 @@ def brute_sandwich_triple(fam: Family) -> tuple[int, int, int] | None:
                 if all(m in fam for m in family_uvw(fam.n, fam.k, t).members):
                     return t
     return None
+
+
+def brute_stability_key(fam: Family) -> tuple[int, int, tuple[int, int, int]]:
+    """The least (|F \\ F*_T|, |F_T \\ F|, T) over every triple T, unpruned.
+
+    Each element gets the bitset of the members containing it, so the
+    members meeting T twice or more are one union of pairwise ANDs; no
+    co-degree table and no degree bound is involved."""
+    holders = [0] * (fam.n + 1)
+    for i, m in enumerate(fam.members):
+        for e in elements_of(m):
+            holders[e] |= 1 << i
+    full = 3 * binom(fam.n - 3, fam.k - 2)
+    keys = []
+    for t in itertools.combinations(range(1, fam.n + 1), 3):
+        a, b, c = (holders[x] for x in t)
+        twice = (a & b) | (a & c) | (b & c)
+        exactly_two = twice & ~(a & b & c)
+        keys.append((len(fam) - twice.bit_count(), full - exactly_two.bit_count(), t))
+    return min(keys)
 
 
 def triangle_with_disjoint_pair(n: int) -> Family:

@@ -139,6 +139,27 @@ def test_construct_bad_kernels_and_missing_args(tmp_path, capsys):
     assert "needs --i" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "{dir}"],
+        ["construct", "--family", "star", "--n", "8", "--k", "3", "--out", "{dir}"],
+        ["measure", "{fam}", "--manifest", "{dir}"],
+        ["sweep", "{cfg}", "--out", "{dir}"],
+    ],
+    ids=["measure-input", "construct-out", "manifest", "sweep-out"],
+)
+def test_directory_paths_are_input_errors(tmp_path, capsys, argv):
+    fam = tmp_path / "tri.json"
+    write_family(family_triangle(8, 3), fam)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweeps": [{"name": "prop28", "n_max": 8, "k_max": 3}]}))
+    paths = {"{dir}": str(tmp_path), "{fam}": str(fam), "{cfg}": str(cfg)}
+    code, _, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("divlab: error:")
+
+
 def test_measure_empty_family(tmp_path, capsys):
     out = tmp_path / "empty.json"
     run(capsys, "construct", "--family", "lex", "--n", "6", "--k", "2", "--m", "0",
@@ -194,7 +215,6 @@ def test_stability_cli(tmp_path, capsys):
     data = json.loads(text)
     assert data["values"]["triple"] == [1, 2, 3]
     assert data["values"]["alpha"] == "0"
-    assert data["values"]["scan_exhaustive"] is True
 
 
 def test_stability_cli_non_intersecting(tmp_path, capsys):
@@ -320,8 +340,7 @@ SEARCH_VALUES = ["n", "k", "c", "mode", "best", "exact", "bound", "bound_kind",
          ["verdict", "values", "nodes", "stats", "witness_family"], SEARCH_VALUES),
         (["stability", "{fam}"], ["verdict", "values", "nodes"],
          ["alpha", "d", "triple", "outside", "missing", "bound_outside", "bound_missing",
-          "pass_14", "pass_15", "hypotheses_hold", "scan_exhaustive", "lemma41_empty_ok",
-          "lemma41_singles_ok"]),
+          "pass_14", "pass_15", "hypotheses_hold", "lemma41_empty_ok", "lemma41_singles_ok"]),
         (["lemma", "fk", "--m", "4", "--l", "2"], ["verdict", "values", "nodes"],
          ["m", "l", "threshold", "cap", "method"]),
         (["lemma", "hilton", "--n", "5", "--a", "2", "--b", "2"], ["verdict", "values", "nodes"],

@@ -2,23 +2,25 @@ import random
 
 import pytest
 
+from divlab import stability
 from divlab.constructions import (
     KernelTriple,
     example_t,
     family_triangle,
+    family_uvw,
     family_uvw_star,
     fano_families,
     full_star,
     sample_kernels,
 )
-from divlab.family import Family
+from divlab.family import Family, trace_counter
 from divlab.formulas import binom, example_t_missing, example_t_outside
 from divlab.stability import (
     find_stability_triple,
     triangle_decomposition,
     verify_lemma_key2,
 )
-from helpers import random_family, triangle_with_disjoint_pair
+from helpers import brute_stability_key, random_family, triangle_with_disjoint_pair
 
 
 def test_sample_kernels_shape():
@@ -81,7 +83,7 @@ def test_stability_pure_triangle():
     assert rep.alpha == 0
     assert rep.outside == 0 and rep.missing == 0
     assert rep.pass_14 and rep.pass_15
-    assert rep.scan_exhaustive
+    assert rep.triples_scanned == binom(12, 3)
     # n >= dk fails at n=12, so the hypotheses are reported out of range
     assert not rep.hypotheses_hold
 
@@ -113,7 +115,6 @@ def test_stability_example_t_larger_probe():
         assert rep.triple == (1, 2, 3)
         assert rep.outside == example_t_outside(n, k, ell) == 3 * binom(n - 6, 1)
         assert rep.missing == example_t_missing(n, k, ell) == 3 * binom(n - 6, 3)
-        assert rep.scan_exhaustive
 
 
 def test_stability_equal_kernels_pick_blended_triple():
@@ -159,16 +160,47 @@ def test_stability_triangle_k4_hypotheses_skip_pair_scan(monkeypatch):
     assert rep.hypotheses_hold and rep.pass_14 and rep.pass_15
 
 
-def test_stability_shortlist_above_exhaustive_limit():
-    # beyond n = 300 the scan shortlists the highest-degree elements and
-    # says so; on a pure triangle those are exactly {1,2,3}
+def test_stability_exhaustive_above_300():
+    # the scan is exhaustive at every n: every triple is decided, either
+    # evaluated or excluded by the degree-sum bound
     fam = family_triangle(310, 3)
     rep = find_stability_triple(fam, 36)
-    assert not rep.scan_exhaustive
     assert rep.triple == (1, 2, 3)
     assert rep.outside == 0 and rep.missing == 0
     assert rep.hypotheses_hold and rep.pass_14 and rep.pass_15
-    assert rep.triples_scanned == 4060  # C(30, 3)
+    assert rep.triples_scanned == binom(310, 3)
+
+
+def test_stability_degree_bound_prunes_scan(monkeypatch):
+    # on the triangle, {1,2,3} has outside 0 and every other triple's degree
+    # sum proves outside > 0, so nearly nothing else is evaluated
+    calls = []
+
+    def counting(fam):
+        cells = trace_counter(fam)
+        return lambda t: calls.append(t) or cells(t)
+
+    monkeypatch.setattr(stability, "trace_counter", counting)
+    rep = find_stability_triple(family_triangle(310, 3), 36)
+    assert rep.triple == (1, 2, 3)
+    assert 0 < len(calls) < 10
+
+
+@pytest.mark.parametrize("fam", [
+    family_uvw(60, 3, (17, 30, 41)),
+    family_triangle(110, 3),
+    example_t(60, 4, sample_kernels(2)),
+    full_star(40, 3, 1),
+    fano_families(60, 3)[0],
+    example_t(16, 3, KernelTriple.uniform((4, 5))),
+], ids=["uvw-60", "triangle-110", "example-t-60-4-2", "star-40", "fano-l-60",
+        "example-t-16-equal"])
+def test_stability_scan_matches_unpruned_on_constructions(fam):
+    # the star, Fano-L and equal-kernel families tie on outside across
+    # many triples, so the scan must visit every tie to keep the lex-first
+    rep = find_stability_triple(fam, 36)
+    assert (rep.outside, rep.missing, rep.triple) == brute_stability_key(fam)
+    assert rep.triples_scanned == binom(fam.n, 3)
 
 
 def test_lemma_key2_triangle():
