@@ -257,6 +257,10 @@ def _applicable_bound(c: Fraction, n: int, k: int):
     return None, False, "none"
 
 
+def _listed(items) -> str:
+    return ", ".join(map(str, items)) or "none"
+
+
 def _cmd_search(args) -> Report:
     mode = "exact" if args.exact else "heuristic"
     result = max_c_diversity(
@@ -293,7 +297,18 @@ def _cmd_search(args) -> Report:
         f"bound {values['bound_kind']}: {values['bound'] or 'n/a'} -> {verdict}",
     ]
     st = result.stats
-    if st is not None:
+    if mode == "exact":
+        human.append(
+            f"{result.nodes_explored} nodes in {len(st['caps'])} cap searches "
+            "[cap (floor) size/nodes]: " + _listed(
+                f"{run['cap']} ({run['floor']}) "
+                f"{'none' if run['size'] is None else run['size']}/{run['nodes']}"
+                for run in st["caps"]
+            )
+            + f"; skipped caps: {_listed(st['skipped'])}"
+            + f"; truncated caps: {_listed(st['truncated'])}"
+        )
+    else:
         human.append(
             f"{result.nodes_explored} moves in {st['slots']} slots, {st['restarts']} restarts; "
             "accepted/tried: " + ", ".join(
@@ -420,11 +435,7 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = int((time.monotonic() - started) * 1000)
         doc = {"verdict": report.verdict, "values": report.values, **report.extra,
                "elapsed_ms": elapsed}
-        if args.json:
-            sys.stdout.write(dump_json(doc))
-        else:
-            for line in report.human:
-                print(line)
+        # the manifest first: a run whose manifest cannot be written prints no report
         if args.manifest:
             manifest = {
                 "argv": argv,
@@ -437,6 +448,11 @@ def main(argv: list[str] | None = None) -> int:
                 "summary": {k: v for k, v in doc.items() if k not in ("witness_family", "elapsed_ms")},
             }
             Path(args.manifest).write_text(dump_json(manifest))
+        if args.json:
+            sys.stdout.write(dump_json(doc))
+        else:
+            for line in report.human:
+                print(line)
     except (FamilyFormatError, OSError, ValueError) as exc:
         print(f"divlab: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

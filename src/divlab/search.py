@@ -2,7 +2,9 @@
 
 Exact mode decomposes by maximum-degree cap: gamma_C is not monotone under
 supersets for C > 1, but within a fixed cap |F|-maximization is, so a
-branch-and-bound over the lex order of k-sets is sound.  Heuristic mode is
+branch-and-bound over the lex order of k-sets is sound.  A cap that cannot
+beat the best gamma_C found so far is skipped, and the others are searched
+only above the size that would beat it (`_cap_floor`).  Heuristic mode is
 seeded local search and never claims exactness.
 """
 from __future__ import annotations
@@ -41,13 +43,28 @@ class SearchResult:
 
 @dataclass
 class CapSearch:
-    """Outcome of one max-|F| search under a degree cap."""
+    """Outcome of one max-|F| search under a degree cap.
 
-    size: int
-    family: Family
+    `size` and `family` are None when no family beats the search's `floor`.
+    """
+
+    size: int | None
+    family: Family | None
     exact: bool
     nodes: int
     optima: list[Family] | None = None
+    floor: int = -1
+
+
+def _check_exact_input(n: int, k: int, override_guard: bool) -> None:
+    if not 0 <= k <= n:
+        raise ValueError(f"uniformity k={k} out of range for n={n}")
+    universe_size = math.comb(n, k)
+    if universe_size > EXACT_UNIVERSE_GUARD and not override_guard:
+        raise ValueError(
+            f"exact search refused: C({n},{k})={universe_size} exceeds the "
+            f"{EXACT_UNIVERSE_GUARD}-set guard (pass override_guard=True)"
+        )
 
 
 def max_size_with_degree_cap(
@@ -58,24 +75,24 @@ def max_size_with_degree_cap(
     budget: int | None = None,
     collect_optima: bool = False,
     override_guard: bool = False,
+    floor: int = -1,
 ) -> CapSearch:
     """Exact maximum size of an intersecting k-family on [n] with max degree <= cap.
 
     Branch-and-bound over the lex order; a nonempty optimum can always be
     relabeled to contain {1,...,k}, so that member is forced at the root.
+    Only sizes above `floor` count: the search starts with that incumbent
+    and returns no family (size None) when nothing beats it.  A maximum
+    above the floor comes back with the same family and optima as without
+    a floor, since no ancestor of the first maximal node is ever cut.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"uniformity k={k} out of range for n={n}")
-    universe_size = math.comb(n, k)
-    if universe_size > EXACT_UNIVERSE_GUARD and not override_guard:
-        raise ValueError(
-            f"exact search refused: C({n},{k})={universe_size} exceeds the "
-            f"{EXACT_UNIVERSE_GUARD}-set guard (pass override_guard=True)"
-        )
+    _check_exact_input(n, k, override_guard)
     limit = node_budget(budget)
     if cap <= 0 or k == 0:
+        if floor >= 0:
+            return CapSearch(None, None, True, 0, [] if collect_optima else None, floor)
         empty = Family(n, k)
-        return CapSearch(0, empty, True, 0, [empty] if collect_optima else None)
+        return CapSearch(0, empty, True, 0, [empty] if collect_optima else None, floor)
 
     u = Universe(n, k)
     elems = [elements_of(m) for m in u.masks]
@@ -104,7 +121,9 @@ def max_size_with_degree_cap(
     for i in elements_of(best):
         drop(i - 1)
     best_size = best.bit_count()
-    all_best = [best] if collect_optima else []
+    if best_size <= floor:
+        best, best_size = 0, floor
+    all_best = [best] if collect_optima and best else []
     nodes = 0
     out_of_budget = False
 
@@ -119,10 +138,10 @@ def max_size_with_degree_cap(
             best = picked
             if collect_optima:
                 all_best.clear()
-        if collect_optima and size == best_size:
+        if collect_optima and size == best_size > floor:
             all_best.append(picked)
         bound = size + min(cands.bit_count(), capacity // k)
-        if bound < best_size or (not collect_optima and bound == best_size):
+        if bound <= floor or bound < best_size or (not collect_optima and bound == best_size):
             return
         while cands:  # branch in lex order
             if out_of_budget:
@@ -142,7 +161,9 @@ def max_size_with_degree_cap(
             (u.family(p) for p in set(all_best) if p.bit_count() == best_size),
             key=lambda f: f.members,
         )
-    return CapSearch(best_size, u.family(best), not out_of_budget, nodes, optima)
+    if not best:
+        return CapSearch(None, None, not out_of_budget, nodes, optima, floor)
+    return CapSearch(best_size, u.family(best), not out_of_budget, nodes, optima, floor)
 
 
 def unconstrained_max(n: int, k: int) -> int:
@@ -154,47 +175,86 @@ def _pool_size(workers: int, tasks: int) -> int:
     return min(workers, tasks, os.cpu_count() or 1)
 
 
+def _c_value(fam: Family, c: Fraction) -> Fraction:
+    return fam.c_diversity(c) if len(fam) else Fraction(0)
+
+
+def _cap_floor(
+    n: int, k: int, c: Fraction, cap: int, incumbent: Fraction, collect_optima: bool
+) -> int | None:
+    """The size a family under `cap` must beat to matter, or None to skip the cap.
+
+    With max degree <= cap, gamma_C > incumbent needs |F| > incumbent + C*cap
+    (>= when collecting ties), while |F| <= min(unconstrained max, n*cap/k).
+    """
+    need = incumbent + c * cap
+    floor = math.ceil(need) - 1 if collect_optima else math.floor(need)
+    if min(unconstrained_max(n, k), n * cap // k) <= floor:
+        return None
+    return floor
+
+
 def _cap_slot(args: tuple) -> CapSearch:
-    n, k, cap, budget, override_guard = args
+    n, k, cap, budget, override_guard, floor = args
     return max_size_with_degree_cap(
-        n, k, cap, budget=budget, override_guard=override_guard
+        n, k, cap, budget=budget, override_guard=override_guard, floor=floor
     )
 
 
 def _cap_searches(
     n: int,
     k: int,
+    c: Fraction,
     *,
     budget: int | None,
     override_guard: bool,
     workers: int = 1,
     collect_optima: bool = False,
-) -> Iterator[tuple[int, CapSearch]]:
-    """(cap, max-|F| search under that cap) for caps 0, 1, ... in order.
+) -> Iterator[tuple[int, CapSearch | None]]:
+    """(cap, max-|F| search under that cap, or None if skipped) for caps 0, 1, ...
 
-    Sequentially the loop stops once a size reaches the unconstrained
-    maximum; a pool runs every cap, and the merge cannot depend on
-    scheduling.  Yielding one cap at a time keeps a single optima list alive.
+    The incumbent starts at the empty family's value 0 (cap 0).  Sequentially
+    it rises with every family found, and each cap is skipped or searched
+    above the floor `_cap_floor` gives.  A pool cannot share a running
+    incumbent: it keeps 0 for every cap and runs every cap not skipped, so
+    the merge cannot depend on scheduling.  Yielding one cap at a time
+    keeps a single optima list alive.
+
+    The input and guard checks come first, since every cap may be skipped.
+    C < 0 is refused: a cap's largest family need not have the largest
+    max degree under it, so max-|F| per cap no longer decides gamma_C.
     """
+    _check_exact_input(n, k, override_guard)
+    if c < 0:
+        raise ValueError(f"exact search needs C >= 0, got {c}")
     caps = range(0, math.comb(n - 1, k - 1) + 1)
     if workers > 1:
         import multiprocessing as mp
 
-        with mp.Pool(_pool_size(workers, len(caps))) as pool:
-            results = pool.map(
-                _cap_slot, [(n, k, cap, budget, override_guard) for cap in caps]
-            )
-        yield from enumerate(results)
+        floors = {cap: _cap_floor(n, k, c, cap, Fraction(0), False) for cap in caps}
+        tasks = [(n, k, cap, budget, override_guard, f) for cap, f in floors.items() if f is not None]
+        results: list[CapSearch] = []
+        if tasks:
+            with mp.Pool(_pool_size(workers, len(tasks))) as pool:
+                results = pool.map(_cap_slot, tasks)
+        found = iter(results)
+        for cap, f in floors.items():
+            yield cap, None if f is None else next(found)
         return
-    ceiling = unconstrained_max(n, k)
+    incumbent = Fraction(0)
     for cap in caps:
+        floor = _cap_floor(n, k, c, cap, incumbent, collect_optima)
+        if floor is None:
+            yield cap, None
+            continue
         res = max_size_with_degree_cap(
             n, k, cap, budget=budget, collect_optima=collect_optima,
-            override_guard=override_guard,
+            override_guard=override_guard, floor=floor,
         )
         yield cap, res
-        if res.size >= ceiling:
-            return
+        if res.family is not None:
+            for fam in res.optima if collect_optima else [res.family]:
+                incumbent = max(incumbent, _c_value(fam, c))
 
 
 def max_c_diversity_exact(
@@ -206,23 +266,40 @@ def max_c_diversity_exact(
     workers: int = 1,
     override_guard: bool = False,
 ) -> SearchResult:
-    """Exact max of |F| - C max-degree by iterating over degree caps."""
+    """Exact max of |F| - C max-degree by iterating over degree caps.
+
+    `stats` lists each cap searched (its floor, nodes, size or None when
+    nothing beat the floor, and exact flag), the caps skipped by the
+    incumbent, and the caps that hit the node budget.
+    """
     c = Fraction(c)
-    best_val: Fraction | None = None
+    best_val = Fraction(0)  # the empty family, at cap 0
     best_fam = Family(n, k)
     best_cap = 0
-    exact = True
-    total_nodes = 0
+    runs: list[dict] = []
+    skipped: list[int] = []
     for cap, res in _cap_searches(
-        n, k, budget=budget, override_guard=override_guard, workers=workers
+        n, k, c, budget=budget, override_guard=override_guard, workers=workers
     ):
-        exact = exact and res.exact
-        total_nodes += res.nodes
-        value = res.family.c_diversity(c) if res.size else Fraction(0)
-        if best_val is None or value > best_val:
+        if res is None:
+            skipped.append(cap)
+            continue
+        runs.append({"cap": cap, "floor": res.floor, "nodes": res.nodes,
+                     "size": res.size, "exact": res.exact})
+        if res.family is None:
+            continue
+        value = _c_value(res.family, c)
+        if value > best_val:
             best_val, best_fam, best_cap = value, res.family, cap
-    assert best_val is not None
-    return SearchResult(best_fam, best_val, exact, total_nodes, degree_cap_used=best_cap)
+    stats = {
+        "caps": runs,
+        "skipped": skipped,
+        "truncated": [run["cap"] for run in runs if not run["exact"]],
+    }
+    return SearchResult(
+        best_fam, best_val, not stats["truncated"], sum(run["nodes"] for run in runs),
+        degree_cap_used=best_cap, stats=stats,
+    )
 
 
 def extremal_c_diversity_families(
@@ -237,18 +314,22 @@ def extremal_c_diversity_families(
 
     Every maximizer has maximal size at its own degree cap, so collecting
     all size-optima per cap and re-measuring catches them all (up to the
-    root relabeling, which canonical forms absorb).
+    root relabeling, which canonical forms absorb).  The floors keep ties
+    with the incumbent, and a maximizer first appears at the cap equal to
+    its max degree, so the winners come in the same order as without them.
     """
     c = Fraction(c)
     best_val: Fraction | None = None
     winners: list[Family] = []
     for _, res in _cap_searches(
-        n, k, budget=budget, override_guard=override_guard, collect_optima=True
+        n, k, c, budget=budget, override_guard=override_guard, collect_optima=True
     ):
+        if res is None:
+            continue
         if not res.exact:
             raise RuntimeError("budget exceeded while collecting extremal families")
-        for fam in res.optima or []:
-            value = fam.c_diversity(c) if len(fam) else Fraction(0)
+        for fam in res.optima:
+            value = _c_value(fam, c)
             if best_val is None or value > best_val:
                 best_val = value
                 winners = [fam]

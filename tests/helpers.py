@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from divlab.constructions import family_triangle, family_uvw
 from divlab.family import Family, elements_of, iter_ksets, mask_of
@@ -125,6 +126,33 @@ def all_intersecting_families(n: int, k: int):
 
     for members in extend(0, []):
         yield Family(n, k, members)
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, size):
+        self.sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def brute_c_diversity_optima(families: list[Family], c: Fraction) -> tuple[Fraction, set[Family]]:
+    """The largest gamma_C over `families` and the families attaining it,
+    by measuring each one (q|F| - p*Delta for C = p/q, in integers)."""
+    p, q = c.numerator, c.denominator
+    scores = [q * len(fam) - p * fam.max_degree()[0] for fam in families]
+    top = max(scores)
+    return Fraction(top, q), {fam for fam, score in zip(families, scores) if score == top}
 
 
 def brute_sandwich_triple(fam: Family) -> tuple[int, int, int] | None:

@@ -1,0 +1,135 @@
+"""C-aware exact search: cap floors against floor-free searches, and the
+cap loop against an exhaustive oracle."""
+import functools
+import math
+import multiprocessing
+from fractions import Fraction
+
+import pytest
+
+from divlab.family import mask_of
+from divlab.search import (
+    extremal_c_diversity_families,
+    max_c_diversity,
+    max_size_with_degree_cap,
+)
+from helpers import RecordingPool, all_intersecting_families, brute_c_diversity_optima
+
+CASES = [(4, 2), (5, 2), (6, 2), (7, 2), (5, 3), (6, 3)]
+C_GRID = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(11, 10), Fraction(5, 4),
+          Fraction(3, 2), Fraction(2), Fraction(3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _families(n, k):
+    return tuple(all_intersecting_families(n, k))
+
+
+@pytest.mark.parametrize("n,k", CASES)
+def test_floor_matches_floor_free_search(n, k):
+    pruned = False
+    for cap in range(math.comb(n - 1, k - 1) + 1):
+        for collect in (False, True):
+            free = max_size_with_degree_cap(n, k, cap, collect_optima=collect)
+            top = free.size
+            for floor in sorted({-1, 0, 1, top - 2, top - 1, top, top + 1, top + 3} - {-2, -3}):
+                got = max_size_with_degree_cap(n, k, cap, collect_optima=collect, floor=floor)
+                assert got.exact and got.floor == floor, (n, k, cap, floor)
+                assert got.nodes <= free.nodes, (n, k, cap, floor)
+                pruned = pruned or got.nodes < free.nodes
+                if top > floor:
+                    assert (got.size, got.family, got.optima) == (top, free.family, free.optima)
+                else:
+                    assert got.size is None and got.family is None, (n, k, cap, floor)
+                    assert got.optima == ([] if collect else None)
+    assert pruned
+
+
+def test_floor_with_budget_hit_is_flagged():
+    res = max_size_with_degree_cap(7, 3, 5, budget=20, floor=9)
+    assert not res.exact and res.nodes <= 21
+    assert res.size is None or (res.size > 9 and res.family.is_intersecting())
+
+
+@pytest.mark.parametrize("n,k", CASES)
+def test_exact_search_matches_oracle(n, k):
+    root = mask_of(range(1, k + 1))
+    caps = list(range(math.comb(n - 1, k - 1) + 1))
+    for c in C_GRID:
+        best, attaining = brute_c_diversity_optima(_families(n, k), c)
+        res = max_c_diversity(n, k, c, "exact")
+        assert res.exact and res.best_value == best, (n, k, c)
+        assert res.best_family in attaining
+        assert res.best_family.max_degree()[0] <= res.degree_cap_used
+        # every cap is searched or skipped, once, and the nodes add up
+        stats = res.stats
+        assert sorted([run["cap"] for run in stats["caps"]] + stats["skipped"]) == caps
+        assert sum(run["nodes"] for run in stats["caps"]) == res.nodes_explored
+        assert stats["truncated"] == []
+        value, winners = extremal_c_diversity_families(n, k, c)
+        assert value == best, (n, k, c)
+        # the search forces {1..k}, so exactly the maximizers containing it
+        # (and the empty family, when it wins) come back, each once
+        assert len(winners) == len(set(winners))
+        assert set(winners) == {f for f in attaining if root in f or not len(f)}, (n, k, c)
+
+
+def _outcome(res):
+    return res.best_value, res.best_family, res.degree_cap_used, res.exact
+
+
+def test_pooled_matches_sequential(monkeypatch):
+    serial = {(n, k, c): max_c_diversity(n, k, c, "exact") for n, k in CASES for c in C_GRID}
+    # real processes on two inputs
+    for n, k, c in ((6, 3, Fraction(5, 4)), (7, 2, Fraction(0))):
+        assert _outcome(max_c_diversity(n, k, c, "exact", workers=2)) == _outcome(serial[n, k, c])
+    # the merge on the whole grid, with the pool's fixed incumbent 0
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    for (n, k, c), want in serial.items():
+        pooled = max_c_diversity(n, k, c, "exact", workers=2)
+        assert _outcome(pooled) == _outcome(want), (n, k, c)
+        # a fixed incumbent never skips a cap the running one searches
+        assert set(pooled.stats["skipped"]) <= set(want.stats["skipped"])
+
+
+def test_exact_search_refuses_negative_c():
+    # at n = 2k the triangle and the star both have C(n-1,k-1) sets; for
+    # C < 0 the star wins, but a cap's first largest family is the triangle
+    for search in (
+        lambda c: max_c_diversity(4, 2, c, "exact"),
+        lambda c: max_c_diversity(4, 2, c, "exact", workers=2),
+        lambda c: extremal_c_diversity_families(4, 2, c),
+    ):
+        with pytest.raises(ValueError, match="C >= 0"):
+            search(Fraction(-1))
+    assert not max_c_diversity(4, 2, Fraction(-1), "heuristic", budget=50).exact
+
+
+def test_input_checks_precede_cap_skipping():
+    # at C = 100 every cap of (20,3) and of (5,6) would be skipped
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="guard"):
+            max_c_diversity(20, 3, Fraction(100), "exact", workers=workers)
+        with pytest.raises(ValueError, match="out of range"):
+            max_c_diversity(5, 6, Fraction(100), "exact", workers=workers)
+    with pytest.raises(ValueError, match="guard"):
+        extremal_c_diversity_families(20, 3, Fraction(100))
+    assert max_c_diversity(20, 3, Fraction(100), "exact", override_guard=True).best_value == 0
+
+
+def test_exact_stats_are_deterministic():
+    a = max_c_diversity(7, 3, Fraction(5, 4), "exact")
+    b = max_c_diversity(7, 3, Fraction(5, 4), "exact")
+    assert a.stats == b.stats
+    assert set(a.stats) == {"caps", "skipped", "truncated"}
+    assert all(set(run) == {"cap", "floor", "nodes", "size", "exact"} for run in a.stats["caps"])
+    assert a.best_value == Fraction(15, 4) and a.degree_cap_used == 5
+    assert 0 in a.stats["skipped"] and a.stats["skipped"][-1] == 15
+    assert {"cap": 5, "floor": 9, "nodes": a.stats["caps"][4]["nodes"], "size": 10,
+            "exact": True} == a.stats["caps"][4]
+    starved = max_c_diversity(7, 3, Fraction(5, 4), "exact", budget=50)
+    assert not starved.exact
+    assert starved.stats["truncated"] == [
+        run["cap"] for run in starved.stats["caps"] if run["nodes"] > 50
+    ]

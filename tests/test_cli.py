@@ -160,6 +160,16 @@ def test_directory_paths_are_input_errors(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and err.startswith("divlab: error:")
 
 
+def test_manifest_failure_prints_no_report(tmp_path, capsys):
+    fam = tmp_path / "tri.json"
+    write_family(family_triangle(8, 3), fam)
+    for fmt in ((), ("--json",)):
+        code, text, err = run(capsys, "measure", str(fam), *fmt, "--manifest", str(tmp_path))
+        assert code == 1
+        assert text == ""
+        assert err.count("\n") == 1 and err.startswith("divlab: error:")
+
+
 def test_measure_empty_family(tmp_path, capsys):
     out = tmp_path / "empty.json"
     run(capsys, "construct", "--family", "lex", "--n", "6", "--k", "2", "--m", "0",
@@ -205,6 +215,45 @@ def test_search_determinism_modulo_elapsed(capsys):
     assert stripped(text1) == stripped(text2)
     stats = stripped(text1)["stats"]
     assert sum(stats["tried"].values()) == stripped(text1)["nodes"] == 2000
+
+
+def _exact_stats_line(nodes, stats):
+    caps = ", ".join(
+        f"{r['cap']} ({r['floor']}) {'none' if r['size'] is None else r['size']}/{r['nodes']}"
+        for r in stats["caps"]
+    )
+    return (
+        f"{nodes} nodes in {len(stats['caps'])} cap searches [cap (floor) size/nodes]: {caps}; "
+        f"skipped caps: {', '.join(map(str, stats['skipped'])) or 'none'}; "
+        f"truncated caps: {', '.join(map(str, stats['truncated'])) or 'none'}"
+    )
+
+
+def test_search_exact_stats(capsys):
+    args = ("search", "max-cdiv", "--n", "7", "--k", "3", "--c", "5/4", "--exact")
+    code, text, _ = run(capsys, *args, "--json")
+    assert code == 0
+    data = stripped(text)
+    assert stripped(run(capsys, *args, "--json")[1]) == data
+    assert data["values"]["best"] == "15/4" and data["values"]["exact"] is True
+    stats = data["stats"]
+    assert "timing" not in data and set(stats) == {"caps", "skipped", "truncated"}
+    assert stats["skipped"] and stats["truncated"] == []
+    assert sum(r["nodes"] for r in stats["caps"]) == data["nodes"]
+    # the human line shows every searched, skipped and truncated cap
+    code, text, _ = run(capsys, *args)
+    assert text.splitlines()[2] == _exact_stats_line(data["nodes"], stats)
+    code, text, _ = run(capsys, *args, "--budget", "50", "--json")
+    starved = stripped(text)
+    assert starved["values"]["exact"] is False and starved["stats"]["truncated"]
+    code, text, _ = run(capsys, *args, "--budget", "50")
+    assert text.splitlines()[2] == _exact_stats_line(starved["nodes"], starved["stats"])
+
+
+def test_search_exact_refuses_negative_c(capsys):
+    code, text, err = run(capsys, "search", "max-cdiv", "--n", "4", "--k", "2", "--c", "-1", "--exact")
+    assert code == 1 and text == ""
+    assert err.count("\n") == 1 and "C >= 0" in err
 
 
 def test_stability_cli(tmp_path, capsys):

@@ -18,7 +18,7 @@ from divlab.search import (
     max_size_with_degree_cap,
     unconstrained_max,
 )
-from helpers import all_intersecting_families, brute_max_size_with_cap
+from helpers import RecordingPool, all_intersecting_families, brute_max_size_with_cap
 
 
 def test_degree_cap_tiny():
@@ -195,27 +195,9 @@ def test_front_door_rejects_bad_budget_and_workers():
     assert max_c_diversity(8, 2, Fraction(1), "heuristic", budget=1).nodes_explored == 7
 
 
-class _RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, size):
-        self.sizes.append(size)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
 def test_pool_size_is_capped(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
     c = Fraction(5, 4)
     serial_exact = max_c_diversity(5, 2, c, "exact")
     serial_heur = max_c_diversity(10, 3, c, "heuristic", budget=200, seed=1)
@@ -226,8 +208,9 @@ def test_pool_size_is_capped(monkeypatch):
     max_c_diversity(5, 2, c, "exact", workers=10**6)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     max_c_diversity(5, 2, c, "exact", workers=10**6)
-    # exact: one task per cap 0..4; heuristic: one per restart slot (8 here)
-    assert _RecordingPool.sizes == [5, 8, 3, 1]
+    # exact: one task per cap the empty family's value 0 does not skip
+    # (caps 1..3 of 0..4 at C=5/4); heuristic: one per restart slot (8 here)
+    assert RecordingPool.sizes == [3, 8, 3, 1]
     assert (exact.best_value, exact.best_family) == (serial_exact.best_value, serial_exact.best_family)
     assert (heur.best_value, heur.best_family) == (serial_heur.best_value, serial_heur.best_family)
 
