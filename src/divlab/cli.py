@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -34,6 +35,11 @@ OK, USAGE_ERROR, VIOLATION = 0, 1, 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read -p/q as a negative fraction, as argparse reads -p and -.5
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):  # usage errors are exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
@@ -204,7 +210,8 @@ def _cmd_measure(args) -> Report:
         values["gamma_c"] = fx.ratio_str(fam.c_diversity(args.c))
     human = [
         f"|F| = {values['size']}",
-        f"Delta = {values['delta']} (at element {values['delta_witness']})",
+        f"Delta = {values['delta']}"
+        + ("" if values["delta_witness"] is None else f" (at element {values['delta_witness']})"),
         f"gamma = {values['gamma']}",
         f"intersecting = {values['intersecting']}",
     ]

@@ -1,11 +1,12 @@
-"""Constructors for the named intersecting families, plus lex and shifting."""
+"""Constructors for the named intersecting families, each built from its
+trace on a small core set, plus lex prefixes and shifting."""
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
 
-from .family import Family, mask_of
+from .family import Family, elements_of, iter_ksets, mask_of
 
 # A fixed labeling of the seven lines of the Fano plane.  Any labeling is
 # isomorphic; canonical_form makes the choice immaterial.
@@ -14,12 +15,38 @@ FANO_LINES: tuple[frozenset[int], ...] = tuple(
     for line in ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6))
 )
 
+# The most sets a constructor, a lex prefix or a heuristic star seed may have.
+MAX_SETS = 1_000_000
 
-def _outside_combos(n: int, excluded: int, size: int):
-    """Masks of size-subsets of [1,n] avoiding the excluded mask."""
-    rest = [e for e in range(1, n + 1) if not excluded >> (e - 1) & 1]
-    for combo in itertools.combinations(rest, size):
-        yield mask_of(combo)
+
+def _by_trace(n: int, k: int, parts):
+    """The k-subsets of [n] whose trace P on some part's core passes that
+    part's keep(P): P joined to every (k-|P|)-subset outside the core.
+
+    The size is summed first: a family of more than MAX_SETS sets, or one
+    needing more than MAX_SETS core traces tested, is refused before any
+    set is made.  The sets come from the returned iterator.
+    """
+    plan, total, tested = [], 0, 0
+    for core, keep in parts:
+        inside = [1 << (e - 1) for e in elements_of(core)]
+        outside = [1 << e for e in range(n) if not core >> e & 1]
+        # the trace sizes with the largest blocks first, to refuse early
+        sizes = sorted(range(max(0, k - len(outside)), min(k, len(inside)) + 1),
+                       key=lambda size: -math.comb(len(outside), k - size))
+        for size in sizes:
+            for combo in itertools.combinations(inside, size):
+                trace, tested = sum(combo), tested + 1
+                if keep(trace):
+                    total += math.comb(len(outside), k - size)
+                    plan.append((trace, outside, k - size))
+                if total > MAX_SETS or tested > MAX_SETS:
+                    raise ValueError(
+                        f"guard: the family on (n={n}, k={k}) has at least {total} sets "
+                        f"after {tested} traces tested, above the {MAX_SETS}-set guard"
+                    )
+    return (trace | sum(rest) for trace, outside, r in plan
+            for rest in itertools.combinations(outside, r))
 
 
 def full_star(n: int, k: int, center: int = 1) -> Family:
@@ -28,8 +55,7 @@ def full_star(n: int, k: int, center: int = 1) -> Family:
         raise ValueError(f"center {center} outside [1,{n}]")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    c = 1 << (center - 1)
-    return Family(n, k, (c | rest for rest in _outside_combos(n, c, k - 1)))
+    return Family(n, k, _by_trace(n, k, [(1 << (center - 1), bool)]))
 
 
 def family_fi(n: int, k: int, i: int) -> Family:
@@ -42,19 +68,13 @@ def family_fi(n: int, k: int, i: int) -> Family:
         raise ValueError(f"i={i} outside [3, k+1] for k={k}")
     if i > n:
         raise ValueError(f"i={i} exceeds the ground set")
-    one = 1
     window = mask_of(range(2, i + 1))
-    members = set()
-    for rest in _outside_combos(n, one, k - 1):
-        if rest & window:
-            members.add(one | rest)
-    for rest in _outside_combos(n, window, k - (i - 1)):
-        members.add(window | rest)
-    return Family(n, k, members)
+    return Family(n, k, _by_trace(n, k, [
+        (1 | window, lambda p: p & window == window or p & 1 and p & window),
+    ]))
 
 
-def family_uvw(n: int, k: int, triple: tuple[int, int, int]) -> Family:
-    """All k-sets meeting the triple in exactly 2 elements."""
+def _uvw(n: int, k: int, triple: tuple[int, int, int], keep) -> Family:
     t = mask_of(triple)
     if t.bit_count() != 3:
         raise ValueError(f"triple {triple} must have three distinct elements")
@@ -62,21 +82,17 @@ def family_uvw(n: int, k: int, triple: tuple[int, int, int]) -> Family:
         raise ValueError(f"triple {triple} exceeds the ground set [1,{n}]")
     if k < 2:
         raise ValueError("uniformity must be at least 2")
-    members = []
-    for pair in itertools.combinations(sorted(set(triple)), 2):
-        pm = mask_of(pair)
-        members.extend(pm | rest for rest in _outside_combos(n, t, k - 2))
-    return Family(n, k, members)
+    return Family(n, k, _by_trace(n, k, [(t, keep)]))
+
+
+def family_uvw(n: int, k: int, triple: tuple[int, int, int]) -> Family:
+    """All k-sets meeting the triple in exactly 2 elements."""
+    return _uvw(n, k, triple, lambda p: p.bit_count() == 2)
 
 
 def family_uvw_star(n: int, k: int, triple: tuple[int, int, int]) -> Family:
     """All k-sets meeting the triple in at least 2 elements."""
-    base = family_uvw(n, k, triple)
-    t = mask_of(triple)
-    extra = []
-    if k >= 3:
-        extra = [t | rest for rest in _outside_combos(n, t, k - 3)]
-    return Family(n, k, base.members + tuple(extra))
+    return _uvw(n, k, triple, lambda p: p.bit_count() >= 2)
 
 
 def family_triangle(n: int, k: int) -> Family:
@@ -84,40 +100,13 @@ def family_triangle(n: int, k: int) -> Family:
     return family_uvw(n, k, (1, 2, 3))
 
 
-def lex_rank(n: int, k: int, elements: tuple[int, ...]) -> int:
-    """0-based rank of a k-set in the lexicographic order on [n]."""
-    rank = 0
-    prev = 0
-    for pos, e in enumerate(sorted(elements)):
-        for skipped in range(prev + 1, e):
-            rank += math.comb(n - skipped, k - pos - 1)
-        prev = e
-    return rank
-
-
-def lex_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
-    """The k-set of [n] with the given 0-based lexicographic rank."""
-    if not 0 <= rank < math.comb(n, k):
-        raise ValueError(f"rank {rank} outside [0, C({n},{k}))")
-    out = []
-    e = 1
-    for pos in range(k):
-        while True:
-            block = math.comb(n - e, k - pos - 1)
-            if rank < block:
-                break
-            rank -= block
-            e += 1
-        out.append(e)
-        e += 1
-    return tuple(out)
-
-
 def lex_family(n: int, k: int, m: int) -> Family:
-    """The first m k-subsets of [n] in lexicographic order, by unranking."""
+    """The first m k-subsets of [n] in lexicographic order."""
     if not 0 <= m <= math.comb(n, k):
         raise ValueError(f"m={m} outside [0, C({n},{k})]")
-    return Family(n, k, (mask_of(lex_unrank(n, k, r)) for r in range(m)))
+    if m > MAX_SETS:
+        raise ValueError(f"guard: m={m} sets, above the {MAX_SETS}-set guard")
+    return Family(n, k, itertools.islice(iter_ksets(n, k), m))
 
 
 def shift_masks(masks: frozenset[int] | set[int], i: int, j: int) -> set[int]:
@@ -165,19 +154,12 @@ def fano_families(n: int, k: int) -> tuple[Family, Family]:
     if k < 3:
         raise ValueError(f"Fano families need k >= 3, got {k}")
     seven = mask_of(range(1, 8))
-    lines = [mask_of(line) for line in FANO_LINES]
-    complements = {seven ^ lm for lm in lines}
-    base = []
-    for lm in lines:
-        base.extend(lm | rest for rest in _outside_combos(n, seven, k - 3))
-    plus = list(base)
-    if k >= 4:
-        for quad in itertools.combinations(range(1, 8), 4):
-            qm = mask_of(quad)
-            if qm in complements:
-                continue
-            plus.extend(qm | rest for rest in _outside_combos(n, seven, k - 4))
-    return Family(n, k, base), Family(n, k, plus)
+    lines = {mask_of(line) for line in FANO_LINES}
+    quads = set(iter_ksets(7, 4)) - {seven ^ line for line in lines}
+    return (
+        Family(n, k, _by_trace(n, k, [(seven, lines.__contains__)])),
+        Family(n, k, _by_trace(n, k, [(seven, (lines | quads).__contains__)])),
+    )
 
 
 @dataclass(frozen=True)
@@ -228,13 +210,10 @@ def example_t(n: int, k: int, kernels: KernelTriple) -> Family:
     the i-th kernel, plus sets tracing [3] at {i} that contain the kernel."""
     kernels.validate(n, k)
     three = mask_of((1, 2, 3))
-    members = []
-    for i, kern in zip((1, 2, 3), kernels.parts()):
-        km = mask_of(kern)
-        pair = three ^ (1 << (i - 1))
-        for rest in _outside_combos(n, three, k - 2):
-            if rest & km:
-                members.append(pair | rest)
-        own = (1 << (i - 1)) | km
-        members.extend(own | rest for rest in _outside_combos(n, three | km, k - 1 - len(kern)))
-    return Family(n, k, members)
+
+    def block(i: int, kern: frozenset[int]):
+        km, own = mask_of(kern), 1 << (i - 1)
+        pair = three ^ own
+        return three | km, lambda p: p & three == pair and p & km or p == own | km
+
+    return Family(n, k, _by_trace(n, k, [block(i, a) for i, a in zip((1, 2, 3), kernels.parts())]))

@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .family import Family, Universe, cross_intersecting, disjointness, iter_ksets
+from .family import Family, Universe, disjointness, iter_ksets
 from .constructions import lex_family, shift_masks
 from .formulas import binom
 
@@ -97,14 +97,17 @@ class HiltonReport:
     counterexample: tuple[Family, Family] | None = None
 
 
-def _lex_pair_ok(n: int, a: int, b: int) -> dict[tuple[int, int], bool]:
-    table = {}
-    ca, cb = math.comb(n, a), math.comb(n, b)
-    for s in range(ca + 1):
-        la = lex_family(n, a, s)
-        for t in range(cb + 1):
-            table[(s, t)] = cross_intersecting(la, lex_family(n, b, t))
-    return table
+def _lex_limits(cross: list[int], size_b: int) -> list[int]:
+    """limits[s] = the largest t for which the lex prefixes of sizes s and t
+    are cross-intersecting, read off the lex-indexed table cross[i] (the
+    b-sets disjoint from a-set i): the first b-set disjoint from some of the
+    first s a-sets, or every b-set when there is none."""
+    limits = [size_b]
+    bad = 0
+    for row in cross:
+        bad |= row
+        limits.append((bad & -bad).bit_length() - 1 if bad else size_b)
+    return limits
 
 
 def _shift_route_ok(n: int, a_masks: tuple[int, ...], b_masks: tuple[int, ...]) -> bool:
@@ -146,7 +149,7 @@ def verify_hilton(
         raise ValueError("requires n >= a + b")
     ua, ub = Universe(n, a), Universe(n, b)
     cross = disjointness(ua.masks, ub.masks)
-    lex_ok = _lex_pair_ok(n, a, b)
+    lex_limit = _lex_limits(cross, len(ub.masks))
     rng = random.Random(seed)
 
     def candidate_pairs():
@@ -166,7 +169,7 @@ def verify_hilton(
     pairs = shifts = 0
     for a_picked, b_picked in candidate_pairs():
         pairs += 1
-        ok = lex_ok[(a_picked.bit_count(), b_picked.bit_count())]
+        ok = b_picked.bit_count() <= lex_limit[a_picked.bit_count()]
         if ok and a_picked and b_picked and (not exhaustive or pairs % shift_sample_stride == 0):
             shifts += 1
             ok = _shift_route_ok(n, ua.family(a_picked).members, ub.family(b_picked).members)

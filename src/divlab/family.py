@@ -179,10 +179,13 @@ class Family:
             raise ValueError(f"element {x} outside [1,{self.n}]")
         return self.degrees[x - 1]
 
-    def max_degree(self) -> tuple[int, int]:
-        """(maximum degree, smallest element attaining it)."""
+    def max_degree(self) -> tuple[int, int | None]:
+        """(maximum degree, smallest element attaining it); the empty family
+        has no such element and reports (0, None)."""
+        if not self.members:
+            return 0, None
         deg = self.degrees
-        best = max(deg) if deg else 0
+        best = max(deg)
         return best, deg.index(best) + 1
 
     def diversity(self) -> int:

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from .constructions import MAX_SETS
 from .family import Family, Universe, elements_of
 
 DEFAULT_NODE_BUDGET = 5_000_000
 EXACT_UNIVERSE_GUARD = 40
-HEURISTIC_SEED_GUARD = 1_000_000
 
 
 def node_budget(budget: int | None = None) -> int:
@@ -473,16 +473,16 @@ def max_c_diversity_heuristic(
     restarts and never changes the merged result.  `stats` counts the restart
     slots, the random restarts (after 400 rejected moves in a row) and the
     moves tried and accepted per kind.  An (n, k) whose star seed has more
-    than HEURISTIC_SEED_GUARD sets is refused before any set is built.
+    than MAX_SETS sets is refused before any set is built.
     """
     c = Fraction(c)
     if not 1 <= k <= n:
         raise ValueError(f"uniformity k={k} out of range for n={n}")
     star = math.comb(n - 1, k - 1)
-    if star > HEURISTIC_SEED_GUARD:
+    if star > MAX_SETS:
         raise ValueError(
             f"heuristic search refused: the star seed has C({n - 1},{k - 1})={star} "
-            f"sets, above the {HEURISTIC_SEED_GUARD}-set guard"
+            f"sets, above the {MAX_SETS}-set guard"
         )
     specs = _restart_specs(n, k, c, budget, seed)
     if workers > 1:

@@ -40,14 +40,15 @@ def _measure_rows(
 ) -> list[Row]:
     """Compare |F|, Delta, gamma against closed forms with the flag policy."""
     n, k = fam.n, fam.k
+    intersecting = fam.is_intersecting()
     rows = [
         Row(
             check, n, k, params, "size", size_formula, len(fam),
             "pass" if size_formula == len(fam) else "fail",
         ),
         Row(
-            check, n, k, params, "intersecting", 1, int(fam.is_intersecting()),
-            "pass" if fam.is_intersecting() else "fail",
+            check, n, k, params, "intersecting", 1, int(intersecting),
+            "pass" if intersecting else "fail",
         ),
     ]
     if n >= 2 * k:

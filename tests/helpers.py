@@ -5,8 +5,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from divlab.constructions import family_triangle, family_uvw
-from divlab.family import Family, elements_of, iter_ksets, mask_of
+from divlab.constructions import FANO_LINES, family_triangle, family_uvw, lex_family
+from divlab.family import Family, cross_intersecting, elements_of, iter_ksets, mask_of
 from divlab.formulas import binom
 
 
@@ -200,3 +200,51 @@ def triangle_with_disjoint_pair(n: int) -> Family:
     drop = {mask_of((2, 3, 10)), mask_of((2, 3, 11))}
     kept = [m for m in family_triangle(n, 3).members if m not in drop]
     return Family(n, 3, kept + [mask_of((4, 5, 6)), mask_of((7, 8, 9))])
+
+
+def brute_lex_pair_ok(n: int, a: int, b: int) -> dict[tuple[int, int], bool]:
+    """(s, t) -> whether the lex prefixes of s a-sets and t b-sets are
+    cross-intersecting, by building and testing every pair of prefixes."""
+    table = {}
+    ca, cb = binom(n, a), binom(n, b)
+    for s in range(ca + 1):
+        la = lex_family(n, a, s)
+        for t in range(cb + 1):
+            table[(s, t)] = cross_intersecting(la, lex_family(n, b, t))
+    return table
+
+
+def brute_named_family(name: str, n: int, k: int, **params) -> Family:
+    """A named family from its definition, by filtering every k-subset of [n]."""
+    if name == "star":
+        center = 1 << (params["center"] - 1)
+        keep = lambda m: m & center
+    elif name == "fi":
+        window = mask_of(range(2, params["i"] + 1))
+        keep = lambda m: (m & 1 and m & window) or m & window == window
+    elif name == "uvw":
+        t = mask_of(params["triple"])
+        keep = lambda m: (m & t).bit_count() == 2
+    elif name == "uvw-star":
+        t = mask_of(params["triple"])
+        keep = lambda m: (m & t).bit_count() >= 2
+    elif name in ("fano-l", "fano-lplus"):
+        seven = mask_of(range(1, 8))
+        lines = {mask_of(line) for line in FANO_LINES}
+        plus = name == "fano-lplus"
+        keep = lambda m: m & seven in lines or (
+            plus and (m & seven).bit_count() == 4 and seven ^ (m & seven) not in lines
+        )
+    elif name == "example-t":
+        # block i: trace [3] \ {i} on [3] and meet K_i, or trace {i} and contain K_i
+        blocks = [
+            (0b111 ^ 1 << (i - 1), 1 << (i - 1), mask_of(kern))
+            for i, kern in zip((1, 2, 3), params["kernels"].parts())
+        ]
+        keep = lambda m: any(
+            (m & 0b111 == pair and m & km) or (m & 0b111 == single and m & km == km)
+            for pair, single, km in blocks
+        )
+    else:
+        raise ValueError(f"no oracle for {name}")
+    return Family(n, k, [m for m in iter_ksets(n, k) if keep(m)])

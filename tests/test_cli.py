@@ -110,6 +110,13 @@ def test_usage_and_input_errors(tmp_path, capsys):
         code, text, err = run(capsys, *base, *extra)
         assert code == 1, extra
         assert text == "" and err.count("\n") == 1, extra
+    # construct sizes a family before it enumerates one
+    for extra in (("--family", "star", "--n", "200", "--k", "10"),
+                  ("--family", "fi", "--n", "60", "--k", "30", "--i", "31")):
+        code, text, err = run(capsys, "construct", *extra, "--out", str(tmp_path / "big.json"))
+        assert code == 1, extra
+        assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), extra
+        assert not (tmp_path / "big.json").exists()
     # stability needs a triple of the ground set
     tiny = tmp_path / "tiny.json"
     write_family(Family.from_sets(2, 2, [(1, 2)]), tiny)
@@ -178,6 +185,13 @@ def test_measure_empty_family(tmp_path, capsys):
     assert code == 0
     assert "|F| = 0" in text
     assert "rho" not in text  # undefined on the empty family
+    # no element attains the maximum degree 0 of the empty family
+    assert "Delta = 0\n" in text and "at element" not in text
+    code, text, _ = run(capsys, "measure", str(out), "--json")
+    assert json.loads(text)["values"]["delta_witness"] is None
+    code, text, _ = run(capsys, "construct", "--family", "lex", "--n", "6", "--k", "2",
+                        "--m", "0", "--out", str(out), "--json")
+    assert code == 0 and json.loads(text)["values"]["witness"] is None
 
 
 def test_search_json_report(capsys):
@@ -254,6 +268,16 @@ def test_search_exact_refuses_negative_c(capsys):
     code, text, err = run(capsys, "search", "max-cdiv", "--n", "4", "--k", "2", "--c", "-1", "--exact")
     assert code == 1 and text == ""
     assert err.count("\n") == 1 and "C >= 0" in err
+
+
+def test_negative_fraction_is_a_number(capsys):
+    base = ("search", "max-cdiv", "--n", "5", "--k", "2", "--c", "-1/2")
+    code, text, err = run(capsys, *base, "--heuristic", "--budget", "10")
+    assert code == 0 and err == ""
+    assert "C=-1/2" in text
+    code, text, err = run(capsys, *base, "--exact")
+    assert code == 1 and text == ""
+    assert err == "divlab: error: exact search needs C >= 0, got -1/2\n"
 
 
 def test_stability_cli(tmp_path, capsys):

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from divlab import constructions
 from divlab.constructions import (
     FANO_LINES,
+    MAX_SETS,
     KernelTriple,
     example_t,
     family_fi,
@@ -14,8 +16,7 @@ from divlab.constructions import (
     fano_families,
     full_star,
     lex_family,
-    lex_rank,
-    lex_unrank,
+    sample_kernels,
     shift,
     shift_closure,
 )
@@ -31,7 +32,7 @@ from divlab.formulas import (
     fi_gamma,
     triangle_size,
 )
-from helpers import random_cross_pair, random_intersecting
+from helpers import brute_named_family, random_cross_pair, random_intersecting
 
 
 def test_full_star():
@@ -87,13 +88,6 @@ def test_lex_family():
             assert set(lex_family(6, 3, m - 1).members) < set(fam.members)
     with pytest.raises(ValueError):
         lex_family(5, 2, 11)
-
-
-def test_lex_rank_unrank_roundtrip():
-    universe = sorted(itertools.combinations(range(1, 9), 3))
-    for r, combo in enumerate(universe):
-        assert lex_unrank(8, 3, r) == combo
-        assert lex_rank(8, 3, combo) == r
 
 
 def test_shift_examples():
@@ -201,3 +195,69 @@ def test_constructors_always_intersecting():
                 fams.append(example_t(n, k, KernelTriple.uniform(tuple(range(4, 4 + ell)))))
         for fam in fams:
             assert fam.is_intersecting()
+
+
+def _named_grid(n_max: int):
+    """(name, n, k, params, built family) for every valid parameter choice."""
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            for center in range(1, n + 1):
+                yield "star", n, k, {"center": center}, full_star(n, k, center)
+            for i in range(3, min(k + 1, n) + 1):
+                yield "fi", n, k, {"i": i}, family_fi(n, k, i)
+            if k >= 2:
+                for triple in itertools.combinations(range(1, n + 1), 3):
+                    yield "uvw", n, k, {"triple": triple}, family_uvw(n, k, triple)
+                    yield "uvw-star", n, k, {"triple": triple}, family_uvw_star(n, k, triple)
+            if n >= 7 and k >= 3:
+                fl, flp = fano_families(n, k)
+                yield "fano-l", n, k, {}, fl
+                yield "fano-lplus", n, k, {}, flp
+            for ell in range(2, k):
+                shapes = []
+                if ell + 4 <= n:
+                    shapes.append(sample_kernels(ell))
+                if ell + 3 <= n:
+                    shapes.append(KernelTriple.uniform(tuple(range(4, 4 + ell))))
+                for kernels in shapes:
+                    yield "example-t", n, k, {"kernels": kernels}, example_t(n, k, kernels)
+
+
+def test_constructors_match_their_definitions():
+    seen = set()
+    for name, n, k, params, fam in _named_grid(10):
+        assert fam == brute_named_family(name, n, k, **params), (name, n, k, params)
+        seen.add(name)
+    assert seen == {"star", "fi", "uvw", "uvw-star", "fano-l", "fano-lplus", "example-t"}
+
+
+def test_size_guard_fires_before_any_family_is_built(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a Family was built")
+
+    monkeypatch.setattr(constructions, "Family", fail)
+    for build in (
+        lambda: full_star(200, 10),
+        lambda: family_fi(60, 30, 31),
+        lambda: family_fi(40, 30, 31),
+        lambda: family_triangle(300, 5),
+        lambda: family_uvw_star(300, 5, (1, 2, 3)),
+        lambda: fano_families(300, 6),
+        lambda: example_t(60, 30, sample_kernels(28)),
+        lambda: lex_family(100, 5, MAX_SETS + 1),
+    ):
+        with pytest.raises(ValueError, match="guard"):
+            build()
+
+
+def test_size_guard_admits_families_up_to_the_limit(monkeypatch):
+    monkeypatch.setattr(constructions, "MAX_SETS", 36)
+    assert len(full_star(10, 3)) == 36
+    with pytest.raises(ValueError, match=r"at least 45 sets after \d+ traces tested, above the 36-set guard"):
+        full_star(11, 3)
+    # the traces tested count against the guard as well
+    with pytest.raises(ValueError, match=r"at least \d+ sets after 37 traces tested"):
+        example_t(24, 21, KernelTriple.uniform(tuple(range(4, 24))))
+    assert len(lex_family(10, 3, 36)) == 36
+    with pytest.raises(ValueError, match="guard"):
+        lex_family(10, 3, 37)

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from divlab.constructions import full_star, lex_family
-from divlab.cross import cross_max_compatible, verify_hilton, verify_lemma_fk
-from divlab.family import Family, cross_intersecting
+from divlab.cross import _lex_limits, cross_max_compatible, verify_hilton, verify_lemma_fk
+from divlab.family import Family, Universe, cross_intersecting, disjointness
 from divlab.formulas import binom, cross_lemma_bounds
-from helpers import random_cross_pair
+from helpers import brute_lex_pair_ok, random_cross_pair
 
 
 def test_fk_small_vacuous():
@@ -70,6 +70,17 @@ def test_lex_pair_of_sizes_stays_cross_intersecting():
     la, lb = lex_family(4, 2, len(a)), lex_family(4, 2, len(b))
     assert la.sets() == [(1, 2)] and lb.sets() == [(1, 2), (1, 3)]
     assert cross_intersecting(la, lb)
+
+
+def test_lex_limits_match_the_prefix_table():
+    # every (n, a, b) that verify_hilton accepts with n <= 8
+    for n in range(2, 9):
+        for a in range(1, n):
+            for b in range(1, n - a + 1):
+                ua, ub = Universe(n, a), Universe(n, b)
+                limits = _lex_limits(disjointness(ua.masks, ub.masks), len(ub.masks))
+                table = brute_lex_pair_ok(n, a, b)
+                assert table == {(s, t): t <= limits[s] for s, t in table}, (n, a, b)
 
 
 def test_hilton_exhaustive_small():

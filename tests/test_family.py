@@ -68,7 +68,7 @@ def test_degrees_triangle():
 def test_degrees_edge_cases():
     empty = Family(6, 3)
     assert all(empty.degree(x) == 0 for x in range(1, 7))
-    assert empty.max_degree() == (0, 1)
+    assert empty.max_degree() == (0, None)
     star = full_star(9, 4, 1)
     assert star.max_degree() == (binom(8, 3), 1)
 

@@ -8,10 +8,9 @@ import pytest
 
 from divlab import search
 from divlab.canonical import canonical_form
-from divlab.constructions import family_triangle, fano_families
+from divlab.constructions import MAX_SETS, family_triangle, fano_families
 from divlab.family import Family, iter_ksets, mask_of
 from divlab.search import (
-    HEURISTIC_SEED_GUARD,
     canonical_seeds,
     extremal_c_diversity_families,
     max_c_diversity,
@@ -297,7 +296,7 @@ def test_heuristic_refuses_oversized_star(monkeypatch):
         raise AssertionError("a seed family was built")
 
     monkeypatch.setattr(search, "canonical_seeds", fail)
-    assert math.comb(9999, 3) > HEURISTIC_SEED_GUARD
+    assert math.comb(9999, 3) > MAX_SETS
     for n, k in ((10000, 4), (10**9, 2)):
         with pytest.raises(ValueError, match="guard"):
             max_c_diversity(n, k, Fraction(5, 4), "heuristic", budget=10)
