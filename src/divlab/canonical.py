@@ -33,11 +33,13 @@ class _Canonicalizer:
         self.n = fam.n
         self.masks = fam.members
         self.member_set = set(fam.members)
-        # element -> tuple of indices of members containing it (0-indexed elems)
-        self.incidence = [[] for _ in range(self.n)]
-        for idx, m in enumerate(self.masks):
-            for e in elements_of(m):
-                self.incidence[e - 1].append(idx)
+        # element -> the members containing it, each decoded once into a
+        # tuple of 0-indexed elements shared by every list it is on
+        self.incidence: list[list[tuple[int, ...]]] = [[] for _ in range(self.n)]
+        for m in self.masks:
+            elems = tuple(e - 1 for e in elements_of(m))
+            for e in elems:
+                self.incidence[e].append(elems)
         self.best: tuple[int, ...] | None = None
         self.leaves = 0
 
@@ -55,13 +57,13 @@ class _Canonicalizer:
             for e in range(self.n):
                 inc = tuple(
                     sorted(
-                        tuple(sorted(colors[x - 1] for x in elements_of(self.masks[i]) if x - 1 != e))
-                        for i in self.incidence[e]
+                        tuple(sorted(colors[x] for x in elems if x != e))
+                        for elems in self.incidence[e]
                     )
                 )
                 sigs.append((colors[e], inc))
-            order = sorted(set(sigs))
-            new = [order.index(s) for s in sigs]
+            rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+            new = [rank[s] for s in sigs]
             if new == colors:
                 return new
             colors = new

@@ -11,8 +11,11 @@ import random
 from dataclasses import dataclass
 
 from .family import Family, Universe, disjointness, iter_ksets
-from .constructions import lex_family, shift_masks
+from .constructions import MAX_SETS, lex_family, shift_masks
 from .formulas import binom
+
+# The most (A, B) pairs exhaustive Hilton mode may face, by `_pair_bound`.
+HILTON_EXHAUSTIVE_PAIRS = 1 << 25
 
 
 @dataclass
@@ -110,6 +113,17 @@ def _lex_limits(cross: list[int], size_b: int) -> list[int]:
     return limits
 
 
+def _pair_bound(n: int, a: int, b: int) -> int:
+    """An upper bound on the cross-intersecting pairs (A, B) of a-set and
+    b-set families of [n].  A = {} allows every B; any other A allows only
+    the b-sets meeting its first member, which C(n-a, b) b-sets miss.  The
+    count is symmetric in a and b, so the smaller bound holds."""
+    def one(a: int, b: int) -> int:
+        size_a, size_b = math.comb(n, a), math.comb(n, b)
+        return (1 << size_b) + (((1 << size_a) - 1) << (size_b - math.comb(n - a, b)))
+    return min(one(a, b), one(b, a))
+
+
 def _shift_route_ok(n: int, a_masks: tuple[int, ...], b_masks: tuple[int, ...]) -> bool:
     """Iterated simultaneous shifts must preserve cross-intersection throughout."""
     am, bm = set(a_masks), set(b_masks)
@@ -143,10 +157,24 @@ def verify_hilton(
 
     Exhaustive mode enumerates every pair (A over all a-set families, B over
     the subsets of the sets compatible with A); the shift route is run on
-    every pair when few, else on a deterministic stride sample.
+    every pair when few, else on a deterministic stride sample.  A cross
+    table of more than MAX_SETS entries, or an exhaustive run facing more
+    than HILTON_EXHAUSTIVE_PAIRS pairs, is refused before any table is built.
     """
     if n < a + b:
         raise ValueError("requires n >= a + b")
+    entries = math.comb(n, a) * math.comb(n, b)
+    if entries > MAX_SETS:
+        raise ValueError(
+            f"guard: the cross table has C({n},{a})*C({n},{b})={entries} entries, "
+            f"above the {MAX_SETS}-set guard"
+        )
+    bound = _pair_bound(n, a, b) if exhaustive else 0
+    if bound > HILTON_EXHAUSTIVE_PAIRS:
+        raise ValueError(
+            f"guard: exhaustive mode may face up to {bound} pairs, "
+            f"above the {HILTON_EXHAUSTIVE_PAIRS}-pair guard"
+        )
     ua, ub = Universe(n, a), Universe(n, b)
     cross = disjointness(ua.masks, ub.masks)
     lex_limit = _lex_limits(cross, len(ub.masks))

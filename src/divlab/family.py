@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -61,16 +62,19 @@ class Universe:
     A subfamily is a bitset of indices ("picked"), so set-system queries
     reduce to ands and popcounts: disjoint[i] holds the sets disjoint from
     set i, avoids[e] the sets without element e (avoids[0] is everything).
+    The quadratic `disjoint` table is built on first use, so a universe read
+    only through cross tables never pays for it.
     """
-
-    __slots__ = ("n", "k", "masks", "full", "disjoint", "avoids")
 
     def __init__(self, n: int, k: int):
         self.n, self.k = n, k
         self.masks = list(iter_ksets(n, k))
         self.full = (1 << len(self.masks)) - 1
-        self.disjoint = disjointness(self.masks, self.masks)
         self.avoids = [self.full] + disjointness([1 << e for e in range(n)], self.masks)
+
+    @cached_property
+    def disjoint(self) -> list[int]:
+        return disjointness(self.masks, self.masks)
 
     def meeting(self, picked: int, table: list[int] | None = None) -> int:
         """Bitset of the sets meeting every picked one.

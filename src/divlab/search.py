@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .constructions import MAX_SETS
-from .family import Family, Universe, elements_of
+from .family import Family, Universe, elements_of, mask_of
 
 DEFAULT_NODE_BUDGET = 5_000_000
 EXACT_UNIVERSE_GUARD = 40
@@ -81,6 +81,9 @@ def max_size_with_degree_cap(
 
     Branch-and-bound over the lex order; a nonempty optimum can always be
     relabeled to contain {1,...,k}, so that member is forced at the root.
+    Unless collecting, the root then branches only on the lex-first set of
+    each orbit of its stabilizer (`_root_orbit_reps`); the search returns
+    the same family as a full root, with fewer nodes.
     Only sizes above `floor` count: the search starts with that incumbent
     and returns no family (size None) when nothing beats it.  A maximum
     above the floor comes back with the same family and optima as without
@@ -95,16 +98,17 @@ def max_size_with_degree_cap(
         return CapSearch(0, empty, True, 0, [empty] if collect_optima else None, floor)
 
     u = Universe(n, k)
+    disjoint, avoids = u.disjoint, u.avoids
     elems = [elements_of(m) for m in u.masks]
     deg = [0] * (n + 1)
 
     def take(i: int, rest: int) -> int:
         """Add set i to the degrees; the sets of `rest` that may still follow it."""
-        cands = rest & ~u.disjoint[i]
+        cands = rest & ~disjoint[i]
         for e in elems[i]:
             deg[e] += 1
             if deg[e] == cap:
-                cands &= u.avoids[e]
+                cands &= avoids[e]
         return cands
 
     def drop(i: int) -> None:
@@ -127,7 +131,7 @@ def max_size_with_degree_cap(
     nodes = 0
     out_of_budget = False
 
-    def descend(picked: int, size: int, cands: int, capacity: int) -> None:
+    def descend(picked: int, size: int, cands: int, capacity: int, branch: int = -1) -> None:
         nonlocal best_size, best, nodes, out_of_budget
         nodes += 1
         if nodes > limit:
@@ -143,17 +147,19 @@ def max_size_with_degree_cap(
         bound = size + min(cands.bit_count(), capacity // k)
         if bound <= floor or bound < best_size or (not collect_optima and bound == best_size):
             return
-        while cands:  # branch in lex order
+        while cands:  # branch in lex order on the sets of `branch`
             if out_of_budget:
                 return
             low = cands & -cands
             cands ^= low
-            i = low.bit_length() - 1
-            descend(picked | low, size + 1, take(i, cands), capacity - k)
-            drop(i)
+            if low & branch:
+                i = low.bit_length() - 1
+                descend(picked | low, size + 1, take(i, cands), capacity - k)
+                drop(i)
 
     # root forcing: set 0 is {1,...,k}
-    descend(1, 1, take(0, u.full ^ 1), n * cap - k)
+    reps = -1 if collect_optima else _root_orbit_reps(u)
+    descend(1, 1, take(0, u.full ^ 1), n * cap - k, reps)
 
     optima = None
     if collect_optima:
@@ -164,6 +170,25 @@ def max_size_with_degree_cap(
     if not best:
         return CapSearch(None, None, not out_of_budget, nodes, optima, floor)
     return CapSearch(best_size, u.family(best), not out_of_budget, nodes, optima, floor)
+
+
+def _root_orbit_reps(u: Universe) -> int:
+    """Bitset of the sets rep_j = [j] + {k+1, ..., 2k-j}, 0 < j < k, that fit in [n].
+
+    The stabilizer S_k x S_{n-k} of the root [k] sorts the other k-sets into
+    orbits by j = |B & [k]|, and rep_j is the lex-first set of its orbit;
+    the sets before it all meet [k] in more than j elements.  An optimum
+    whose non-root members meet [k] in at most j elements, some in exactly
+    j, relabels to one holding rep_j and none of the sets before it, so
+    its branch suffices.  The first largest family in lex DFS order lies
+    under such a branch, and that subtree is searched as before.
+    """
+    n, k = u.n, u.k
+    reps = 0
+    for j in range(k - 1, 0, -1):
+        if 2 * k - j <= n:
+            reps |= 1 << u.masks.index(mask_of([*range(1, j + 1), *range(k + 1, 2 * k - j + 1)]))
+    return reps
 
 
 def unconstrained_max(n: int, k: int) -> int:

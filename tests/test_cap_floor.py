@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from divlab.family import mask_of
+from divlab.family import Universe, elements_of, iter_ksets, mask_of
 from divlab.search import (
+    _root_orbit_reps,
     extremal_c_diversity_families,
     max_c_diversity,
     max_size_with_degree_cap,
@@ -125,6 +126,7 @@ def test_exact_stats_are_deterministic():
     assert set(a.stats) == {"caps", "skipped", "truncated"}
     assert all(set(run) == {"cap", "floor", "nodes", "size", "exact"} for run in a.stats["caps"])
     assert a.best_value == Fraction(15, 4) and a.degree_cap_used == 5
+    assert a.nodes_explored < 82_017  # the count with a full root at every cap
     assert 0 in a.stats["skipped"] and a.stats["skipped"][-1] == 15
     assert {"cap": 5, "floor": 9, "nodes": a.stats["caps"][4]["nodes"], "size": 10,
             "exact": True} == a.stats["caps"][4]
@@ -133,3 +135,30 @@ def test_exact_stats_are_deterministic():
     assert starved.stats["truncated"] == [
         run["cap"] for run in starved.stats["caps"] if run["nodes"] > 50
     ]
+
+
+# -- root orbit pruning: a direct search branches the root only on orbit
+# representatives; a collecting search keeps the full root
+
+
+@pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (6, 3), (7, 3), (5, 4), (6, 4), (7, 4), (8, 4)])
+def test_root_orbit_reps_are_lex_first_of_each_orbit(n, k):
+    root = mask_of(range(1, k + 1))
+    firsts = {}
+    for mask in iter_ksets(n, k):  # lex order
+        firsts.setdefault((mask & root).bit_count(), mask)
+    want = [firsts[j] for j in range(1, k) if j in firsts]
+    u = Universe(n, k)
+    assert sorted(u.masks[i - 1] for i in elements_of(_root_orbit_reps(u))) == sorted(want)
+
+
+@pytest.mark.parametrize("n,k", CASES + [(6, 4)])
+def test_pruned_root_matches_full_root(n, k):
+    for cap in range(math.comb(n - 1, k - 1) + 1):
+        top = max_size_with_degree_cap(n, k, cap).size
+        for floor in sorted({-1, 0, 1, top - 2, top - 1, top, top + 1, top + 3} - {-2, -3}):
+            direct = max_size_with_degree_cap(n, k, cap, floor=floor)
+            full = max_size_with_degree_cap(n, k, cap, collect_optima=True, floor=floor)
+            assert (direct.size, direct.family, direct.exact) == (
+                full.size, full.family, full.exact), (n, k, cap, floor)
+            assert direct.nodes <= full.nodes, (n, k, cap, floor)

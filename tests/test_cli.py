@@ -117,6 +117,12 @@ def test_usage_and_input_errors(tmp_path, capsys):
         assert code == 1, extra
         assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), extra
         assert not (tmp_path / "big.json").exists()
+    # lemma hilton sizes its cross table, and exhaustive mode its pairs, first
+    for extra in (("--n", "40", "--a", "3", "--b", "3"),
+                  ("--n", "8", "--a", "2", "--b", "1", "--exhaustive")):
+        code, text, err = run(capsys, "lemma", "hilton", *extra)
+        assert code == 1, extra
+        assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), extra
     # stability needs a triple of the ground set
     tiny = tmp_path / "tiny.json"
     write_family(Family.from_sets(2, 2, [(1, 2)]), tiny)

@@ -4,7 +4,14 @@ import random
 import pytest
 
 from divlab.constructions import full_star, lex_family
-from divlab.cross import _lex_limits, cross_max_compatible, verify_hilton, verify_lemma_fk
+from divlab.cross import (
+    HILTON_EXHAUSTIVE_PAIRS,
+    _lex_limits,
+    _pair_bound,
+    cross_max_compatible,
+    verify_hilton,
+    verify_lemma_fk,
+)
 from divlab.family import Family, Universe, cross_intersecting, disjointness
 from divlab.formulas import binom, cross_lemma_bounds
 from helpers import brute_lex_pair_ok, random_cross_pair
@@ -89,6 +96,18 @@ def test_hilton_exhaustive_small():
     assert rep.counterexample is None
     assert rep.pairs_checked > 5000
     assert rep.shifts_checked > 0
+
+
+def test_hilton_pair_bound_covers_every_exhaustive_run():
+    # pairs_checked counts every cross-intersecting pair of a full run
+    for n in range(1, 6):
+        for a in range(n + 1):
+            for b in range(n - a + 1):
+                rep = verify_hilton(n, a, b, exhaustive=True, shift_sample_stride=1 << 20)
+                assert rep.ok and rep.pairs_checked <= _pair_bound(n, a, b), (n, a, b)
+    assert _pair_bound(6, 2, 2) <= HILTON_EXHAUSTIVE_PAIRS < _pair_bound(8, 2, 1)
+    # the pair guard binds exhaustive mode only
+    assert verify_hilton(8, 2, 1, trials=5).pairs_checked == 5
 
 
 def test_hilton_randomized_deterministic():

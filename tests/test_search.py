@@ -29,8 +29,9 @@ def test_degree_cap_tiny():
 
 
 def test_degree_cap_against_brute_force():
-    # independent oracle: scan every subset of the universe
-    for n, k in ((4, 2), (5, 2), (5, 3)):
+    # independent oracle: scan every subset of the universe; (4,3) and (6,4)
+    # have no set meeting the root in one element, so no rep_1
+    for n, k in ((4, 2), (5, 2), (4, 3), (5, 3), (5, 4), (6, 4)):
         for cap in range(0, math.comb(n - 1, k - 1) + 1):
             got = max_size_with_degree_cap(n, k, cap)
             assert got.size == brute_max_size_with_cap(n, k, cap), (n, k, cap)
