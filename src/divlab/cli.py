@@ -400,11 +400,8 @@ def _cmd_sweep(args) -> Report:
     for row in all_rows:
         counts[row.status] += 1
     if args.out:
-        lines = ["check,n,k,params,quantity,formula,measured,status,note"]
-        lines += [
-            f"{r.check},{r.n},{r.k},{r.params},{r.quantity},{r.formula},{r.measured},{r.status},{r.note}"
-            for r in all_rows
-        ]
+        lines = [",".join(sweeps.Row._fields)]
+        lines += [",".join(map(str, r)) for r in all_rows]
         Path(args.out).write_text("\n".join(lines) + "\n")
     human = [
         f"{len(all_rows)} checks: {counts['pass']} pass, "

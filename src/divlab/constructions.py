@@ -6,7 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .family import Family, elements_of, iter_ksets, mask_of
+from .family import MAX_SETS, Family, check_ground_set, elements_of, iter_ksets, mask_of
 
 # A fixed labeling of the seven lines of the Fano plane.  Any labeling is
 # isomorphic; canonical_form makes the choice immaterial.
@@ -14,9 +14,6 @@ FANO_LINES: tuple[frozenset[int], ...] = tuple(
     frozenset(line)
     for line in ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6))
 )
-
-# The most sets a constructor, a lex prefix or a heuristic star seed may have.
-MAX_SETS = 1_000_000
 
 
 def _by_trace(n: int, k: int, parts):
@@ -27,6 +24,7 @@ def _by_trace(n: int, k: int, parts):
     needing more than MAX_SETS core traces tested, is refused before any
     set is made.  The sets come from the returned iterator.
     """
+    check_ground_set(n)
     plan, total, tested = [], 0, 0
     for core, keep in parts:
         inside = [1 << (e - 1) for e in elements_of(core)]
@@ -180,7 +178,7 @@ class KernelTriple:
 
     def validate(self, n: int, k: int) -> None:
         for a in self.parts():
-            if not a <= set(range(4, n + 1)):
+            if any(not 4 <= e <= n for e in a):
                 raise ValueError(f"kernel {sorted(a)} must lie inside [4,{n}]")
             if not 2 <= len(a) < k:
                 raise ValueError(f"kernel {sorted(a)} size must be in [2,{k})")

@@ -17,6 +17,20 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 
+# The most sets a constructor, a lex prefix or a heuristic star seed may have,
+# and the largest ground set a Family takes.
+MAX_SETS = 1_000_000
+
+# _REVERSED_BITS[b] is the byte b with its bit order reversed.
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def check_ground_set(n: int) -> None:
+    """Refuse a ground set [n] above the guard, before anything n-sized is built."""
+    if n > MAX_SETS:
+        raise ValueError(f"guard: ground set of n={n} elements, above the {MAX_SETS}-element guard")
+
+
 def mask_of(elements: Iterable[int]) -> int:
     """Bitmask of a collection of 1-indexed elements."""
     m = 0
@@ -54,6 +68,18 @@ def disjointness(xs: list[int], ys: list[int]) -> list[int]:
                 row |= 1 << j
         table.append(row)
     return table
+
+
+def _reject_member(n: int, k: int, ms: set[int]) -> None:
+    """Raise for the first member of `ms` that is no k-subset of [n]."""
+    full = (1 << n) - 1
+    for m in ms:
+        if m < 0:
+            raise ValueError(f"member mask {m} is negative")
+        if m & ~full:
+            raise ValueError(f"member {elements_of(m)} exceeds ground set [1,{n}]")
+        if m.bit_count() != k:
+            raise ValueError(f"member {elements_of(m)} has {m.bit_count()} elements, expected {k}")
 
 
 class Universe:
@@ -104,20 +130,19 @@ class Family:
     def __init__(self, n: int, k: int, members: Iterable[int] = ()):
         if n < 1:
             raise ValueError(f"ground-set size must be >= 1, got {n}")
+        check_ground_set(n)
         if not 0 <= k <= n:
             raise ValueError(f"uniformity k={k} out of range for n={n}")
-        full = (1 << n) - 1
         ms = set(members)
-        for m in ms:
-            if m & ~full:
-                raise ValueError(f"member {elements_of(m)} exceeds ground set [1,{n}]")
-            if m.bit_count() != k:
-                raise ValueError(
-                    f"member {elements_of(m)} has {m.bit_count()} elements, expected {k}"
-                )
+        if ms and (min(ms) < 0 or max(ms) >> n or set(map(int.bit_count, ms)) != {k}):
+            _reject_member(n, k, ms)
         self.n = n
         self.k = k
-        self.members = tuple(sorted(ms, key=elements_of))
+        # lex order on k-sets is the descending order of the bit-reversed masks
+        nb = (n + 7) // 8
+        self.members = tuple(sorted(
+            ms, key=lambda m: m.to_bytes(nb, "little").translate(_REVERSED_BITS), reverse=True
+        ))
         self._degrees: tuple[int, ...] | None = None
         self._member_set = ms
 
@@ -299,18 +324,17 @@ class Family:
 def trace_counter(fam: Family):
     """Every trace size |F(P,T)|, P subset of a triple T, in O(1) per triple.
 
-    One pass over the members records pair and triple co-degrees; with the
-    element degrees, inclusion-exclusion gives cells(t) for sorted distinct
-    t = (u,v,w): the numbers of members meeting T in exactly empty, {u},
-    {v}, {w}, {u,v}, {u,w}, {v,w} and T, in that order.  Element 0 lies in
-    no member, so cells((0,u,v)) holds the cells of the pair {u,v}.
+    The members are decoded once and counted into pair and triple co-degree
+    tables; with the element degrees, inclusion-exclusion gives cells(t) for
+    sorted distinct t = (u,v,w): the numbers of members meeting T in exactly
+    empty, {u}, {v}, {w}, {u,v}, {u,w}, {v,w} and T, in that order.  Element
+    0 lies in no member, so cells((0,u,v)) holds the cells of the pair {u,v}.
     """
-    pair: Counter = Counter()
-    triple: Counter = Counter()
-    for m in fam.members:
-        es = elements_of(m)
-        pair.update(itertools.combinations(es, 2))
-        triple.update(itertools.combinations(es, 3))
+    decoded = fam.sets()
+    pair = Counter(itertools.chain.from_iterable(
+        map(itertools.combinations, decoded, itertools.repeat(2))))
+    triple = Counter(itertools.chain.from_iterable(
+        map(itertools.combinations, decoded, itertools.repeat(3))))
     size, deg = len(fam), (0,) + fam.degrees
     codeg, cotri = pair.get, triple.get
 

@@ -325,9 +325,18 @@ def cross_lemma_bounds(
     return key0, key, total
 
 
+def binom_ratio_sides(n: int, k: int, i: int) -> tuple[int, int]:
+    """Both sides of C(n-i, k) >= (n-ik)/n C(n,k) times n, as integers:
+    ((n-ik) C(n,k), n C(n-i,k)); the bound holds iff the first is <= the second."""
+    return (n - i * k) * binom(n, k), n * binom(n - i, k)
+
+
 def prop_binom_ratio(n: int, k: int, i: int) -> BoundVerdict:
     """C(n-i, k) >= (n-ik)/n C(n,k) for n > ik, by cross-multiplication."""
     if n <= i * k:
         raise ValueError(f"requires n > ik, got n={n}, i={i}, k={k}")
-    lhs = Fraction(n - i * k, n) * binom(n, k)
-    return BoundVerdict.compare(f"binom-ratio(i={i})", lhs, binom(n - i, k))
+    scaled_lhs, scaled_rhs = binom_ratio_sides(n, k, i)
+    return BoundVerdict(
+        f"binom-ratio(i={i})", True, Fraction(scaled_lhs, n), Fraction(scaled_rhs, n),
+        scaled_lhs <= scaled_rhs, scaled_lhs == scaled_rhs,
+    )

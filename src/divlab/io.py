@@ -7,10 +7,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from pathlib import Path
 from typing import Any
 
-from .family import Family
+from .family import Family, check_ground_set
+
+_INT = {int}
 
 
 class FamilyFormatError(ValueError):
@@ -22,6 +25,13 @@ def family_to_dict(fam: Family) -> dict[str, Any]:
 
 
 def family_from_dict(data: Any) -> Family:
+    """The family a parsed family file describes.
+
+    Each set is checked once, in file order, and the first bad one is
+    reported: a list of integers, of length k, inside [1,n], strictly
+    increasing, not a duplicate.  A ground set above the guard is refused
+    (ValueError) before any set is read.
+    """
     if not isinstance(data, dict):
         raise FamilyFormatError("family file must be a JSON object")
     for key in ("n", "k", "sets"):
@@ -32,23 +42,28 @@ def family_from_dict(data: Any) -> Family:
         raise FamilyFormatError("n and k must be integers")
     if n < 1 or not 0 <= k <= n:
         raise FamilyFormatError(f"invalid sizes n={n}, k={k}")
+    check_ground_set(n)
     if not isinstance(sets, list):
         raise FamilyFormatError("sets must be a list of lists")
-    seen = set()
+    masks = set()
     for s in sets:
-        if not isinstance(s, list) or not all(isinstance(e, int) and not isinstance(e, bool) for e in s):
+        if not isinstance(s, list) or not (set(map(type, s)) <= _INT or all(
+            isinstance(e, int) and not isinstance(e, bool) for e in s
+        )):
             raise FamilyFormatError(f"set {s!r} must be a list of integers")
         if len(s) != k:
             raise FamilyFormatError(f"set {s} has {len(s)} elements, expected {k}")
-        if any(not 1 <= e <= n for e in s):
+        if s and not 1 <= min(s) <= max(s) <= n:
             raise FamilyFormatError(f"set {s} has elements outside [1,{n}]")
-        if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
+        if not all(map(operator.lt, s, s[1:])):
             raise FamilyFormatError(f"set {s} is not strictly increasing")
-        key = tuple(s)
-        if key in seen:
+        m = 0
+        for e in s:
+            m |= 1 << (e - 1)
+        if m in masks:
             raise FamilyFormatError(f"duplicate set {s}")
-        seen.add(key)
-    return Family.from_sets(n, k, sets)
+        masks.add(m)
+    return Family(n, k, masks)
 
 
 def dump_json(data: Any) -> str:
@@ -57,7 +72,20 @@ def dump_json(data: Any) -> str:
 
 
 def write_family(fam: Family, path: str | Path) -> None:
-    Path(path).write_text(dump_json(family_to_dict(fam)))
+    """Write the bytes of dump_json(family_to_dict(fam)), joined directly."""
+    if not fam.members:
+        sets = "[]"
+    elif fam.k == 0:  # the one member is the empty set
+        sets = "[\n    []\n  ]"
+    else:
+        sets = (
+            json.dumps(fam.sets())
+            .replace("], [", "\n    ],\n    [\n      ")
+            .replace(", ", ",\n      ")
+            .replace("[[", "[\n    [\n      ")
+            .replace("]]", "\n    ]\n  ]")
+        )
+    Path(path).write_text(f'{{\n  "n": {fam.n},\n  "k": {fam.k},\n  "sets": {sets}\n}}\n')
 
 
 def read_family(path: str | Path) -> Family:

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 from divlab.constructions import FANO_LINES, family_triangle, family_uvw, lex_family
 from divlab.family import Family, cross_intersecting, elements_of, iter_ksets, mask_of
-from divlab.formulas import binom
+from divlab.formulas import BoundVerdict, binom
+from divlab.io import FamilyFormatError, dump_json, family_to_dict
+from divlab.sweeps import Row
 
 
 def random_family(rng: random.Random, n: int, k: int, density: float = 0.3) -> Family:
@@ -248,3 +250,61 @@ def brute_named_family(name: str, n: int, k: int, **params) -> Family:
     else:
         raise ValueError(f"no oracle for {name}")
     return Family(n, k, [m for m in iter_ksets(n, k) if keep(m)])
+
+
+def reference_family_text(fam: Family) -> str:
+    """A family file's text through the generic indented JSON encoder."""
+    return dump_json(family_to_dict(fam))
+
+
+def reference_family_from_dict(data) -> Family:
+    """A family file's family, checking every set element by element in
+    Python and building it through Family.from_sets."""
+    if not isinstance(data, dict):
+        raise FamilyFormatError("family file must be a JSON object")
+    for key in ("n", "k", "sets"):
+        if key not in data:
+            raise FamilyFormatError(f"missing key {key!r}")
+    n, k, sets = data["n"], data["k"], data["sets"]
+    if not isinstance(n, int) or not isinstance(k, int) or isinstance(n, bool) or isinstance(k, bool):
+        raise FamilyFormatError("n and k must be integers")
+    if n < 1 or not 0 <= k <= n:
+        raise FamilyFormatError(f"invalid sizes n={n}, k={k}")
+    if not isinstance(sets, list):
+        raise FamilyFormatError("sets must be a list of lists")
+    seen = set()
+    for s in sets:
+        if not isinstance(s, list) or not all(isinstance(e, int) and not isinstance(e, bool) for e in s):
+            raise FamilyFormatError(f"set {s!r} must be a list of integers")
+        if len(s) != k:
+            raise FamilyFormatError(f"set {s} has {len(s)} elements, expected {k}")
+        if any(not 1 <= e <= n for e in s):
+            raise FamilyFormatError(f"set {s} has elements outside [1,{n}]")
+        if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
+            raise FamilyFormatError(f"set {s} is not strictly increasing")
+        key = tuple(s)
+        if key in seen:
+            raise FamilyFormatError(f"duplicate set {s}")
+        seen.add(key)
+    return Family.from_sets(n, k, sets)
+
+
+def reference_prop28_rows(n_max: int = 200, k_max: int = 12) -> list[Row]:
+    """The prop28 sweep with each row decided over Fractions by BoundVerdict.compare."""
+    rows = []
+    for k in range(1, k_max + 1):
+        for n in range(k, n_max + 1):
+            i = 0
+            while n > i * k:
+                v = reference_binom_ratio(n, k, i)
+                rows.append(Row("prop28", n, k, f"i={i}", "ratio", 1, int(v.satisfied),
+                                "pass" if v.satisfied else "fail"))
+                i += 1
+    return rows
+
+
+def reference_binom_ratio(n: int, k: int, i: int) -> BoundVerdict:
+    """C(n-i,k) >= (n-ik)/n C(n,k), compared as Fractions."""
+    return BoundVerdict.compare(
+        f"binom-ratio(i={i})", Fraction(n - i * k, n) * binom(n, k), binom(n - i, k)
+    )

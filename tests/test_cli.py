@@ -4,7 +4,7 @@ import pytest
 
 from divlab import cli
 from divlab.formulas import BoundVerdict
-from divlab.constructions import family_triangle
+from divlab.constructions import MAX_SETS, family_triangle
 from divlab.family import Family
 from divlab.io import read_family, dump_json, write_family
 from helpers import triangle_with_disjoint_pair
@@ -123,6 +123,16 @@ def test_usage_and_input_errors(tmp_path, capsys):
         code, text, err = run(capsys, "lemma", "hilton", *extra)
         assert code == 1, extra
         assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), extra
+    # a ground set above the guard is refused before anything n-sized is built
+    huge = tmp_path / "huge.json"
+    huge.write_text(dump_json({"n": MAX_SETS + 1, "k": 1, "sets": [[1]]}))
+    for argv in (("measure", str(huge)),
+                 ("construct", "--family", "star", "--n", str(MAX_SETS + 1), "--k", "1",
+                  "--out", str(tmp_path / "star.json"))):
+        code, text, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), argv
+    assert not (tmp_path / "star.json").exists()
     # stability needs a triple of the ground set
     tiny = tmp_path / "tiny.json"
     write_family(Family.from_sets(2, 2, [(1, 2)]), tiny)
@@ -339,7 +349,7 @@ def test_sweep_cli(tmp_path, capsys):
     assert data["verdict"] == "pass"
     assert data["values"]["fail"] == 0
     header = csv_out.read_text().splitlines()[0]
-    assert header.startswith("check,n,k,params")
+    assert header == "check,n,k,params,quantity,formula,measured,status,note"
     code, _, _ = run(capsys, "sweep", str(tmp_path / "nope.json"))
     assert code == 1
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from divlab.family import (
+    MAX_SETS,
     Family,
     addable_sets,
     cross_intersecting,
@@ -39,6 +40,21 @@ def test_members_sorted_lexicographically():
     assert fam.sets() == [(1, 2), (1, 4), (2, 3), (4, 5)]
     # structural equality regardless of input order
     assert fam == Family.from_sets(5, 2, [[4, 5], [1, 2], [2, 3], [1, 4]])
+
+
+def test_member_order_on_every_n_and_k():
+    # one mask byte and several, every uniformity
+    rng = random.Random(7)
+    for n in range(1, 71):
+        for k in range(n + 1):
+            ms = {mask_of(rng.sample(range(1, n + 1), k)) for _ in range(8)}
+            assert Family(n, k, ms).members == tuple(sorted(ms, key=elements_of)), (n, k)
+
+
+def test_ground_set_guard():
+    with pytest.raises(ValueError, match="guard"):
+        Family(MAX_SETS + 1, 1)
+    assert Family(MAX_SETS, 1, [1 << (MAX_SETS - 1)]).sets() == [(MAX_SETS,)]
 
 
 def test_is_intersecting():

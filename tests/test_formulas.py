@@ -28,7 +28,13 @@ from divlab.formulas import (
     sandwich_triple,
     stability_rhs,
 )
-from helpers import brute_sandwich_triple, random_intersecting
+from divlab.sweeps import prop28_rows
+from helpers import (
+    brute_sandwich_triple,
+    random_intersecting,
+    reference_binom_ratio,
+    reference_prop28_rows,
+)
 
 
 def test_binom_conventions():
@@ -180,6 +186,20 @@ def test_prop_binom_ratio():
     assert v0.satisfied and v0.tight
     with pytest.raises(ValueError):
         prop_binom_ratio(6, 3, 2)
+
+
+def test_prop_binom_ratio_matches_fraction_oracle():
+    for n in range(1, 61):
+        for k in range(0, 7):
+            i = 0
+            while n > i * k and i <= n:
+                v, ref = prop_binom_ratio(n, k, i), reference_binom_ratio(n, k, i)
+                assert v == ref, (n, k, i)
+                i += 1
+
+
+def test_prop28_rows_match_fraction_oracle():
+    assert prop28_rows() == reference_prop28_rows()
 
 
 def test_stability_rhs_monotone():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from divlab.constructions import family_triangle
+from divlab.constructions import MAX_SETS, family_triangle
 from divlab.io import (
     FamilyFormatError,
     dump_json,
@@ -42,6 +42,12 @@ def test_reader_rejections():
     for data in bad_cases:
         with pytest.raises(FamilyFormatError):
             family_from_dict(data)
+
+
+def test_reader_refuses_huge_ground_set_before_reading_sets():
+    # the bad set would be reported first if the sets were read before the guard
+    with pytest.raises(ValueError, match="guard"):
+        family_from_dict({"n": MAX_SETS + 1, "k": 1, "sets": [["x"], [MAX_SETS + 1]]})
 
 
 def test_read_family_bad_json(tmp_path):
