@@ -66,7 +66,8 @@ def family_fi(n: int, k: int, i: int) -> Family:
         raise ValueError(f"i={i} outside [3, k+1] for k={k}")
     if i > n:
         raise ValueError(f"i={i} exceeds the ground set")
-    window = mask_of(range(2, i + 1))
+    check_ground_set(n)
+    window = ((1 << i) - 1) ^ 1  # the elements 2..i
     return Family(n, k, _by_trace(n, k, [
         (1 | window, lambda p: p & window == window or p & 1 and p & window),
     ]))
@@ -100,6 +101,7 @@ def family_triangle(n: int, k: int) -> Family:
 
 def lex_family(n: int, k: int, m: int) -> Family:
     """The first m k-subsets of [n] in lexicographic order."""
+    check_ground_set(n)
     if not 0 <= m <= math.comb(n, k):
         raise ValueError(f"m={m} outside [0, C({n},{k})]")
     if m > MAX_SETS:

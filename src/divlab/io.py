@@ -11,9 +11,7 @@ import operator
 from pathlib import Path
 from typing import Any
 
-from .family import Family, check_ground_set
-
-_INT = {int}
+from .family import Family, check_ground_set, mask_of
 
 
 class FamilyFormatError(ValueError):
@@ -47,9 +45,7 @@ def family_from_dict(data: Any) -> Family:
         raise FamilyFormatError("sets must be a list of lists")
     masks = set()
     for s in sets:
-        if not isinstance(s, list) or not (set(map(type, s)) <= _INT or all(
-            isinstance(e, int) and not isinstance(e, bool) for e in s
-        )):
+        if not isinstance(s, list) or not set(map(type, s)) <= {int}:
             raise FamilyFormatError(f"set {s!r} must be a list of integers")
         if len(s) != k:
             raise FamilyFormatError(f"set {s} has {len(s)} elements, expected {k}")
@@ -57,9 +53,7 @@ def family_from_dict(data: Any) -> Family:
             raise FamilyFormatError(f"set {s} has elements outside [1,{n}]")
         if not all(map(operator.lt, s, s[1:])):
             raise FamilyFormatError(f"set {s} is not strictly increasing")
-        m = 0
-        for e in s:
-            m |= 1 << (e - 1)
+        m = mask_of(s)
         if m in masks:
             raise FamilyFormatError(f"duplicate set {s}")
         masks.add(m)

@@ -128,7 +128,12 @@ def test_usage_and_input_errors(tmp_path, capsys):
     huge.write_text(dump_json({"n": MAX_SETS + 1, "k": 1, "sets": [[1]]}))
     for argv in (("measure", str(huge)),
                  ("construct", "--family", "star", "--n", str(MAX_SETS + 1), "--k", "1",
-                  "--out", str(tmp_path / "star.json"))):
+                  "--out", str(tmp_path / "star.json")),
+                 ("construct", "--family", "fi", "--n", str(MAX_SETS + 1),
+                  "--k", str(MAX_SETS + 1), "--i", str(MAX_SETS + 1),
+                  "--out", str(tmp_path / "star.json")),
+                 ("construct", "--family", "lex", "--n", str(MAX_SETS + 1),
+                  "--k", str(MAX_SETS // 2), "--m", "1", "--out", str(tmp_path / "star.json"))):
         code, text, err = run(capsys, *argv)
         assert code == 1, argv
         assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), argv
