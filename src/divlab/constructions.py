@@ -6,7 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .family import MAX_SETS, Family, check_ground_set, elements_of, iter_ksets, mask_of
+from .family import MAX_SETS, Family, check_ground_set, iter_ksets, mask_of
 
 # A fixed labeling of the seven lines of the Fano plane.  Any labeling is
 # isomorphic; canonical_form makes the choice immaterial.
@@ -22,19 +22,21 @@ def _by_trace(n: int, k: int, parts):
 
     The size is summed first: a family of more than MAX_SETS sets, or one
     needing more than MAX_SETS core traces tested, is refused before any
-    set is made.  The sets come from the returned iterator.
+    set is made.  The sets come from the returned iterator, each built from
+    element indices as it is yielded.
     """
     check_ground_set(n)
     plan, total, tested = [], 0, 0
     for core, keep in parts:
-        inside = [1 << (e - 1) for e in elements_of(core)]
-        outside = [1 << e for e in range(n) if not core >> e & 1]
+        bits = format(core, "b").zfill(n)[::-1]  # bits[e-1] is element e's bit
+        inside = [e for e, bit in enumerate(bits, 1) if bit == "1"]
+        outside = [e for e, bit in enumerate(bits, 1) if bit == "0"]
         # the trace sizes with the largest blocks first, to refuse early
         sizes = sorted(range(max(0, k - len(outside)), min(k, len(inside)) + 1),
                        key=lambda size: -math.comb(len(outside), k - size))
         for size in sizes:
             for combo in itertools.combinations(inside, size):
-                trace, tested = sum(combo), tested + 1
+                trace, tested = mask_of(combo), tested + 1
                 if keep(trace):
                     total += math.comb(len(outside), k - size)
                     plan.append((trace, outside, k - size))
@@ -43,7 +45,7 @@ def _by_trace(n: int, k: int, parts):
                         f"guard: the family on (n={n}, k={k}) has at least {total} sets "
                         f"after {tested} traces tested, above the {MAX_SETS}-set guard"
                     )
-    return (trace | sum(rest) for trace, outside, r in plan
+    return (trace | mask_of(rest) for trace, outside, r in plan
             for rest in itertools.combinations(outside, r))
 
 

@@ -11,10 +11,9 @@ nothing here ever touches floating point.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 # The most sets a constructor, a lex prefix or a heuristic star seed may have,
@@ -58,16 +57,36 @@ def iter_ksets(n: int, k: int) -> Iterator[int]:
         yield m
 
 
+def columns(n: int, masks: Sequence[int]) -> list[int]:
+    """cols[e] = bitset of the indices of the masks containing e, for e in
+    [n]; cols[0] = 0.  Each element that occurs gets one bytearray with a
+    bit set per occurrence, so the Python work is linear in the total mask
+    size."""
+    size = (len(masks) + 7) // 8
+    rows: list[bytearray | None] = [None] * (n + 1)
+    for i, m in enumerate(masks):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for e in elements_of(m):
+            row = rows[e]
+            if row is None:
+                row = rows[e] = bytearray(size)
+            row[byte] |= bit
+    return [0 if row is None else int.from_bytes(row, "little") for row in rows]
+
+
+def union(cols: list[int], mask: int) -> int:
+    """The or of the columns of mask's elements: the masks meeting `mask`."""
+    out = 0
+    for e in elements_of(mask):
+        out |= cols[e]
+    return out
+
+
 def disjointness(xs: list[int], ys: list[int]) -> list[int]:
     """table[i] = bitset of the indices j with ys[j] disjoint from xs[i]."""
-    table = []
-    for x in xs:
-        row = 0
-        for j, y in enumerate(ys):
-            if not x & y:
-                row |= 1 << j
-        table.append(row)
-    return table
+    cols = columns(max(map(int.bit_length, xs + ys), default=0), ys)
+    full = (1 << len(ys)) - 1
+    return [full ^ union(cols, x) for x in xs]
 
 
 def _reject_member(n: int, k: int, ms: set[int]) -> None:
@@ -87,16 +106,17 @@ class Universe:
 
     A subfamily is a bitset of indices ("picked"), so set-system queries
     reduce to ands and popcounts: disjoint[i] holds the sets disjoint from
-    set i, avoids[e] the sets without element e (avoids[0] is everything).
-    The quadratic `disjoint` table is built on first use, so a universe read
-    only through cross tables never pays for it.
+    set i, avoids[e] the sets without element e (avoids[0] is everything),
+    both read off the incidence columns.  The quadratic `disjoint` table is
+    built on first use, so a universe read only through cross tables never
+    pays for it.
     """
 
     def __init__(self, n: int, k: int):
         self.n, self.k = n, k
         self.masks = list(iter_ksets(n, k))
         self.full = (1 << len(self.masks)) - 1
-        self.avoids = [self.full] + disjointness([1 << e for e in range(n)], self.masks)
+        self.avoids = [self.full ^ col for col in columns(n, self.masks)]
 
     @cached_property
     def disjoint(self) -> list[int]:
@@ -123,9 +143,10 @@ class Universe:
 
 
 class Family:
-    """An immutable k-uniform family of subsets of {1, ..., n}."""
+    """An immutable k-uniform family of subsets of {1, ..., n}; member
+    incidence is read off the columns `cols`, built on first use."""
 
-    __slots__ = ("n", "k", "members", "_degrees", "_member_set")
+    __slots__ = ("n", "k", "members", "_cols", "_degrees", "_member_set")
 
     def __init__(self, n: int, k: int, members: Iterable[int] = ()):
         if n < 1:
@@ -143,6 +164,7 @@ class Family:
         self.members = tuple(sorted(
             ms, key=lambda m: m.to_bytes(nb, "little").translate(_REVERSED_BITS), reverse=True
         ))
+        self._cols: list[int] | None = None
         self._degrees: tuple[int, ...] | None = None
         self._member_set = ms
 
@@ -188,19 +210,20 @@ class Family:
         """Members as sorted 1-indexed tuples, in lexicographic order."""
         return [elements_of(m) for m in self.members]
 
-    # -- degrees and diversity measures ------------------------------------
+    # -- incidence columns, degrees and diversity measures -----------------
+
+    @property
+    def cols(self) -> list[int]:
+        """cols[x] = bitset of the indices of the members containing x."""
+        if self._cols is None:
+            self._cols = columns(self.n, self.members)
+        return self._cols
 
     @property
     def degrees(self) -> tuple[int, ...]:
         """degrees[x-1] = number of members containing element x."""
         if self._degrees is None:
-            deg = [0] * self.n
-            for m in self.members:
-                while m:
-                    low = m & -m
-                    deg[low.bit_length() - 1] += 1
-                    m ^= low
-            self._degrees = tuple(deg)
+            self._degrees = tuple(map(int.bit_count, self.cols[1:]))
         return self._degrees
 
     def degree(self, x: int) -> int:
@@ -234,25 +257,15 @@ class Family:
     # -- structural predicates ----------------------------------------------
 
     def is_intersecting(self) -> bool:
-        """True iff every two members share an element (empty family counts)."""
-        ms = self.members
-        if self.is_star():  # common element: no pair scan needed
-            return True
-        for i in range(len(ms)):
-            mi = ms[i]
-            for j in range(i + 1, len(ms)):
-                if not mi & ms[j]:
-                    return False
-        return True
+        """True iff every two members share an element (empty family counts):
+        each member's columns cover all members.  A k = 0 family has at most
+        one member, so no pair."""
+        cols, full = self.cols, (1 << len(self.members)) - 1
+        return not self.k or all(union(cols, m) == full for m in self.members)
 
     def is_star(self) -> bool:
         """True iff some element lies in every member (empty family counts)."""
-        common = (1 << self.n) - 1
-        for m in self.members:
-            common &= m
-            if not common:
-                return False
-        return True
+        return (1 << len(self.members)) - 1 in self.cols
 
     # -- traces --------------------------------------------------------------
 
@@ -322,26 +335,21 @@ class Family:
 
 
 def trace_counter(fam: Family):
-    """Every trace size |F(P,T)|, P subset of a triple T, in O(1) per triple.
+    """Every trace size |F(P,T)|, P subset of a triple T, in O(|F|/64) words.
 
-    The members are decoded once and counted into pair and triple co-degree
-    tables; with the element degrees, inclusion-exclusion gives cells(t) for
-    sorted distinct t = (u,v,w): the numbers of members meeting T in exactly
-    empty, {u}, {v}, {w}, {u,v}, {u,w}, {v,w} and T, in that order.  Element
-    0 lies in no member, so cells((0,u,v)) holds the cells of the pair {u,v}.
+    With the degrees and the popcounts of the ands of T's columns,
+    inclusion-exclusion gives cells(t) for sorted distinct t = (u,v,w): the
+    numbers of members meeting T in exactly empty, {u}, {v}, {w}, {u,v},
+    {u,w}, {v,w} and T, in that order.  Element 0 lies in no member, so
+    cells((0,u,v)) holds the cells of the pair {u,v}.
     """
-    decoded = fam.sets()
-    pair = Counter(itertools.chain.from_iterable(
-        map(itertools.combinations, decoded, itertools.repeat(2))))
-    triple = Counter(itertools.chain.from_iterable(
-        map(itertools.combinations, decoded, itertools.repeat(3))))
-    size, deg = len(fam), (0,) + fam.degrees
-    codeg, cotri = pair.get, triple.get
+    cols, size, deg = fam.cols, len(fam), (0,) + fam.degrees
 
     def cells(t: tuple[int, int, int]) -> tuple[int, ...]:
         u, v, w = t
-        m = cotri(t, 0)
-        uv, uw, vw = codeg((u, v), 0), codeg((u, w), 0), codeg((v, w), 0)
+        cu, cv, cw = cols[u], cols[v], cols[w]
+        m = (cu & cv & cw).bit_count()
+        uv, uw, vw = (cu & cv).bit_count(), (cu & cw).bit_count(), (cv & cw).bit_count()
         du, dv, dw = deg[u], deg[v], deg[w]
         return (size - du - dv - dw + uv + uw + vw - m, du - uv - uw + m,
                 dv - uv - vw + m, dw - uw - vw + m, uv - m, uw - m, vw - m, m)
@@ -353,8 +361,9 @@ def cross_intersecting(a: Family, b: Family, t: int = 1) -> bool:
     """True iff every member of `a` meets every member of `b` in >= t elements."""
     if a.n != b.n:
         raise ValueError(f"families live on different ground sets ({a.n} vs {b.n})")
-    if t == 1:
-        return all(am & bm for am in a.members for bm in b.members)
+    if t == 1:  # each member of a meets all of b
+        cols, full = b.cols, (1 << len(b)) - 1
+        return all(union(cols, m) == full for m in a.members)
     return all((am & bm).bit_count() >= t for am in a.members for bm in b.members)
 
 
@@ -362,13 +371,9 @@ def addable_sets(fam: Family) -> list[int]:
     """k-sets outside the family that meet every member, in lex order."""
     if not fam.is_intersecting():
         raise ValueError("saturation is only defined for intersecting families")
-    out = []
-    for cand in iter_ksets(fam.n, fam.k):
-        if cand in fam:
-            continue
-        if all(cand & m for m in fam.members):
-            out.append(cand)
-    return out
+    cols, full = fam.cols, (1 << len(fam)) - 1
+    return [cand for cand in iter_ksets(fam.n, fam.k)
+            if cand not in fam and union(cols, cand) == full]
 
 
 def is_saturated(fam: Family) -> bool:

@@ -102,10 +102,6 @@ def triangle_delta(n: int, k: int) -> int:
     return 2 * binom(n - 3, k - 2)
 
 
-def triangle_c_diversity(n: int, k: int, c: Fraction) -> Fraction:
-    return (3 - 2 * Fraction(c)) * binom(n - 3, k - 2)
-
-
 def uvw_star_size(n: int, k: int) -> int:
     return 3 * binom(n - 3, k - 2) + binom(n - 3, k - 3)
 

@@ -24,10 +24,7 @@ EXACT_UNIVERSE_GUARD = 40
 
 
 def node_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("DIVLAB_BUDGET")
-    return int(env) if env else DEFAULT_NODE_BUDGET
+    return DEFAULT_NODE_BUDGET if budget is None else budget
 
 
 @dataclass(frozen=True)

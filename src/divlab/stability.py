@@ -1,14 +1,11 @@
 """Triangle decompositions, the stability-triple finder and the key-2 lemma.
 
-Scans over many triples read each |F(P,T)| from family.trace_counter in
-O(1) after one pass over the members; triangle_decomposition, for a single
-triple, counts in one pass without the co-degree tables.  Family.trace is
-the slow reference both are tested against.  The stability scan is
-exhaustive at every n, pruned by a degree-sum bound.
+Every |F(P,T)| comes from family.trace_counter, popcounts of the family's
+incidence columns; Family.trace is the slow reference it is tested against.
+The stability scan is exhaustive at every n, pruned by a degree-sum bound.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,13 +72,10 @@ def triangle_decomposition(fam: Family, triple: tuple[int, int, int]) -> Triangl
     u, v, w = sorted(triple)
     if not (1 <= u and w <= fam.n):
         raise ValueError(f"triple {triple} exceeds the ground set [1,{fam.n}]")
-    bu, bv, bw = 1 << (u - 1), 1 << (v - 1), 1 << (w - 1)
-    cell = Counter(m & (bu | bv | bw) for m in fam.members)  # keyed by F(P,T)'s P
+    h, g_u, g_v, g_w, m_uv, m_uw, m_vw, m = trace_counter(fam)((u, v, w))
     base = binom(fam.n - 3, fam.k - 2)
     return TriangleDecomposition(
-        fam.n, fam.k, (u, v, w),
-        base - cell[bu | bv], base - cell[bu | bw], base - cell[bv | bw],
-        cell[bu], cell[bv], cell[bw], cell[0], cell[bu | bv | bw],
+        fam.n, fam.k, (u, v, w), base - m_uv, base - m_uw, base - m_vw, g_u, g_v, g_w, h, m
     )
 
 

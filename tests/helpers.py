@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from divlab.constructions import FANO_LINES, family_triangle, family_uvw, lex_family
-from divlab.family import Family, cross_intersecting, elements_of, iter_ksets, mask_of
+from divlab.family import Family, elements_of, iter_ksets, mask_of
 from divlab.formulas import BoundVerdict, binom
 from divlab.io import FamilyFormatError, dump_json, family_to_dict
 from divlab.sweeps import Row
@@ -33,6 +33,39 @@ def random_cross_pair(rng: random.Random, n: int, a: int, b: int) -> tuple[Famil
     compat = [m for m in iter_ksets(n, b) if all(m & x for x in fam_a.members)]
     fam_b = Family(n, b, [m for m in compat if rng.random() < 0.5])
     return fam_a, fam_b
+
+
+def brute_is_intersecting(fam: Family) -> bool:
+    """Every two distinct members share an element, by the pair scan."""
+    ms = fam.members
+    return all(ms[i] & ms[j] for i in range(len(ms)) for j in range(i + 1, len(ms)))
+
+
+def brute_is_star(fam: Family) -> bool:
+    """Some element lies in every member, by and-ing the members."""
+    common = (1 << fam.n) - 1
+    for m in fam.members:
+        common &= m
+    return bool(common) or not fam.members
+
+
+def brute_degrees(fam: Family) -> tuple[int, ...]:
+    """degrees[x-1] = members containing x, by decoding every member."""
+    deg = [0] * fam.n
+    for m in fam.members:
+        for e in elements_of(m):
+            deg[e - 1] += 1
+    return tuple(deg)
+
+
+def brute_cross_intersecting(a: Family, b: Family, t: int = 1) -> bool:
+    """Every member of `a` meets every member of `b` in >= t elements, by the pair scan."""
+    return all((x & y).bit_count() >= t for x in a.members for y in b.members)
+
+
+def brute_disjointness(xs: list[int], ys: list[int]) -> list[int]:
+    """table[i] = bitset of the j with ys[j] disjoint from xs[i], by the pair scan."""
+    return [sum(1 << j for j, y in enumerate(ys) if not x & y) for x in xs]
 
 
 def brute_shadow(fam: Family, size: int) -> set[int]:
@@ -212,7 +245,7 @@ def brute_lex_pair_ok(n: int, a: int, b: int) -> dict[tuple[int, int], bool]:
     for s in range(ca + 1):
         la = lex_family(n, a, s)
         for t in range(cb + 1):
-            table[(s, t)] = cross_intersecting(la, lex_family(n, b, t))
+            table[(s, t)] = brute_cross_intersecting(la, lex_family(n, b, t))
     return table
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -229,6 +230,19 @@ def test_constructors_match_their_definitions():
         assert fam == brute_named_family(name, n, k, **params), (name, n, k, params)
         seen.add(name)
     assert seen == {"star", "fi", "uvw", "uvw-star", "fano-l", "fano-lplus", "example-t"}
+
+
+def test_wide_one_set_family_holds_no_mask_per_element():
+    # the builder must hold the elements outside the core as indices: one
+    # n-bit mask per element would take about n^2/16 bytes
+    tracemalloc.start()
+    try:
+        star = full_star(40000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert star.sets() == [(1,)]
+    assert peak < 4 * 2**20, peak
 
 
 def test_size_guard_fires_before_any_family_is_built(monkeypatch):

@@ -173,13 +173,10 @@ def test_exact_soundness_recheck():
         assert again.family.c_diversity(c) == res.best_value
 
 
-def test_node_budget_env(monkeypatch):
+def test_node_budget_default():
     from divlab.search import node_budget, DEFAULT_NODE_BUDGET
 
-    monkeypatch.delenv("DIVLAB_BUDGET", raising=False)
     assert node_budget() == DEFAULT_NODE_BUDGET
-    monkeypatch.setenv("DIVLAB_BUDGET", "1234")
-    assert node_budget() == 1234
     assert node_budget(99) == 99  # explicit argument wins
 
 
