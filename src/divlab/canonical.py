@@ -3,8 +3,27 @@
 Two families are isomorphic iff their canonical forms are equal; no other
 meaning is attached to the particular labeling that comes out.  The search
 refines an element coloring (Weisfeiler-Lehman style on the incidence
-structure), then backtracks over individualizations, pruning branches that
-a transposition automorphism maps onto an explored sibling.
+structure), then backtracks over individualizations of the first
+non-singleton cell.  Each leaf is a discrete coloring; relabeling the
+members by it gives a sorted tuple, and the form is the least such tuple.
+
+Two kinds of automorphism prune the tree:
+
+- a transposition (a b) of two elements of the target cell, tested
+  directly, drops b once a is branched on;
+- leaf automorphisms: when a leaf gives the same tuple as the first leaf
+  or as the best leaf so far, the map between the two colorings is an
+  automorphism, kept as a generator (as nauty does; McKay and Piperno,
+  "Practical graph isomorphism, II", 2014).  A node is its prefix, the
+  elements individualized on the way to it; a child is skipped when the
+  generators fixing the prefix pointwise map it onto a child already
+  explored.
+
+Neither changes the form.  Refinement and individualization commute with
+relabeling, so an automorphism g fixing the prefix maps the subtree below
+child x onto the subtree below g(x), leaf by leaf, and corresponding leaves
+give the same tuple.  The skipped subtrees hold only tuples already seen,
+and the least tuple, hence the form, is the one the full search finds.
 """
 from __future__ import annotations
 
@@ -40,14 +59,18 @@ class _Canonicalizer:
             elems = tuple(e - 1 for e in elements_of(m))
             for e in elems:
                 self.incidence[e].append(elems)
-        self.best: tuple[int, ...] | None = None
+        # the first and the best leaf so far, each as (tuple, coloring)
+        self.first: tuple[tuple[int, ...], list[int]] | None = None
+        self.best: tuple[tuple[int, ...], list[int]] | None = None
+        # automorphisms as lists elem -> image, from pairs of equal leaves
+        self.generators: list[list[int]] = []
         self.leaves = 0
 
     def run(self) -> tuple[int, ...]:
         colors = self._refine([0] * self.n)
-        self._descend(colors)
+        self._descend(colors, ())
         assert self.best is not None
-        return self.best
+        return self.best[0]
 
     # colors: list elem(0-indexed) -> color id; ids are dense, assigned by
     # sorting invariant signatures, so they agree across isomorphic inputs.
@@ -74,16 +97,33 @@ class _Canonicalizer:
             cells.setdefault(c, []).append(e)
         return [cells[c] for c in sorted(cells)]
 
-    def _descend(self, colors: list[int]) -> None:
+    def _descend(self, colors: list[int], prefix: tuple[int, ...]) -> None:
         cells = self._cells(colors)
         target = next((cell for cell in cells if len(cell) > 1), None)
         if target is None:
             self._leaf(colors)
             return
+        explored: list[int] = []
         for rep in self._orbit_reps(target):
+            # generators found below an earlier child count too
+            if explored and not self._orbit(rep, prefix).isdisjoint(explored):
+                continue
+            explored.append(rep)
             branched = [2 * c for c in colors]
             branched[rep] -= 1
-            self._descend(self._refine(branched))
+            self._descend(self._refine(branched), prefix + (rep,))
+
+    def _orbit(self, x: int, prefix: tuple[int, ...]) -> set[int]:
+        """The orbit of x under the generators that fix the prefix pointwise."""
+        gens = [g for g in self.generators if all(g[v] == v for v in prefix)]
+        orbit, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for g in gens:
+                if g[y] not in orbit:
+                    orbit.add(g[y])
+                    todo.append(g[y])
+        return orbit
 
     def _orbit_reps(self, cell: list[int]) -> list[int]:
         """One element per block of the cell under transposition automorphisms."""
@@ -128,5 +168,20 @@ class _Canonicalizer:
                 m ^= low
             relabeled.append(out)
         cand = tuple(sorted(relabeled))
-        if self.best is None or cand < self.best:
-            self.best = cand
+        if self.first is None:
+            self.first = (cand, colors)
+        else:
+            for form, seen in (self.first, self.best):
+                if cand == form:
+                    self._add_generator(seen, colors)
+                    break
+        if self.best is None or cand < self.best[0]:
+            self.best = (cand, colors)
+
+    def _add_generator(self, seen: list[int], colors: list[int]) -> None:
+        """Both colorings relabel the members to the same tuple, so
+        e -> seen^-1(colors[e]) maps the family onto itself."""
+        label_of = [0] * self.n
+        for e, c in enumerate(seen):
+            label_of[c] = e
+        self.generators.append([label_of[c] for c in colors])

@@ -31,16 +31,22 @@ def _by_trace(n: int, k: int, parts):
         bits = format(core, "b").zfill(n)[::-1]  # bits[e-1] is element e's bit
         inside = [e for e, bit in enumerate(bits, 1) if bit == "1"]
         outside = [e for e, bit in enumerate(bits, 1) if bit == "0"]
-        # the trace sizes with the largest blocks first, to refuse early
+        # the trace sizes with the largest blocks first, to refuse early:
+        # C(N, r) falls as |2r - N| grows, so no binomial is computed to sort
         sizes = sorted(range(max(0, k - len(outside)), min(k, len(inside)) + 1),
-                       key=lambda size: -math.comb(len(outside), k - size))
+                       key=lambda size: abs(2 * (k - size) - len(outside)))
         for size in sizes:
+            if tested + math.comb(len(inside), size) > MAX_SETS:
+                raise ValueError(
+                    f"guard: the family on (n={n}, k={k}) needs {tested} + C({len(inside)}, "
+                    f"{size}) core traces tested, above the {MAX_SETS}-set guard"
+                )
             for combo in itertools.combinations(inside, size):
                 trace, tested = mask_of(combo), tested + 1
                 if keep(trace):
                     total += math.comb(len(outside), k - size)
                     plan.append((trace, outside, k - size))
-                if total > MAX_SETS or tested > MAX_SETS:
+                if total > MAX_SETS:
                     raise ValueError(
                         f"guard: the family on (n={n}, k={k}) has at least {total} sets "
                         f"after {tested} traces tested, above the {MAX_SETS}-set guard"

@@ -104,6 +104,7 @@ def find_stability_triple(fam: Family, d: int = 36) -> StabilityReport:
     at least twice in du+dv+dw, so |F \\ F*_T| >= |F| - floor((du+dv+dw)/2).
     Walking the elements by falling degree, each loop stops once that bound
     strictly exceeds the best |F \\ F*_T| so far: no later triple can tie.
+    For k <= 1 every triple ties and (1,2,3) is taken without a scan.
     triples_scanned counts the triples decided, C(n,3).  The theorem
     assumes F intersecting, so its hypotheses fail on any other family.
     """
@@ -116,25 +117,31 @@ def find_stability_triple(fam: Family, d: int = 36) -> StabilityReport:
     gamma = fam.diversity()
     alpha = 1 - Fraction(gamma, base) if base else Fraction(1)
 
-    cells = trace_counter(fam)
-    order = sorted(range(1, n + 1), key=lambda x: (-fam.degrees[x - 1], x))
-    deg = sorted(fam.degrees, reverse=True)  # deg[i] is the degree of order[i]
-    size, full = len(fam), 3 * base
-    best_key = (size + 1,)  # outside <= |F|, so any triple beats it
-    for a in range(n - 2):
-        if size - (deg[a] + deg[a + 1] + deg[a + 2]) // 2 > best_key[0]:
-            break
-        for b in range(a + 1, n - 1):
-            if size - (deg[a] + deg[b] + deg[b + 1]) // 2 > best_key[0]:
+    size = len(fam)
+    if k <= 1:
+        # no member meets a triple twice: every triple ties at (|F|, 0), and
+        # the bound below never exceeds |F|, so a scan would never stop
+        best_key = (size, 0, (1, 2, 3))
+    else:
+        cells = trace_counter(fam)
+        order = sorted(range(1, n + 1), key=lambda x: (-fam.degrees[x - 1], x))
+        deg = sorted(fam.degrees, reverse=True)  # deg[i] is the degree of order[i]
+        full = 3 * base
+        best_key = (size + 1,)  # outside <= |F|, so any triple beats it
+        for a in range(n - 2):
+            if size - (deg[a] + deg[a + 1] + deg[a + 2]) // 2 > best_key[0]:
                 break
-            for c in range(b + 1, n):
-                if size - (deg[a] + deg[b] + deg[c]) // 2 > best_key[0]:
+            for b in range(a + 1, n - 1):
+                if size - (deg[a] + deg[b] + deg[b + 1]) // 2 > best_key[0]:
                     break
-                t = tuple(sorted((order[a], order[b], order[c])))
-                h, g_u, g_v, g_w, m_uv, m_uw, m_vw, _ = cells(t)
-                key = (h + g_u + g_v + g_w, full - m_uv - m_uw - m_vw, t)
-                if key < best_key:
-                    best_key = key
+                for c in range(b + 1, n):
+                    if size - (deg[a] + deg[b] + deg[c]) // 2 > best_key[0]:
+                        break
+                    t = tuple(sorted((order[a], order[b], order[c])))
+                    h, g_u, g_v, g_w, m_uv, m_uw, m_vw, _ = cells(t)
+                    key = (h + g_u + g_v + g_w, full - m_uv - m_uw - m_vw, t)
+                    if key < best_key:
+                        best_key = key
     outside, missing, best = best_key
 
     hyp = (

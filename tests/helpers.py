@@ -341,3 +341,76 @@ def reference_binom_ratio(n: int, k: int, i: int) -> BoundVerdict:
     return BoundVerdict.compare(
         f"binom-ratio(i={i})", Fraction(n - i * k, n) * binom(n, k), binom(n - i, k)
     )
+
+
+class ReferenceCanonicalizer:
+    """The canonical-form search with transposition pruning only: refine,
+    individualize the first non-singleton cell's elements one per block of
+    transposition automorphisms, and keep the least relabeled tuple over
+    every leaf reached.  `leaves` counts the leaves visited."""
+
+    def __init__(self, fam: Family):
+        self.n = fam.n
+        self.masks = fam.members
+        self.member_set = set(fam.members)
+        self.incidence: list[list[tuple[int, ...]]] = [[] for _ in range(self.n)]
+        for m in self.masks:
+            elems = tuple(e - 1 for e in elements_of(m))
+            for e in elems:
+                self.incidence[e].append(elems)
+        self.best: tuple[int, ...] | None = None
+        self.leaves = 0
+
+    def run(self) -> tuple[int, ...]:
+        self._descend(self._refine([0] * self.n))
+        return self.best
+
+    def _refine(self, colors: list[int]) -> list[int]:
+        while True:
+            sigs = [
+                (colors[e], tuple(sorted(
+                    tuple(sorted(colors[x] for x in elems if x != e)) for elems in self.incidence[e]
+                )))
+                for e in range(self.n)
+            ]
+            rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+            new = [rank[s] for s in sigs]
+            if new == colors:
+                return new
+            colors = new
+
+    def _descend(self, colors: list[int]) -> None:
+        target = next((cell for cell in (
+            [e for e in range(self.n) if colors[e] == c] for c in sorted(set(colors))
+        ) if len(cell) > 1), None)
+        if target is None:
+            self.leaves += 1
+            cand = tuple(sorted(
+                sum(1 << colors[e - 1] for e in elements_of(m)) for m in self.masks
+            ))
+            if self.best is None or cand < self.best:
+                self.best = cand
+            return
+        reps: list[int] = []
+        for e in target:
+            # e joins the block of the first rep it can be swapped with
+            if not any(self._swap_is_automorphism(r, e) for r in reps):
+                reps.append(e)
+        for rep in reps:
+            branched = [2 * c for c in colors]
+            branched[rep] -= 1
+            self._descend(self._refine(branched))
+
+    def _swap_is_automorphism(self, a: int, b: int) -> bool:
+        both = 1 << a | 1 << b
+        return all(
+            m ^ both in self.member_set for m in self.masks if (m & both).bit_count() == 1
+        )
+
+
+def reference_canonical_form(fam: Family) -> tuple[Family, int]:
+    """The canonical form by the reference search, and its leaf count."""
+    if not fam.members:
+        return fam, 0
+    ref = ReferenceCanonicalizer(fam)
+    return Family(fam.n, fam.k, ref.run()), ref.leaves

@@ -112,7 +112,8 @@ def test_usage_and_input_errors(tmp_path, capsys):
         assert text == "" and err.count("\n") == 1, extra
     # construct sizes a family before it enumerates one
     for extra in (("--family", "star", "--n", "200", "--k", "10"),
-                  ("--family", "fi", "--n", "60", "--k", "30", "--i", "31")):
+                  ("--family", "fi", "--n", "60", "--k", "30", "--i", "31"),
+                  ("--family", "fi", "--n", "900000", "--k", "800000", "--i", "800000")):
         code, text, err = run(capsys, "construct", *extra, "--out", str(tmp_path / "big.json"))
         assert code == 1, extra
         assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), extra

@@ -269,8 +269,8 @@ def test_size_guard_admits_families_up_to_the_limit(monkeypatch):
     assert len(full_star(10, 3)) == 36
     with pytest.raises(ValueError, match=r"at least 45 sets after \d+ traces tested, above the 36-set guard"):
         full_star(11, 3)
-    # the traces tested count against the guard as well
-    with pytest.raises(ValueError, match=r"at least \d+ sets after 37 traces tested"):
+    # the traces to test count against the guard as well, before any is tested
+    with pytest.raises(ValueError, match=r"needs 0 \+ C\(23, 20\) core traces tested, above the 36"):
         example_t(24, 21, KernelTriple.uniform(tuple(range(4, 24))))
     assert len(lex_family(10, 3, 36)) == 36
     with pytest.raises(ValueError, match="guard"):

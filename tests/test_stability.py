@@ -203,6 +203,21 @@ def test_stability_scan_matches_unpruned_on_constructions(fam):
     assert rep.triples_scanned == binom(fam.n, 3)
 
 
+@pytest.mark.parametrize("n", [8, 200_000])
+def test_stability_k_at_most_one_takes_first_triple(n):
+    # no member of a k <= 1 family meets a triple twice, so every triple
+    # ties at (|F|, 0) and the degree-sum bound never stops a scan
+    fams = [full_star(n, 1), Family(n, 0, [0])]
+    if n < 10:
+        fams.append(Family.from_sets(n, 1, [[2], [5], [n]]))
+    for fam in fams:
+        rep = find_stability_triple(fam, 36)
+        assert (rep.outside, rep.missing, rep.triple) == (len(fam), 0, (1, 2, 3))
+        assert rep.triples_scanned == binom(n, 3)
+        if n < 10:
+            assert (rep.outside, rep.missing, rep.triple) == brute_stability_key(fam)
+
+
 def test_lemma_key2_triangle():
     fam = family_triangle(60, 4)
     rep = verify_lemma_key2(fam, 1, 2)
