@@ -103,7 +103,9 @@ def build_parser() -> _Parser:
     mode.add_argument("--heuristic", action="store_true")
     mc.add_argument("--budget", type=int)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--workers", type=int, default=1)
+    mc.add_argument("--workers", type=int, default=1,
+                    help="processes for heuristic restarts (>= 1); exact reports are the same "
+                         "for every --workers")
     mc.add_argument("--witness", action="store_true", help="include the best family in the report")
     _common(mc)
 

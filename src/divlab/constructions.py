@@ -3,10 +3,10 @@ trace on a small core set, plus lex prefixes and shifting."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
+from typing import Iterator
 
-from .family import MAX_SETS, Family, check_ground_set, iter_ksets, mask_of
+from .family import MAX_SETS, Family, check_ground_set, comb_capped, iter_ksets, mask_of
 
 # A fixed labeling of the seven lines of the Fano plane.  Any labeling is
 # isomorphic; canonical_form makes the choice immaterial.
@@ -20,10 +20,11 @@ def _by_trace(n: int, k: int, parts):
     """The k-subsets of [n] whose trace P on some part's core passes that
     part's keep(P): P joined to every (k-|P|)-subset outside the core.
 
-    The size is summed first: a family of more than MAX_SETS sets, or one
-    needing more than MAX_SETS core traces tested, is refused before any
-    set is made.  The sets come from the returned iterator, each built from
-    element indices as it is yielded.
+    The size is summed first, by binomials capped just above the guard: a
+    family of more than MAX_SETS sets, or one needing more than MAX_SETS
+    core traces tested, is refused before any set is made.  The sets come
+    from the returned iterator, each built from element indices as it is
+    yielded.
     """
     check_ground_set(n)
     plan, total, tested = [], 0, 0
@@ -36,15 +37,16 @@ def _by_trace(n: int, k: int, parts):
         sizes = sorted(range(max(0, k - len(outside)), min(k, len(inside)) + 1),
                        key=lambda size: abs(2 * (k - size) - len(outside)))
         for size in sizes:
-            if tested + math.comb(len(inside), size) > MAX_SETS:
+            if tested + comb_capped(len(inside), size, MAX_SETS - tested) > MAX_SETS:
                 raise ValueError(
                     f"guard: the family on (n={n}, k={k}) needs {tested} + C({len(inside)}, "
                     f"{size}) core traces tested, above the {MAX_SETS}-set guard"
                 )
+            block = comb_capped(len(outside), k - size, MAX_SETS)
             for combo in itertools.combinations(inside, size):
                 trace, tested = mask_of(combo), tested + 1
                 if keep(trace):
-                    total += math.comb(len(outside), k - size)
+                    total += block
                     plan.append((trace, outside, k - size))
                 if total > MAX_SETS:
                     raise ValueError(
@@ -110,7 +112,7 @@ def family_triangle(n: int, k: int) -> Family:
 def lex_family(n: int, k: int, m: int) -> Family:
     """The first m k-subsets of [n] in lexicographic order."""
     check_ground_set(n)
-    if not 0 <= m <= math.comb(n, k):
+    if not 0 <= m <= comb_capped(n, k, m):
         raise ValueError(f"m={m} outside [0, C({n},{k})]")
     if m > MAX_SETS:
         raise ValueError(f"guard: m={m} sets, above the {MAX_SETS}-set guard")
@@ -139,18 +141,27 @@ def shift(fam: Family, i: int, j: int) -> Family:
     return Family(fam.n, fam.k, shift_masks(set(fam.members), i, j))
 
 
-def shift_closure(fam: Family) -> Family:
-    """Apply all shifts S_ij (i < j) until the family stops changing."""
-    current = set(fam.members)
+def shift_states(n: int, states: tuple[set[int], ...]) -> Iterator[tuple[set[int], ...]]:
+    """Sweep the shifts S_ij (i < j) over all the mask sets of `states` at
+    once until none changes; yield the states after each shift that changes
+    one of them."""
     changed = True
     while changed:
         changed = False
-        for i in range(1, fam.n):
-            for j in range(i + 1, fam.n + 1):
-                nxt = shift_masks(current, i, j)
-                if nxt != current:
-                    current = nxt
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                nxt = tuple([shift_masks(s, i, j) for s in states])
+                if nxt != states:
+                    states = nxt
                     changed = True
+                    yield states
+
+
+def shift_closure(fam: Family) -> Family:
+    """Apply all shifts S_ij (i < j) until the family stops changing."""
+    current = set(fam.members)
+    for (current,) in shift_states(fam.n, (current,)):
+        pass
     return Family(fam.n, fam.k, current)
 
 

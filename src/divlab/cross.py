@@ -10,8 +10,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .family import Family, Universe, disjointness, iter_ksets
-from .constructions import MAX_SETS, lex_family, shift_masks
+from .family import Family, Universe, comb_capped, disjointness, iter_ksets
+from .constructions import MAX_SETS, lex_family, shift_states
 from .formulas import binom
 
 # The most (A, B) pairs exhaustive Hilton mode may face, by `_pair_bound`.
@@ -40,9 +40,9 @@ def verify_lemma_fk(m: int, ell: int, method: str = "auto") -> FkReport:
     """
     if m < 2 * ell or ell < 2:
         raise ValueError("requires m >= 2*ell and ell >= 2")
-    size = binom(m, ell)
+    size = comb_capped(m, ell, 16)
     if size > 16:
-        raise ValueError(f"guard: C({m},{ell})={size} candidate sets is too many")
+        raise ValueError(f"guard: C({m},{ell}) candidate sets, more than the 16-set guard")
     if method == "auto":
         method = "exhaustive" if size <= 10 else "pruned"
     u = Universe(m, ell)
@@ -126,19 +126,8 @@ def _pair_bound(n: int, a: int, b: int) -> int:
 
 def _shift_route_ok(n: int, a_masks: tuple[int, ...], b_masks: tuple[int, ...]) -> bool:
     """Iterated simultaneous shifts must preserve cross-intersection throughout."""
-    am, bm = set(a_masks), set(b_masks)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                na, nb = shift_masks(am, i, j), shift_masks(bm, i, j)
-                if na != am or nb != bm:
-                    am, bm = na, nb
-                    changed = True
-                    if any(not x & y for x in am for y in bm):
-                        return False
-    return True
+    return all(all(x & y for x in am for y in bm)
+               for am, bm in shift_states(n, (set(a_masks), set(b_masks))))
 
 
 def verify_hilton(
@@ -163,11 +152,10 @@ def verify_hilton(
     """
     if n < a + b:
         raise ValueError("requires n >= a + b")
-    entries = math.comb(n, a) * math.comb(n, b)
-    if entries > MAX_SETS:
+    if comb_capped(n, a, MAX_SETS) * comb_capped(n, b, MAX_SETS) > MAX_SETS:
         raise ValueError(
-            f"guard: the cross table has C({n},{a})*C({n},{b})={entries} entries, "
-            f"above the {MAX_SETS}-set guard"
+            f"guard: the cross table has C({n},{a})*C({n},{b}) entries, "
+            f"more than the {MAX_SETS}-set guard"
         )
     bound = _pair_bound(n, a, b) if exhaustive else 0
     if bound > HILTON_EXHAUSTIVE_PAIRS:

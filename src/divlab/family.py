@@ -30,6 +30,22 @@ def check_ground_set(n: int) -> None:
         raise ValueError(f"guard: ground set of n={n} elements, above the {MAX_SETS}-element guard")
 
 
+def comb_capped(n: int, r: int, cap: int) -> int:
+    """C(n, r) when it is at most `cap`, else a value above `cap` and at most
+    C(n, r) (0 for r outside [0, n]).  The product loop over C(n, i),
+    i <= min(r, n - r), stops at the first value above the cap, which is a
+    lower bound since C(n, i) <= C(n, r) there; a guard never pays for a
+    huge binomial."""
+    if not 0 <= r <= n:
+        return 0
+    value = 1
+    for i in range(1, min(r, n - r) + 1):
+        value = value * (n - i + 1) // i
+        if value > cap:
+            break
+    return value
+
+
 def mask_of(elements: Iterable[int]) -> int:
     """Bitmask of a collection of 1-indexed elements."""
     m = 0

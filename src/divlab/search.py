@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .constructions import MAX_SETS
-from .family import Family, Universe, elements_of, mask_of
+from .family import Family, Universe, comb_capped, elements_of, mask_of
 
 DEFAULT_NODE_BUDGET = 5_000_000
 EXACT_UNIVERSE_GUARD = 40
@@ -56,10 +56,9 @@ class CapSearch:
 def _check_exact_input(n: int, k: int, override_guard: bool) -> None:
     if not 0 <= k <= n:
         raise ValueError(f"uniformity k={k} out of range for n={n}")
-    universe_size = math.comb(n, k)
-    if universe_size > EXACT_UNIVERSE_GUARD and not override_guard:
+    if not override_guard and comb_capped(n, k, EXACT_UNIVERSE_GUARD) > EXACT_UNIVERSE_GUARD:
         raise ValueError(
-            f"exact search refused: C({n},{k})={universe_size} exceeds the "
+            f"guard: exact search refused: C({n},{k}) is more than the "
             f"{EXACT_UNIVERSE_GUARD}-set guard (pass override_guard=True)"
         )
 
@@ -216,13 +215,6 @@ def _cap_floor(
     return floor
 
 
-def _cap_slot(args: tuple) -> CapSearch:
-    n, k, cap, budget, override_guard, floor = args
-    return max_size_with_degree_cap(
-        n, k, cap, budget=budget, override_guard=override_guard, floor=floor
-    )
-
-
 def _cap_searches(
     n: int,
     k: int,
@@ -230,17 +222,14 @@ def _cap_searches(
     *,
     budget: int | None,
     override_guard: bool,
-    workers: int = 1,
     collect_optima: bool = False,
 ) -> Iterator[tuple[int, CapSearch | None]]:
     """(cap, max-|F| search under that cap, or None if skipped) for caps 0, 1, ...
 
-    The incumbent starts at the empty family's value 0 (cap 0).  Sequentially
-    it rises with every family found, and each cap is skipped or searched
-    above the floor `_cap_floor` gives.  A pool cannot share a running
-    incumbent: it keeps 0 for every cap and runs every cap not skipped, so
-    the merge cannot depend on scheduling.  Yielding one cap at a time
-    keeps a single optima list alive.
+    The incumbent starts at the empty family's value 0 and rises with every
+    family found; each cap is skipped or searched above the floor
+    `_cap_floor` gives.  Yielding one cap at a time keeps a single optima
+    list alive.
 
     The input and guard checks come first, since every cap may be skipped.
     C < 0 is refused: a cap's largest family need not have the largest
@@ -249,22 +238,8 @@ def _cap_searches(
     _check_exact_input(n, k, override_guard)
     if c < 0:
         raise ValueError(f"exact search needs C >= 0, got {c}")
-    caps = range(0, math.comb(n - 1, k - 1) + 1)
-    if workers > 1:
-        import multiprocessing as mp
-
-        floors = {cap: _cap_floor(n, k, c, cap, Fraction(0), False) for cap in caps}
-        tasks = [(n, k, cap, budget, override_guard, f) for cap, f in floors.items() if f is not None]
-        results: list[CapSearch] = []
-        if tasks:
-            with mp.Pool(_pool_size(workers, len(tasks))) as pool:
-                results = pool.map(_cap_slot, tasks)
-        found = iter(results)
-        for cap, f in floors.items():
-            yield cap, None if f is None else next(found)
-        return
     incumbent = Fraction(0)
-    for cap in caps:
+    for cap in range(0, math.comb(n - 1, k - 1) + 1):
         floor = _cap_floor(n, k, c, cap, incumbent, collect_optima)
         if floor is None:
             yield cap, None
@@ -285,7 +260,6 @@ def max_c_diversity_exact(
     c: Fraction,
     *,
     budget: int | None = None,
-    workers: int = 1,
     override_guard: bool = False,
 ) -> SearchResult:
     """Exact max of |F| - C max-degree by iterating over degree caps.
@@ -300,9 +274,7 @@ def max_c_diversity_exact(
     best_cap = 0
     runs: list[dict] = []
     skipped: list[int] = []
-    for cap, res in _cap_searches(
-        n, k, c, budget=budget, override_guard=override_guard, workers=workers
-    ):
+    for cap, res in _cap_searches(n, k, c, budget=budget, override_guard=override_guard):
         if res is None:
             skipped.append(cap)
             continue
@@ -500,11 +472,10 @@ def max_c_diversity_heuristic(
     c = Fraction(c)
     if not 1 <= k <= n:
         raise ValueError(f"uniformity k={k} out of range for n={n}")
-    star = math.comb(n - 1, k - 1)
-    if star > MAX_SETS:
+    if comb_capped(n - 1, k - 1, MAX_SETS) > MAX_SETS:
         raise ValueError(
-            f"heuristic search refused: the star seed has C({n - 1},{k - 1})={star} "
-            f"sets, above the {MAX_SETS}-set guard"
+            f"guard: heuristic search refused: the star seed has C({n - 1},{k - 1}) sets, "
+            f"more than the {MAX_SETS}-set guard"
         )
     specs = _restart_specs(n, k, c, budget, seed)
     if workers > 1:
@@ -637,16 +608,17 @@ def max_c_diversity(
     workers: int = 1,
     override_guard: bool = False,
 ) -> SearchResult:
-    """Front door: exact degree-cap decomposition or seeded local search."""
+    """Front door: exact degree-cap decomposition or seeded local search.
+
+    `workers` (>= 1 in both modes) splits heuristic restart slots only.
+    """
     c = Fraction(c)
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if mode == "exact":
-        return max_c_diversity_exact(
-            n, k, c, budget=budget, workers=workers, override_guard=override_guard
-        )
+        return max_c_diversity_exact(n, k, c, budget=budget, override_guard=override_guard)
     if mode == "heuristic":
         return max_c_diversity_heuristic(
             n, k, c, budget=100_000 if budget is None else budget, seed=seed, workers=workers

@@ -75,23 +75,17 @@ def test_exact_search_matches_oracle(n, k):
         assert set(winners) == {f for f in attaining if root in f or not len(f)}, (n, k, c)
 
 
-def _outcome(res):
-    return res.best_value, res.best_family, res.degree_cap_used, res.exact
-
-
-def test_pooled_matches_sequential(monkeypatch):
-    serial = {(n, k, c): max_c_diversity(n, k, c, "exact") for n, k in CASES for c in C_GRID}
-    # real processes on two inputs
-    for n, k, c in ((6, 3, Fraction(5, 4)), (7, 2, Fraction(0))):
-        assert _outcome(max_c_diversity(n, k, c, "exact", workers=2)) == _outcome(serial[n, k, c])
-    # the merge on the whole grid, with the pool's fixed incumbent 0
+def test_exact_result_is_independent_of_workers(monkeypatch):
+    # exact mode runs its caps in order in one process, so the whole result,
+    # nodes and stats included, is the same for every worker count
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    for (n, k, c), want in serial.items():
-        pooled = max_c_diversity(n, k, c, "exact", workers=2)
-        assert _outcome(pooled) == _outcome(want), (n, k, c)
-        # a fixed incumbent never skips a cap the running one searches
-        assert set(pooled.stats["skipped"]) <= set(want.stats["skipped"])
+    for n, k in CASES:
+        for c in C_GRID:
+            serial = max_c_diversity(n, k, c, "exact")
+            for workers in (2, 4):
+                assert max_c_diversity(n, k, c, "exact", workers=workers) == serial, (n, k, c)
+    assert RecordingPool.sizes == []  # no pool was ever built
 
 
 def test_exact_search_refuses_negative_c():
@@ -99,7 +93,6 @@ def test_exact_search_refuses_negative_c():
     # C < 0 the star wins, but a cap's first largest family is the triangle
     for search in (
         lambda c: max_c_diversity(4, 2, c, "exact"),
-        lambda c: max_c_diversity(4, 2, c, "exact", workers=2),
         lambda c: extremal_c_diversity_families(4, 2, c),
     ):
         with pytest.raises(ValueError, match="C >= 0"):
@@ -109,11 +102,10 @@ def test_exact_search_refuses_negative_c():
 
 def test_input_checks_precede_cap_skipping():
     # at C = 100 every cap of (20,3) and of (5,6) would be skipped
-    for workers in (1, 2):
-        with pytest.raises(ValueError, match="guard"):
-            max_c_diversity(20, 3, Fraction(100), "exact", workers=workers)
-        with pytest.raises(ValueError, match="out of range"):
-            max_c_diversity(5, 6, Fraction(100), "exact", workers=workers)
+    with pytest.raises(ValueError, match="guard"):
+        max_c_diversity(20, 3, Fraction(100), "exact")
+    with pytest.raises(ValueError, match="out of range"):
+        max_c_diversity(5, 6, Fraction(100), "exact")
     with pytest.raises(ValueError, match="guard"):
         extremal_c_diversity_families(20, 3, Fraction(100))
     assert max_c_diversity(20, 3, Fraction(100), "exact", override_guard=True).best_value == 0

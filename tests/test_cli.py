@@ -110,20 +110,32 @@ def test_usage_and_input_errors(tmp_path, capsys):
         code, text, err = run(capsys, *base, *extra)
         assert code == 1, extra
         assert text == "" and err.count("\n") == 1, extra
-    # construct sizes a family before it enumerates one
+    # construct sizes a family before it enumerates one, and no guard
+    # computes or prints a binomial of thousands of digits
     for extra in (("--family", "star", "--n", "200", "--k", "10"),
                   ("--family", "fi", "--n", "60", "--k", "30", "--i", "31"),
-                  ("--family", "fi", "--n", "900000", "--k", "800000", "--i", "800000")):
+                  ("--family", "fi", "--n", "900000", "--k", "800000", "--i", "800000"),
+                  ("--family", "fi", "--n", "1000000", "--k", "500000", "--i", "500001"),
+                  ("--family", "star", "--n", "1000000", "--k", "500000"),
+                  ("--family", "triangle", "--n", "1000000", "--k", "400000"),
+                  ("--family", "star", "--n", "20000", "--k", "10000")):
         code, text, err = run(capsys, "construct", *extra, "--out", str(tmp_path / "big.json"))
         assert code == 1, extra
         assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), extra
         assert not (tmp_path / "big.json").exists()
     # lemma hilton sizes its cross table, and exhaustive mode its pairs, first
-    for extra in (("--n", "40", "--a", "3", "--b", "3"),
-                  ("--n", "8", "--a", "2", "--b", "1", "--exhaustive")):
-        code, text, err = run(capsys, "lemma", "hilton", *extra)
+    for extra in (("hilton", "--n", "40", "--a", "3", "--b", "3"),
+                  ("hilton", "--n", "8", "--a", "2", "--b", "1", "--exhaustive"),
+                  ("hilton", "--n", "20000", "--a", "10000", "--b", "10000"),
+                  ("fk", "--m", "20000", "--l", "10000")):
+        code, text, err = run(capsys, "lemma", *extra)
         assert code == 1, extra
         assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), extra
+    for mode in ("--heuristic", "--exact"):
+        code, text, err = run(capsys, "search", "max-cdiv", "--n", "20000", "--k", "10000",
+                              "--c", "1", mode)
+        assert code == 1, mode
+        assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), mode
     # a ground set above the guard is refused before anything n-sized is built
     huge = tmp_path / "huge.json"
     huge.write_text(dump_json({"n": MAX_SETS + 1, "k": 1, "sets": [[1]]}))

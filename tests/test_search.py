@@ -108,11 +108,6 @@ def test_exact_search_determinism():
     assert a.best_value == b.best_value
     assert a.best_family == b.best_family
     assert a.nodes_explored == b.nodes_explored
-    # the worker pool splits cap searches; values and witnesses must match
-    pooled = max_c_diversity(6, 2, Fraction(5, 4), "exact", workers=2)
-    assert pooled.best_value == a.best_value
-    assert pooled.best_family == a.best_family
-    assert pooled.degree_cap_used == a.degree_cap_used
 
 
 def test_extremal_families_are_triangles():
@@ -196,20 +191,13 @@ def test_pool_size_is_capped(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     c = Fraction(5, 4)
-    serial_exact = max_c_diversity(5, 2, c, "exact")
-    serial_heur = max_c_diversity(10, 3, c, "heuristic", budget=200, seed=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    exact = max_c_diversity(5, 2, c, "exact", workers=10**6)
-    heur = max_c_diversity(10, 3, c, "heuristic", budget=200, seed=1, workers=10**6)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    max_c_diversity(5, 2, c, "exact", workers=10**6)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    max_c_diversity(5, 2, c, "exact", workers=10**6)
-    # exact: one task per cap the empty family's value 0 does not skip
-    # (caps 1..3 of 0..4 at C=5/4); heuristic: one per restart slot (8 here)
-    assert RecordingPool.sizes == [3, 8, 3, 1]
-    assert (exact.best_value, exact.best_family) == (serial_exact.best_value, serial_exact.best_family)
-    assert (heur.best_value, heur.best_family) == (serial_heur.best_value, serial_heur.best_family)
+    serial = max_c_diversity(10, 3, c, "heuristic", budget=200, seed=1)
+    for cpus in (64, 3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        heur = max_c_diversity(10, 3, c, "heuristic", budget=200, seed=1, workers=10**6)
+        assert (heur.best_value, heur.best_family) == (serial.best_value, serial.best_family)
+    # one process per restart slot (8 here), and never more than the CPUs
+    assert RecordingPool.sizes == [8, 3, 1]
 
 
 def _recount(state: search._LocalState) -> Family:
