@@ -64,13 +64,47 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _wide_elements_of(mask: int) -> tuple[int, ...]:
+    """elements_of read off the binary string in one pass: O(width), where
+    peeling the low bit costs O(width) per element."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
+    return tuple(itertools.compress(itertools.count(1), bits))
+
+
+def _elements_reader(n: int):
+    """elements_of for the masks of a family on [n]: the bit loop, or for
+    n > 1024 the one-pass read of the binary string, so that building the
+    columns of, or writing, a family of wide sets takes linear time."""
+    return _wide_elements_of if n > 1024 else elements_of
+
+
 def iter_ksets(n: int, k: int) -> Iterator[int]:
-    """All k-subsets of [n] as masks, in lexicographic set order."""
-    for combo in itertools.combinations(range(n), k):
-        m = 0
-        for b in combo:
-            m |= 1 << b
-        yield m
+    """All k-subsets of [n] as masks, in lexicographic set order.
+
+    The next mask: if the set ends in the run n-t+1, ..., n (t >= 0) and x
+    is its largest element below that run, x and the run give way to the
+    t + 1 elements just above x.  That is a fixed number of big-int
+    operations, so each mask costs O(n) whatever k is."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if k > n:
+        return
+    full = (1 << n) - 1
+    mask = (1 << k) - 1
+    while True:
+        yield mask
+        start = (full ^ mask).bit_length()  # bits start..n-1 are the top run
+        if start == n and mask:  # no top run: the largest element moves up by one
+            mask += 1 << (mask.bit_length() - 1)
+            continue
+        rest = mask & ((1 << start) - 1)
+        if not rest:
+            return
+        x = rest.bit_length() - 1
+        mask = rest ^ (1 << x) | ((1 << (n - start + 1)) - 1) << (x + 1)
 
 
 def columns(n: int, masks: Sequence[int]) -> list[int]:
@@ -80,9 +114,10 @@ def columns(n: int, masks: Sequence[int]) -> list[int]:
     size."""
     size = (len(masks) + 7) // 8
     rows: list[bytearray | None] = [None] * (n + 1)
+    read = _elements_reader(n)
     for i, m in enumerate(masks):
         byte, bit = i >> 3, 1 << (i & 7)
-        for e in elements_of(m):
+        for e in read(m):
             row = rows[e]
             if row is None:
                 row = rows[e] = bytearray(size)
@@ -224,7 +259,7 @@ class Family:
 
     def sets(self) -> list[tuple[int, ...]]:
         """Members as sorted 1-indexed tuples, in lexicographic order."""
-        return [elements_of(m) for m in self.members]
+        return list(map(_elements_reader(self.n), self.members))
 
     # -- incidence columns, degrees and diversity measures -----------------
 

@@ -4,8 +4,11 @@ Exact mode decomposes by maximum-degree cap: gamma_C is not monotone under
 supersets for C > 1, but within a fixed cap |F|-maximization is, so a
 branch-and-bound over the lex order of k-sets is sound.  A cap that cannot
 beat the best gamma_C found so far is skipped, and the others are searched
-only above the size that would beat it (`_cap_floor`).  Heuristic mode is
-seeded local search and never claims exactness.
+only above the size that would beat it (`_cap_floor`).  Within a cap a
+subtree is cut when an upper bound on its sizes (the candidates, the
+degree capacity, and the room each picked set leaves) cannot reach what
+the node needs.  Heuristic mode is seeded local search and never claims
+exactness.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from typing import Iterator
 
 from .constructions import MAX_SETS
 from .family import Family, Universe, comb_capped, elements_of, mask_of
+from .formulas import hm_size
 
 DEFAULT_NODE_BUDGET = 5_000_000
 EXACT_UNIVERSE_GUARD = 40
@@ -84,6 +88,15 @@ def max_size_with_degree_cap(
     and returns no family (size None) when nothing beats it.  A maximum
     above the floor comes back with the same family and optima as without
     a floor, since no ancestor of the first maximal node is ever cut.
+
+    A node is cut when an upper bound on the sets its descendants can add
+    falls short of what they need: the candidates left, the degree capacity
+    left over k, or the room of some picked set A.  Each later set meets A
+    in some e of A, and at most min(cap - deg(e), |candidates holding e|)
+    later sets hold e, so the room of A is the sum of these over A.  Each
+    is a true bound, so it never cuts an ancestor of the first maximal node
+    in lex DFS order, nor (when collecting) of any maximal node: the result
+    is the same as with the candidate and capacity bounds alone.
     """
     _check_exact_input(n, k, override_guard)
     limit = node_budget(budget)
@@ -95,21 +108,25 @@ def max_size_with_degree_cap(
 
     u = Universe(n, k)
     disjoint, avoids = u.disjoint, u.avoids
+    cols = [u.full ^ a for a in avoids]  # cols[0] = 0
     elems = [elements_of(m) for m in u.masks]
-    deg = [0] * (n + 1)
+    slack = [cap] * (n + 1)  # cap minus the degree, per element
+    path: list[int] = []  # the picked sets, in order
 
     def take(i: int, rest: int) -> int:
-        """Add set i to the degrees; the sets of `rest` that may still follow it."""
+        """Pick set i; the sets of `rest` that may still follow it."""
+        path.append(i)
         cands = rest & ~disjoint[i]
         for e in elems[i]:
-            deg[e] += 1
-            if deg[e] == cap:
+            slack[e] -= 1
+            if not slack[e]:
                 cands &= avoids[e]
         return cands
 
     def drop(i: int) -> None:
+        path.pop()
         for e in elems[i]:
-            deg[e] -= 1
+            slack[e] += 1
 
     # greedy incumbent for pruning power: the leftmost leaf of the search
     best = 0
@@ -140,9 +157,19 @@ def max_size_with_degree_cap(
                 all_best.clear()
         if collect_optima and size == best_size > floor:
             all_best.append(picked)
-        bound = size + min(cands.bit_count(), capacity // k)
-        if bound <= floor or bound < best_size or (not collect_optima and bound == best_size):
+        # the sets a descendant must add to beat the floor and the best (to
+        # tie the best when collecting); cut when a bound says it cannot
+        need = max(floor, best_size - collect_optima) + 1 - size
+        if min(cands.bit_count(), capacity // k) < need:
             return
+        # room: each later set meets every picked set A in some e of A, and
+        # at most min(slack[e], |cands with e|) later sets hold e
+        room = [free if free < (held := (cands & col).bit_count()) else held
+                for free, col in zip(slack, cols)]
+        at = room.__getitem__
+        for a in path:
+            if sum(map(at, elems[a])) < need:
+                return
         while cands:  # branch in lex order on the sets of `branch`
             if out_of_budget:
                 return
@@ -206,11 +233,21 @@ def _cap_floor(
     """The size a family under `cap` must beat to matter, or None to skip the cap.
 
     With max degree <= cap, gamma_C > incumbent needs |F| > incumbent + C*cap
-    (>= when collecting ties), while |F| <= min(unconstrained max, n*cap/k).
+    (>= when collecting ties), while |F| <= min(unconstrained max, n*cap/k),
+    and for cap >= 1 also |F| <= 1 + k(cap - 1): every other member meets a
+    fixed member A in one of its k elements, each in at most cap - 1 others.
+    For C >= 1 a star scores |F|(1 - C) <= 0, so when the floor asks for
+    gamma_C > 0 (always when not collecting, since the incumbent is >= 0)
+    only a non-star counts, and for n > 2k it has |F| <= hm_size(n, k).
     """
     need = incumbent + c * cap
     floor = math.ceil(need) - 1 if collect_optima else math.floor(need)
-    if min(unconstrained_max(n, k), n * cap // k) <= floor:
+    top = min(unconstrained_max(n, k), n * cap // k)
+    if cap >= 1:
+        top = min(top, 1 + k * (cap - 1))
+    if c >= 1 and n > 2 * k and (incumbent > 0 or not collect_optima):
+        top = min(top, hm_size(n, k))
+    if top <= floor:
         return None
     return floor
 

@@ -6,9 +6,10 @@ import random
 from fractions import Fraction
 
 from divlab.constructions import FANO_LINES, family_triangle, family_uvw, lex_family
-from divlab.family import Family, elements_of, iter_ksets, mask_of
+from divlab.family import Family, Universe, elements_of, iter_ksets, mask_of
 from divlab.formulas import BoundVerdict, binom
 from divlab.io import FamilyFormatError, dump_json, family_to_dict
+from divlab.search import CapSearch, _root_orbit_reps
 from divlab.sweeps import Row
 
 
@@ -414,3 +415,76 @@ def reference_canonical_form(fam: Family) -> tuple[Family, int]:
         return fam, 0
     ref = ReferenceCanonicalizer(fam)
     return Family(fam.n, fam.k, ref.run()), ref.leaves
+
+
+def reference_max_size_with_degree_cap(
+    n: int, k: int, cap: int, *, collect_optima: bool = False, floor: int = -1
+) -> CapSearch:
+    """The cap search pruned by the candidate and capacity bounds only: no
+    room bound.  Same root forcing, root orbit branching, greedy incumbent
+    and lex DFS order as `search.max_size_with_degree_cap`, without a node
+    budget."""
+    if cap <= 0 or k == 0:
+        if floor >= 0:
+            return CapSearch(None, None, True, 0, [] if collect_optima else None, floor)
+        empty = Family(n, k)
+        return CapSearch(0, empty, True, 0, [empty] if collect_optima else None, floor)
+    u = Universe(n, k)
+    elems = [elements_of(m) for m in u.masks]
+    deg = [0] * (n + 1)
+
+    def take(i: int, rest: int) -> int:
+        cands = rest & ~u.disjoint[i]
+        for e in elems[i]:
+            deg[e] += 1
+            if deg[e] == cap:
+                cands &= u.avoids[e]
+        return cands
+
+    def drop(i: int) -> None:
+        for e in elems[i]:
+            deg[e] -= 1
+
+    best, cands = 0, u.full
+    while cands:
+        low = cands & -cands
+        best |= low
+        cands = take(low.bit_length() - 1, cands ^ low)
+    for i in elements_of(best):
+        drop(i - 1)
+    best_size = best.bit_count()
+    if best_size <= floor:
+        best, best_size = 0, floor
+    all_best = [best] if collect_optima and best else []
+    nodes = 0
+
+    def descend(picked: int, size: int, cands: int, capacity: int, branch: int = -1) -> None:
+        nonlocal best_size, best, nodes
+        nodes += 1
+        if size > best_size:
+            best_size, best = size, picked
+            if collect_optima:
+                all_best.clear()
+        if collect_optima and size == best_size > floor:
+            all_best.append(picked)
+        bound = size + min(cands.bit_count(), capacity // k)
+        if bound <= floor or bound < best_size or (not collect_optima and bound == best_size):
+            return
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            if low & branch:
+                i = low.bit_length() - 1
+                descend(picked | low, size + 1, take(i, cands), capacity - k)
+                drop(i)
+
+    descend(1, 1, take(0, u.full ^ 1), n * cap - k, -1 if collect_optima else _root_orbit_reps(u))
+    optima = None
+    if collect_optima:
+        optima = sorted(
+            (u.family(p) for p in set(all_best) if p.bit_count() == best_size),
+            key=lambda f: f.members,
+        )
+    if not best:
+        return CapSearch(None, None, True, nodes, optima, floor)
+    return CapSearch(best_size, u.family(best), True, nodes, optima, floor)

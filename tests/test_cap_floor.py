@@ -1,5 +1,6 @@
-"""C-aware exact search: cap floors against floor-free searches, and the
-cap loop against an exhaustive oracle."""
+"""C-aware exact search: cap floors against floor-free searches, the room
+bound against the bound-only reference search, and the cap loop against an
+exhaustive oracle."""
 import functools
 import math
 import multiprocessing
@@ -7,14 +8,22 @@ from fractions import Fraction
 
 import pytest
 
-from divlab.family import Universe, elements_of, iter_ksets, mask_of
+from divlab.family import Family, Universe, elements_of, iter_ksets, mask_of
+from divlab.formulas import hm_size
 from divlab.search import (
+    _cap_floor,
+    _cap_searches,
     _root_orbit_reps,
     extremal_c_diversity_families,
     max_c_diversity,
     max_size_with_degree_cap,
 )
-from helpers import RecordingPool, all_intersecting_families, brute_c_diversity_optima
+from helpers import (
+    RecordingPool,
+    all_intersecting_families,
+    brute_c_diversity_optima,
+    reference_max_size_with_degree_cap,
+)
 
 CASES = [(4, 2), (5, 2), (6, 2), (7, 2), (5, 3), (6, 3)]
 C_GRID = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(11, 10), Fraction(5, 4),
@@ -120,8 +129,8 @@ def test_exact_stats_are_deterministic():
     assert a.best_value == Fraction(15, 4) and a.degree_cap_used == 5
     assert a.nodes_explored < 82_017  # the count with a full root at every cap
     assert 0 in a.stats["skipped"] and a.stats["skipped"][-1] == 15
-    assert {"cap": 5, "floor": 9, "nodes": a.stats["caps"][4]["nodes"], "size": 10,
-            "exact": True} == a.stats["caps"][4]
+    (cap5,) = [run for run in a.stats["caps"] if run["cap"] == 5]
+    assert {"cap": 5, "floor": 9, "nodes": cap5["nodes"], "size": 10, "exact": True} == cap5
     starved = max_c_diversity(7, 3, Fraction(5, 4), "exact", budget=50)
     assert not starved.exact
     assert starved.stats["truncated"] == [
@@ -154,3 +163,86 @@ def test_pruned_root_matches_full_root(n, k):
             assert (direct.size, direct.family, direct.exact) == (
                 full.size, full.family, full.exact), (n, k, cap, floor)
             assert direct.nodes <= full.nodes, (n, k, cap, floor)
+
+
+# -- the room bound and the degree and Hilton-Milner cap bounds: the same
+# results as the reference search, which prunes by candidates and capacity only
+
+
+def _same_as_reference(n, k, cap, collect, floor):
+    ref = reference_max_size_with_degree_cap(n, k, cap, collect_optima=collect, floor=floor)
+    got = max_size_with_degree_cap(
+        n, k, cap, collect_optima=collect, floor=floor, override_guard=True)
+    assert got.exact and got.floor == floor
+    assert (got.size, got.family, got.optima) == (ref.size, ref.family, ref.optima), (
+        n, k, cap, collect, floor)
+    assert got.nodes <= ref.nodes, (n, k, cap, collect, floor)
+    return got, ref
+
+
+def _floors(top):
+    return sorted({-1, 0, top - 1, top, top + 1})
+
+
+@pytest.mark.parametrize("n,k", CASES + [(7, 3)])
+def test_room_bound_matches_reference(n, k):
+    pruned = False
+    for cap in range(math.comb(n - 1, k - 1) + 1):
+        top = reference_max_size_with_degree_cap(n, k, cap).size
+        for collect in (False, True):
+            for floor in _floors(top):
+                got, ref = _same_as_reference(n, k, cap, collect, floor)
+                pruned = pruned or got.nodes < ref.nodes
+    assert pruned
+
+
+@pytest.mark.parametrize("cap,top", [(7, 10), (8, 12), (9, 13)])
+def test_room_bound_matches_reference_83(cap, top):
+    for floor in _floors(top):
+        got, ref = _same_as_reference(8, 3, cap, False, floor)
+        if floor == -1:
+            assert got.size == top
+            assert 2 * got.nodes <= ref.nodes  # at most half the nodes
+    # collecting below top - 1 gives the same ties as at top - 1, at about 3 s each
+    for floor in (top - 1, top, top + 1):
+        _same_as_reference(8, 3, cap, True, floor)
+
+
+@pytest.mark.parametrize("n,k", CASES)
+def test_collecting_keeps_the_empty_family_at_cap_0(n, k):
+    # 1 + k(cap - 1) is negative at cap 0, where the empty family has size 0
+    for c in C_GRID:
+        cap, res = next(_cap_searches(n, k, c, budget=None, override_guard=False,
+                                      collect_optima=True))
+        assert cap == 0 and res is not None and res.optima == [Family(n, k)], (n, k, c)
+    value, winners = extremal_c_diversity_families(6, 3, Fraction(2))
+    assert value == 0 and Family(6, 3) in winners
+
+
+@pytest.mark.parametrize("n,k", CASES)
+def test_cap_size_bounds_hold_on_every_intersecting_family(n, k):
+    for fam in _families(n, k):
+        if len(fam):
+            assert len(fam) <= 1 + k * (fam.max_degree()[0] - 1), fam
+        if n > 2 * k and not fam.is_star():
+            assert len(fam) <= hm_size(n, k), fam
+
+
+def test_hilton_milner_bound_applies_only_where_a_star_cannot_count():
+    # at (7,3), C = 1 a star of 14 or 15 sets ties the empty family at 0, so
+    # a collecting search with incumbent 0 keeps caps 14 and 15 although
+    # hm_size(7,3) = 13; a direct search, or an incumbent above 0, needs a non-star
+    assert hm_size(7, 3) == 13
+    for cap in (14, 15):
+        assert _cap_floor(7, 3, Fraction(1), cap, Fraction(0), True) == cap - 1
+        assert _cap_floor(7, 3, Fraction(1), cap, Fraction(0), False) is None
+    for collect in (False, True):
+        assert _cap_floor(7, 3, Fraction(1), 9, Fraction(5), collect) is None
+    # below C = 1 the full star scores 15 - 15/2 > 6
+    assert _cap_floor(7, 3, Fraction(1, 2), 15, Fraction(6), False) == 13
+
+
+def test_93_at_five_quarters_is_exact():
+    res = max_c_diversity(9, 3, Fraction(5, 4), "exact", override_guard=True)
+    assert res.best_value == Fraction(15, 4) and res.exact
+    assert res.stats["truncated"] == []

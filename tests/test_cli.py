@@ -246,7 +246,7 @@ def test_search_truncated_exact_label(capsys):
             "--exact", "--budget", "50")
     code, text, _ = run(capsys, *args)
     assert code == 0
-    assert "[exact search, budget hit: lower bound]: 7/4" in text
+    assert "[exact search, budget hit: lower bound]: 9/4" in text
     assert "[exact]" not in text
     code, text, _ = run(capsys, *args, "--json")
     assert json.loads(text)["values"]["exact"] is False
