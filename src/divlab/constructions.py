@@ -109,6 +109,14 @@ def family_triangle(n: int, k: int) -> Family:
     return family_uvw(n, k, (1, 2, 3))
 
 
+# The most element-bits (the members' total size times n) a lex prefix may
+# have.  Reading a member's elements back off its mask, as the columns and
+# the file writer do, peels one bit at a time at O(n) each: about 45 ps per
+# element and ground-set bit (CPython 3.11, x86-64), so 10^10 is about half a
+# second per read.
+MAX_ELEMENT_BITS = 10**10
+
+
 def lex_family(n: int, k: int, m: int) -> Family:
     """The first m k-subsets of [n] in lexicographic order."""
     check_ground_set(n)
@@ -116,6 +124,9 @@ def lex_family(n: int, k: int, m: int) -> Family:
         raise ValueError(f"m={m} outside [0, C({n},{k})]")
     if m > MAX_SETS:
         raise ValueError(f"guard: m={m} sets, above the {MAX_SETS}-set guard")
+    if m * k * n > MAX_ELEMENT_BITS:
+        raise ValueError(f"guard: m={m} sets of {k} elements on n={n} read {m * k * n} "
+                         f"element-bits, above the {MAX_ELEMENT_BITS} guard")
     return Family(n, k, itertools.islice(iter_ksets(n, k), m))
 
 

@@ -64,23 +64,6 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _wide_elements_of(mask: int) -> tuple[int, ...]:
-    """elements_of read off the binary string in one pass: O(width), where
-    peeling the low bit costs O(width) per element."""
-    bits = bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
-    return tuple(itertools.compress(itertools.count(1), bits))
-
-
-def _elements_reader(n: int):
-    """elements_of for the masks of a family on [n]: the bit loop, or for
-    n > 1024 the one-pass read of the binary string, so that building the
-    columns of, or writing, a family of wide sets takes linear time."""
-    return _wide_elements_of if n > 1024 else elements_of
-
-
 def iter_ksets(n: int, k: int) -> Iterator[int]:
     """All k-subsets of [n] as masks, in lexicographic set order.
 
@@ -114,10 +97,9 @@ def columns(n: int, masks: Sequence[int]) -> list[int]:
     size."""
     size = (len(masks) + 7) // 8
     rows: list[bytearray | None] = [None] * (n + 1)
-    read = _elements_reader(n)
     for i, m in enumerate(masks):
         byte, bit = i >> 3, 1 << (i & 7)
-        for e in read(m):
+        for e in elements_of(m):
             row = rows[e]
             if row is None:
                 row = rows[e] = bytearray(size)
@@ -259,7 +241,7 @@ class Family:
 
     def sets(self) -> list[tuple[int, ...]]:
         """Members as sorted 1-indexed tuples, in lexicographic order."""
-        return list(map(_elements_reader(self.n), self.members))
+        return [elements_of(m) for m in self.members]
 
     # -- incidence columns, degrees and diversity measures -----------------
 

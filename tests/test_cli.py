@@ -118,7 +118,8 @@ def test_usage_and_input_errors(tmp_path, capsys):
                   ("--family", "fi", "--n", "1000000", "--k", "500000", "--i", "500001"),
                   ("--family", "star", "--n", "1000000", "--k", "500000"),
                   ("--family", "triangle", "--n", "1000000", "--k", "400000"),
-                  ("--family", "star", "--n", "20000", "--k", "10000")):
+                  ("--family", "star", "--n", "20000", "--k", "10000"),
+                  ("--family", "lex", "--n", "1000000", "--k", "500000", "--m", "5")):
         code, text, err = run(capsys, "construct", *extra, "--out", str(tmp_path / "big.json"))
         assert code == 1, extra
         assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), extra

@@ -89,6 +89,11 @@ def test_lex_family():
             assert set(lex_family(6, 3, m - 1).members) < set(fam.members)
     with pytest.raises(ValueError):
         lex_family(5, 2, 11)
+    # the element-bit guard admits m * k * n up to MAX_ELEMENT_BITS, no more
+    wide = lex_family(100_000, 50_000, 2).members
+    assert [m.bit_count() for m in wide] == [50_000] * 2 and wide[1].bit_length() == 50_001
+    with pytest.raises(ValueError, match="guard"):
+        lex_family(100_000, 50_000, 3)
 
 
 def test_shift_examples():

@@ -4,9 +4,7 @@ import itertools
 
 import pytest
 
-import divlab.family as family_module
-from divlab.family import Family, Universe, disjointness, iter_ksets, mask_of
-from helpers import brute_degrees
+from divlab.family import Universe, disjointness, iter_ksets, mask_of
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -69,29 +67,3 @@ def test_iter_ksets_wide_masks_in_linear_time():
     first = list(itertools.islice(iter_ksets(n, k), 5))
     run = (1 << (k - 1)) - 1  # elements 1..k-1
     assert first == [(1 << k) - 1] + [run | 1 << (k - 1 + j) for j in range(1, 5)]
-    assert Family(n, k, first[3:]).sets()[1][-3:] == (k - 2, k - 1, k + 4)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_sets_of_wide_families_match_bit_scan(data):
-    # on a ground set of more than 1024 elements, sets() and the incidence
-    # columns read each member off its binary string
-    n = data.draw(st.integers(1000, 3000), label="n")
-    k = data.draw(st.integers(1, 40), label="k")
-    members = data.draw(st.lists(st.sets(st.integers(1, n), min_size=k, max_size=k),
-                                 max_size=3), label="members")
-    fam = Family(n, k, map(mask_of, members))
-    assert fam.sets() == sorted(tuple(sorted(m)) for m in {frozenset(m) for m in members})
-    assert fam.degrees == brute_degrees(fam)
-
-
-def test_wide_families_are_read_in_one_pass(monkeypatch):
-    # peeling low bits is O(n) per element, quadratic on wide sets: the
-    # construct report and writer of lex(1000000, 500000, 5) hung on it
-    def peel(mask):
-        raise AssertionError("bit loop on a wide mask")
-
-    monkeypatch.setattr(family_module, "elements_of", peel)
-    fam = Family(3000, 1500, itertools.islice(iter_ksets(3000, 1500), 4))
-    assert fam.degrees[:3] == (4, 4, 4) and fam.sets()[0][-1] == 1500
