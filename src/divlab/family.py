@@ -138,22 +138,24 @@ class Universe:
     """All k-subsets of [n], indexed in lex order.
 
     A subfamily is a bitset of indices ("picked"), so set-system queries
-    reduce to ands and popcounts: disjoint[i] holds the sets disjoint from
-    set i, avoids[e] the sets without element e (avoids[0] is everything),
-    both read off the incidence columns.  The quadratic `disjoint` table is
-    built on first use, so a universe read only through cross tables never
-    pays for it.
+    reduce to ands and popcounts: cols[e] holds the sets with element e
+    (cols[0] = 0), avoids[e] the sets without it (avoids[0] is everything)
+    and disjoint[i] the sets disjoint from set i, all read off the one
+    incidence table `cols`.  The quadratic `disjoint` table is built on
+    first use, so a universe read only through cross tables never pays
+    for it.
     """
 
     def __init__(self, n: int, k: int):
         self.n, self.k = n, k
         self.masks = list(iter_ksets(n, k))
         self.full = (1 << len(self.masks)) - 1
-        self.avoids = [self.full ^ col for col in columns(n, self.masks)]
+        self.cols = columns(n, self.masks)
+        self.avoids = [self.full ^ col for col in self.cols]
 
     @cached_property
     def disjoint(self) -> list[int]:
-        return disjointness(self.masks, self.masks)
+        return [self.full ^ union(self.cols, m) for m in self.masks]
 
     def meeting(self, picked: int, table: list[int] | None = None) -> int:
         """Bitset of the sets meeting every picked one.

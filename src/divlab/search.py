@@ -8,7 +8,8 @@ only above the size that would beat it (`_cap_floor`).  Within a cap a
 subtree is cut when an upper bound on its sizes (the candidates, the
 degree capacity, and the room each picked set leaves) cannot reach what
 the node needs.  Heuristic mode is seeded local search and never claims
-exactness.
+exactness.  Both modes take 1 <= k <= n and start from the empty family,
+whose gamma_C is 0, so neither reports a value below 0.
 """
 from __future__ import annotations
 
@@ -27,10 +28,6 @@ DEFAULT_NODE_BUDGET = 5_000_000
 EXACT_UNIVERSE_GUARD = 40
 
 
-def node_budget(budget: int | None = None) -> int:
-    return DEFAULT_NODE_BUDGET if budget is None else budget
-
-
 @dataclass(frozen=True)
 class SearchResult:
     best_family: Family
@@ -38,7 +35,6 @@ class SearchResult:
     exact: bool
     nodes_explored: int
     degree_cap_used: int | None = None
-    seed: int | None = None
     stats: dict | None = None
 
 
@@ -57,9 +53,14 @@ class CapSearch:
     floor: int = -1
 
 
-def _check_exact_input(n: int, k: int, override_guard: bool) -> None:
-    if not 0 <= k <= n:
+def _check_k(n: int, k: int) -> None:
+    """Both modes search k-sets with k >= 1: at k = 0 the one set is empty."""
+    if not 1 <= k <= n:
         raise ValueError(f"uniformity k={k} out of range for n={n}")
+
+
+def _check_exact_input(n: int, k: int, override_guard: bool) -> None:
+    _check_k(n, k)
     if not override_guard and comb_capped(n, k, EXACT_UNIVERSE_GUARD) > EXACT_UNIVERSE_GUARD:
         raise ValueError(
             f"guard: exact search refused: C({n},{k}) is more than the "
@@ -99,16 +100,15 @@ def max_size_with_degree_cap(
     is the same as with the candidate and capacity bounds alone.
     """
     _check_exact_input(n, k, override_guard)
-    limit = node_budget(budget)
-    if cap <= 0 or k == 0:
+    limit = DEFAULT_NODE_BUDGET if budget is None else budget
+    if cap <= 0:
         if floor >= 0:
             return CapSearch(None, None, True, 0, [] if collect_optima else None, floor)
         empty = Family(n, k)
         return CapSearch(0, empty, True, 0, [empty] if collect_optima else None, floor)
 
     u = Universe(n, k)
-    disjoint, avoids = u.disjoint, u.avoids
-    cols = [u.full ^ a for a in avoids]  # cols[0] = 0
+    disjoint, avoids, cols = u.disjoint, u.avoids, u.cols
     elems = [elements_of(m) for m in u.masks]
     slack = [cap] * (n + 1)  # cap minus the degree, per element
     path: list[int] = []  # the picked sets, in order
@@ -219,14 +219,6 @@ def unconstrained_max(n: int, k: int) -> int:
     return math.comb(n - 1, k - 1) if n >= 2 * k else math.comb(n, k)
 
 
-def _pool_size(workers: int, tasks: int) -> int:
-    return min(workers, tasks, os.cpu_count() or 1)
-
-
-def _c_value(fam: Family, c: Fraction) -> Fraction:
-    return fam.c_diversity(c) if len(fam) else Fraction(0)
-
-
 def _cap_floor(
     n: int, k: int, c: Fraction, cap: int, incumbent: Fraction, collect_optima: bool
 ) -> int | None:
@@ -288,7 +280,7 @@ def _cap_searches(
         yield cap, res
         if res.family is not None:
             for fam in res.optima if collect_optima else [res.family]:
-                incumbent = max(incumbent, _c_value(fam, c))
+                incumbent = max(incumbent, fam.c_diversity(c))
 
 
 def max_c_diversity_exact(
@@ -319,7 +311,7 @@ def max_c_diversity_exact(
                      "size": res.size, "exact": res.exact})
         if res.family is None:
             continue
-        value = _c_value(res.family, c)
+        value = res.family.c_diversity(c)
         if value > best_val:
             best_val, best_fam, best_cap = value, res.family, cap
     stats = {
@@ -350,7 +342,7 @@ def extremal_c_diversity_families(
     its max degree, so the winners come in the same order as without them.
     """
     c = Fraction(c)
-    best_val: Fraction | None = None
+    best_val = Fraction(0)  # the empty family, which cap 0 always collects
     winners: list[Family] = []
     for _, res in _cap_searches(
         n, k, c, budget=budget, override_guard=override_guard, collect_optima=True
@@ -360,13 +352,12 @@ def extremal_c_diversity_families(
         if not res.exact:
             raise RuntimeError("budget exceeded while collecting extremal families")
         for fam in res.optima:
-            value = _c_value(fam, c)
-            if best_val is None or value > best_val:
+            value = fam.c_diversity(c)
+            if value > best_val:
                 best_val = value
                 winners = [fam]
             elif value == best_val and fam not in winners:
                 winners.append(fam)
-    assert best_val is not None
     return best_val, winners
 
 
@@ -501,14 +492,14 @@ def max_c_diversity_heuristic(
     """Seeded local search (add/remove/swap accepting strict improvement).
 
     Deterministic for a given (seed, budget); the worker count only splits
-    restarts and never changes the merged result.  `stats` counts the restart
+    restarts and never changes the merged result, which is the empty family
+    when every restart ends below 0.  `stats` counts the restart
     slots, the random restarts (after 400 rejected moves in a row) and the
     moves tried and accepted per kind.  An (n, k) whose star seed has more
     than MAX_SETS sets is refused before any set is built.
     """
     c = Fraction(c)
-    if not 1 <= k <= n:
-        raise ValueError(f"uniformity k={k} out of range for n={n}")
+    _check_k(n, k)
     if comb_capped(n - 1, k - 1, MAX_SETS) > MAX_SETS:
         raise ValueError(
             f"guard: heuristic search refused: the star seed has C({n - 1},{k - 1}) sets, "
@@ -518,14 +509,15 @@ def max_c_diversity_heuristic(
     if workers > 1:
         import multiprocessing as mp
 
-        with mp.Pool(_pool_size(workers, len(specs))) as pool:
+        with mp.Pool(min(workers, len(specs), os.cpu_count() or 1)) as pool:
             outcomes = pool.map(_run_restart, specs)
     else:
         outcomes = [_run_restart(s) for s in specs]
 
     # merge is a pure max with a structural tie-break, so scheduling order
-    # can never change the result
-    best_score, best_members, _, _ = max(outcomes, key=lambda o: (o[0], o[1]))
+    # can never change the result; it starts from the empty family at score
+    # 0, as exact mode does, and () sorts before every nonempty family
+    _, best_members = max([(0, ()), *((o[0], o[1]) for o in outcomes)])
     moves = sum(o[2] for o in outcomes)
     restarts, *counts = (sum(col) for col in zip(*(o[3] for o in outcomes)))
     stats = {
@@ -535,8 +527,7 @@ def max_c_diversity_heuristic(
         "accepted": dict(zip(_MOVE_KINDS, counts[3:])),
     }
     fam = Family(n, k, best_members)
-    value = fam.c_diversity(c) if len(fam) else Fraction(0)
-    return SearchResult(fam, value, False, moves, seed=seed, stats=stats)
+    return SearchResult(fam, fam.c_diversity(c), False, moves, stats=stats)
 
 
 def _restart_specs(n, k, c, budget, seed):
@@ -570,6 +561,36 @@ def _keep_best(best: tuple | None, state: _LocalState) -> tuple:
     return best
 
 
+def _move(state: _LocalState, rng: random.Random) -> tuple[int, bool]:
+    """Try one random move; return its index in _MOVE_KINDS and whether it was kept.
+
+    add and swap put in a random candidate, remove and swap first take out
+    a random victim; a move is kept only if it strictly raises the score,
+    and a rejected remove or swap puts the victim back (last in the list).
+    """
+    roll = rng.random()
+    move = 0 if roll < 0.5 or len(state.members) <= 1 else 1 if roll < 0.75 else 2
+    old = state.score()
+    if move:
+        victim = state.pick(rng)
+        state.remove(victim)
+    if move == 1:
+        accepted = state.score() > old
+    else:
+        cand = _random_candidate(state, rng)
+        accepted = (
+            cand is not None
+            and cand not in state
+            and state.compatible(cand)
+            and state.add_score(cand) > old
+        )
+        if accepted:
+            state.add(cand)
+    if move and not accepted:
+        state.add(victim)
+    return move, accepted
+
+
 def _run_restart(spec):
     n, k, p, q, start, moves, rng_seed = spec
     c = Fraction(p, q)
@@ -583,42 +604,7 @@ def _run_restart(spec):
     used = 0
     while used < moves:
         used += 1
-        roll = rng.random()
-        if roll < 0.5 or len(state.members) <= 1:
-            move = 0
-            cand = _random_candidate(state, rng)
-            accepted = (
-                cand is not None
-                and cand not in state
-                and state.compatible(cand)
-                and state.add_score(cand) > state.score()
-            )
-            if accepted:
-                state.add(cand)
-        elif roll < 0.75:
-            move = 1
-            victim = state.pick(rng)
-            old = state.score()
-            state.remove(victim)
-            accepted = state.score() > old
-            if not accepted:
-                state.add(victim)
-        else:
-            move = 2
-            victim = state.pick(rng)
-            old = state.score()
-            state.remove(victim)
-            cand = _random_candidate(state, rng)
-            accepted = (
-                cand is not None
-                and cand not in state
-                and state.compatible(cand)
-                and state.add_score(cand) > old
-            )
-            if accepted:
-                state.add(cand)
-            else:
-                state.add(victim)
+        move, accepted = _move(state, rng)
         tried[move] += 1
         if accepted:
             taken[move] += 1

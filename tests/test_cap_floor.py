@@ -120,6 +120,49 @@ def test_input_checks_precede_cap_skipping():
     assert max_c_diversity(20, 3, Fraction(100), "exact", override_guard=True).best_value == 0
 
 
+@pytest.mark.parametrize("n,k", CASES)
+def test_heuristic_stays_between_the_empty_family_and_the_exact_maximum(n, k):
+    # both modes start from the empty family at 0, so no heuristic report
+    # falls below it, and none exceeds the exact maximum
+    for c in (Fraction(1, 2), Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3)):
+        exact = max_c_diversity(n, k, c, "exact")
+        for seed in range(3):
+            heur = max_c_diversity(n, k, c, "heuristic", budget=2000, seed=seed)
+            assert 0 <= heur.best_value <= exact.best_value, (n, k, c, seed)
+            assert heur.best_family.c_diversity(c) == heur.best_value, (n, k, c, seed)
+
+
+def test_heuristic_returns_the_empty_family_when_every_set_loses():
+    # at (5,2), C = 3 every nonempty family scores below 0; only the merge
+    # picks the empty family, so the moves and their counts are the ones the
+    # search made when it reported its best nonempty family, at -2
+    tried = [(1250, 376, 374), (1253, 381, 366), (1420, 284, 296)]
+    accepted = [(0, 6, 0), (1, 8, 0), (0, 9, 0)]
+    for seed in range(3):
+        res = max_c_diversity(5, 2, Fraction(3), "heuristic", budget=2000, seed=seed)
+        assert res.best_value == 0 and res.best_family == Family(5, 2)
+        assert res.nodes_explored == 2000
+        assert res.stats == {
+            "slots": 7, "restarts": 0,
+            "tried": dict(zip(("add", "remove", "swap"), tried[seed])),
+            "accepted": dict(zip(("add", "remove", "swap"), accepted[seed])),
+        }
+
+
+def test_k_0_is_refused_by_every_entry_point():
+    # at k = 0 the one k-set is empty, and {empty set} (size 1, max degree 0)
+    # is a family the cap searches never build; every entry point refuses k = 0
+    # with the same message
+    for search in (
+        lambda: max_c_diversity(3, 0, Fraction(1), "exact"),
+        lambda: max_c_diversity(3, 0, Fraction(1), "heuristic"),
+        lambda: max_size_with_degree_cap(3, 0, 1),
+        lambda: extremal_c_diversity_families(3, 0, Fraction(1)),
+    ):
+        with pytest.raises(ValueError, match=r"^uniformity k=0 out of range for n=3$"):
+            search()
+
+
 def test_exact_stats_are_deterministic():
     a = max_c_diversity(7, 3, Fraction(5, 4), "exact")
     b = max_c_diversity(7, 3, Fraction(5, 4), "exact")

@@ -132,6 +132,11 @@ def test_usage_and_input_errors(tmp_path, capsys):
         code, text, err = run(capsys, "lemma", *extra)
         assert code == 1, extra
         assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), extra
+    # k = 0 is refused in both modes with one line
+    for mode in ("--heuristic", "--exact"):
+        code, text, err = run(capsys, "search", "max-cdiv", "--n", "3", "--k", "0", "--c", "1", mode)
+        assert code == 1, mode
+        assert text == "" and err == "divlab: error: uniformity k=0 out of range for n=3\n", mode
     for mode in ("--heuristic", "--exact"):
         code, text, err = run(capsys, "search", "max-cdiv", "--n", "20000", "--k", "10000",
                               "--c", "1", mode)

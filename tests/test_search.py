@@ -169,10 +169,13 @@ def test_exact_soundness_recheck():
 
 
 def test_node_budget_default():
-    from divlab.search import node_budget, DEFAULT_NODE_BUDGET
-
-    assert node_budget() == DEFAULT_NODE_BUDGET
-    assert node_budget(99) == 99  # explicit argument wins
+    # no budget means the default one, which (8,3) at cap 7 stays under
+    full = max_size_with_degree_cap(8, 3, 7, override_guard=True)
+    assert full.exact and full.size == 10
+    assert full.nodes <= search.DEFAULT_NODE_BUDGET
+    # an explicit budget wins: the search stops at its first node past it
+    cut = max_size_with_degree_cap(8, 3, 7, override_guard=True, budget=99)
+    assert not cut.exact and cut.nodes <= 100
 
 
 def test_front_door_rejects_bad_budget_and_workers():
