@@ -104,8 +104,8 @@ def build_parser() -> _Parser:
     mc.add_argument("--budget", type=int)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--workers", type=int, default=1,
-                    help="processes for heuristic restarts (>= 1); exact reports are the same "
-                         "for every --workers")
+                    help="accepted (>= 1) and recorded in the manifest, but unused: "
+                         "search runs in one process")
     mc.add_argument("--witness", action="store_true", help="include the best family in the report")
     _common(mc)
 

@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .family import Family, Universe, comb_capped, disjointness, iter_ksets
+from .family import Family, Universe, comb_capped, disjointness, union
 from .constructions import MAX_SETS, lex_family, shift_states
 from .formulas import binom
 
@@ -82,10 +82,14 @@ def cross_max_compatible(n: int, a: int, b: int, size_a: int) -> int:
     """Number of b-sets of [n] meeting every member of the lex prefix L(n,a,size_a)."""
     if n < a + b:
         raise ValueError("requires n >= a + b")
-    if math.comb(n, b) > 2_000_000:
+    if comb_capped(n, b, 2_000_000) > 2_000_000:
         raise ValueError(f"guard: C({n},{b}) too large to enumerate")
     prefix = lex_family(n, a, size_a).members
-    return sum(1 for cand in iter_ksets(n, b) if all(cand & m for m in prefix))
+    u = Universe(n, b)
+    compatible = u.full
+    for m in prefix:  # the b-sets meeting m, off the incidence columns
+        compatible &= union(u.cols, m)
+    return compatible.bit_count()
 
 
 @dataclass

@@ -260,9 +260,11 @@ def check_theorem(
         if c is None:
             raise ValueError("main needs the constant C")
         c = Fraction(c)
-        in_range = 1 < c < Fraction(3, 2)
-        hyp = in_range and k >= 3 and Fraction(n) >= Fraction(42 * k) / (3 - 2 * c)
-        bound = (3 - 2 * c) * binom(n - 3, k - 2) if in_range else Fraction(0)
+        if 1 < c < Fraction(3, 2):
+            threshold, bound = main_bound(c, n, k)
+            hyp = k >= 3 and n >= threshold
+        else:
+            bound, hyp = Fraction(0), False
         return BoundVerdict.compare(
             f"main(C={ratio_str(c)})", fam.c_diversity(c), bound, hypotheses_hold=hyp
         )

@@ -14,7 +14,6 @@ whose gamma_C is 0, so neither reports a value below 0.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -487,16 +486,16 @@ def max_c_diversity_heuristic(
     *,
     budget: int = 100_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> SearchResult:
     """Seeded local search (add/remove/swap accepting strict improvement).
 
-    Deterministic for a given (seed, budget); the worker count only splits
-    restarts and never changes the merged result, which is the empty family
-    when every restart ends below 0.  `stats` counts the restart
-    slots, the random restarts (after 400 rejected moves in a row) and the
-    moves tried and accepted per kind.  An (n, k) whose star seed has more
-    than MAX_SETS sets is refused before any set is built.
+    One restart slot per canonical seed and as many (at least four) random
+    ones share the budget and run in order in one process.  The result is
+    deterministic for a given (seed, budget), and is the empty family when
+    every slot ends below 0.  `stats` counts the restart slots, the random
+    restarts (after 400 rejected moves in a row) and the moves tried and
+    accepted per kind.  An (n, k) whose star seed has more than MAX_SETS
+    sets is refused before any set is built.
     """
     c = Fraction(c)
     _check_k(n, k)
@@ -505,47 +504,36 @@ def max_c_diversity_heuristic(
             f"guard: heuristic search refused: the star seed has C({n - 1},{k - 1}) sets, "
             f"more than the {MAX_SETS}-set guard"
         )
-    specs = _restart_specs(n, k, c, budget, seed)
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(min(workers, len(specs), os.cpu_count() or 1)) as pool:
-            outcomes = pool.map(_run_restart, specs)
-    else:
-        outcomes = [_run_restart(s) for s in specs]
-
-    # merge is a pure max with a structural tie-break, so scheduling order
-    # can never change the result; it starts from the empty family at score
-    # 0, as exact mode does, and () sorts before every nonempty family
-    _, best_members = max([(0, ()), *((o[0], o[1]) for o in outcomes)])
-    moves = sum(o[2] for o in outcomes)
-    restarts, *counts = (sum(col) for col in zip(*(o[3] for o in outcomes)))
-    stats = {
-        "slots": len(specs),
-        "restarts": restarts,
-        "tried": dict(zip(_MOVE_KINDS, counts[:3])),
-        "accepted": dict(zip(_MOVE_KINDS, counts[3:])),
-    }
-    fam = Family(n, k, best_members)
-    return SearchResult(fam, fam.c_diversity(c), False, moves, stats=stats)
-
-
-def _restart_specs(n, k, c, budget, seed):
-    seeds = canonical_seeds(n, k)
-    extra = max(4, len(seeds))
-    slots = len(seeds) + extra
+    # only the members are kept: a seed Family also holds a set of them
+    starts = [s.members for s in canonical_seeds(n, k)]
+    starts += [None] * max(4, len(starts))  # the random slots
+    slots = len(starts)
     per = max(1, budget // slots)
-    specs = []
-    used = 0
-    for idx in range(slots):
-        this = per if idx < slots - 1 else max(1, budget - used)
-        used += this
-        start = tuple(seeds[idx].members) if idx < len(seeds) else None
-        specs.append((n, k, c.numerator, c.denominator, start, this, seed * 7919 + idx))
-    return specs
+    budgets = [per] * (slots - 1) + [max(1, budget - per * (slots - 1))]
+    # a running max with a structural tie-break; it starts from the empty
+    # family at score 0, as exact mode does, and () sorts before every
+    # nonempty family
+    best = (0, ())
+    restarts, tried, taken = 0, [0, 0, 0], [0, 0, 0]
+    for idx, (start, moves) in enumerate(zip(starts, budgets)):
+        found, again, slot_tried, slot_taken = _run_restart(
+            n, k, c, start, moves, seed * 7919 + idx
+        )
+        best = max(best, found)
+        restarts += again
+        tried = [x + y for x, y in zip(tried, slot_tried)]
+        taken = [x + y for x, y in zip(taken, slot_taken)]
+    stats = {
+        "slots": slots,
+        "restarts": restarts,
+        "tried": dict(zip(_MOVE_KINDS, tried)),
+        "accepted": dict(zip(_MOVE_KINDS, taken)),
+    }
+    fam = Family(n, k, best[1])
+    return SearchResult(fam, fam.c_diversity(c), False, sum(budgets), stats=stats)
 
 
-_MOVE_KINDS = ("add", "remove", "swap")  # the move indices of _run_restart
+_MOVE_KINDS = ("add", "remove", "swap")  # the move indices of _move
 
 
 def _keep_best(best: tuple | None, state: _LocalState) -> tuple:
@@ -591,9 +579,10 @@ def _move(state: _LocalState, rng: random.Random) -> tuple[int, bool]:
     return move, accepted
 
 
-def _run_restart(spec):
-    n, k, p, q, start, moves, rng_seed = spec
-    c = Fraction(p, q)
+def _run_restart(n: int, k: int, c: Fraction, start, moves: int, rng_seed: int):
+    """One slot: local search from `start` (a random start when None) for
+    `moves` moves.  Returns the best (score, sorted members), the random
+    restarts, and the moves tried and accepted per kind."""
     rng = random.Random(rng_seed)
     state = _LocalState(n, k, c, start if start is not None else _greedy_random(n, k, rng))
     best = None
@@ -601,9 +590,7 @@ def _run_restart(spec):
     taken = [0, 0, 0]
     restarts = 0
     since_accept = 0
-    used = 0
-    while used < moves:
-        used += 1
+    for _ in range(moves):
         move, accepted = _move(state, rng)
         tried[move] += 1
         if accepted:
@@ -616,8 +603,7 @@ def _run_restart(spec):
                 state = _LocalState(n, k, c, _greedy_random(n, k, rng))
                 restarts += 1
                 since_accept = 0
-    best_score, best_members = _keep_best(best, state)
-    return best_score, best_members, used, (restarts, *tried, *taken)
+    return _keep_best(best, state), restarts, tried, taken
 
 
 def max_c_diversity(
@@ -633,7 +619,8 @@ def max_c_diversity(
 ) -> SearchResult:
     """Front door: exact degree-cap decomposition or seeded local search.
 
-    `workers` (>= 1 in both modes) splits heuristic restart slots only.
+    Both modes run in one process.  `workers` must be >= 1 and is otherwise
+    unused: no result depends on it.
     """
     c = Fraction(c)
     if budget is not None and budget < 1:
@@ -644,6 +631,6 @@ def max_c_diversity(
         return max_c_diversity_exact(n, k, c, budget=budget, override_guard=override_guard)
     if mode == "heuristic":
         return max_c_diversity_heuristic(
-            n, k, c, budget=100_000 if budget is None else budget, seed=seed, workers=workers
+            n, k, c, budget=100_000 if budget is None else budget, seed=seed
         )
     raise ValueError(f"unknown mode {mode!r}")

@@ -164,24 +164,6 @@ def all_intersecting_families(n: int, k: int):
         yield Family(n, k, members)
 
 
-class RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, size):
-        self.sizes.append(size)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
 def brute_c_diversity_optima(families: list[Family], c: Fraction) -> tuple[Fraction, set[Family]]:
     """The largest gamma_C over `families` and the families attaining it,
     by measuring each one (q|F| - p*Delta for C = p/q, in integers)."""
@@ -248,6 +230,23 @@ def brute_lex_pair_ok(n: int, a: int, b: int) -> dict[tuple[int, int], bool]:
         for t in range(cb + 1):
             table[(s, t)] = brute_cross_intersecting(la, lex_family(n, b, t))
     return table
+
+
+def brute_cross_max_compatible(n: int, a: int, b: int, size_a: int) -> int:
+    """The b-sets of [n] meeting every member of the lex prefix L(n,a,size_a),
+    by testing every candidate against every prefix member."""
+    prefix = list(itertools.islice(iter_ksets(n, a), size_a))
+    return sum(1 for cand in iter_ksets(n, b) if all(cand & m for m in prefix))
+
+
+def reference_check_main(fam: Family, c: Fraction) -> BoundVerdict:
+    """check_theorem(fam, "main", c=c) with the threshold 42k/(3-2C) and the
+    bound (3-2C) C(n-3,k-2) written out; bound 0 outside 1 < C < 3/2."""
+    n, k = fam.n, fam.k
+    in_range = 1 < c < Fraction(3, 2)
+    hyp = in_range and k >= 3 and Fraction(n) >= Fraction(42 * k) / (3 - 2 * c)
+    bound = (3 - 2 * c) * binom(n - 3, k - 2) if in_range else Fraction(0)
+    return BoundVerdict.compare(f"main(C={c})", fam.c_diversity(c), bound, hypotheses_hold=hyp)
 
 
 def brute_named_family(name: str, n: int, k: int, **params) -> Family:

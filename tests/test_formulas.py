@@ -33,6 +33,7 @@ from helpers import (
     brute_sandwich_triple,
     random_intersecting,
     reference_binom_ratio,
+    reference_check_main,
     reference_prop28_rows,
 )
 
@@ -122,6 +123,21 @@ def test_check_main_tight_at_threshold():
     v = check_theorem(tri, "main", c=Fraction(5, 4))
     assert v.hypotheses_hold and v.satisfied and v.tight
     assert v.lhs == Fraction(249, 2)
+
+
+def test_check_main_matches_written_out_bound():
+    # threshold and bound now come from main_bound inside 1 < C < 3/2;
+    # outside it the bound is 0 and the hypotheses fail, as before
+    grid = [Fraction(0), Fraction(1), Fraction(11, 10), Fraction(5, 4), Fraction(7, 5),
+            Fraction(3, 2), Fraction(2), Fraction(-1)]
+    fams = [family_triangle(252, 3), family_triangle(12, 3), full_star(9, 4),
+            fano_families(10, 3)[0], Family(7, 3), family_triangle(300, 4)]
+    for fam in fams:
+        for c in grid:
+            got = check_theorem(fam, "main", c=c)
+            want = reference_check_main(fam, c)
+            assert (got.hypotheses_hold, got.lhs, got.rhs, got.satisfied, got.tight) == \
+                (want.hypotheses_hold, want.lhs, want.rhs, want.satisfied, want.tight), (fam, c)
 
 
 def test_check_theorem_requires_intersecting():

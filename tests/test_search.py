@@ -1,6 +1,4 @@
 import math
-import multiprocessing
-import os
 import random
 from fractions import Fraction
 
@@ -17,7 +15,7 @@ from divlab.search import (
     max_size_with_degree_cap,
     unconstrained_max,
 )
-from helpers import RecordingPool, all_intersecting_families, brute_max_size_with_cap
+from helpers import all_intersecting_families, brute_max_size_with_cap
 
 
 def test_degree_cap_tiny():
@@ -190,19 +188,6 @@ def test_front_door_rejects_bad_budget_and_workers():
     assert max_c_diversity(8, 2, Fraction(1), "heuristic", budget=1).nodes_explored == 7
 
 
-def test_pool_size_is_capped(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    c = Fraction(5, 4)
-    serial = max_c_diversity(10, 3, c, "heuristic", budget=200, seed=1)
-    for cpus in (64, 3, None):
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
-        heur = max_c_diversity(10, 3, c, "heuristic", budget=200, seed=1, workers=10**6)
-        assert (heur.best_value, heur.best_family) == (serial.best_value, serial.best_family)
-    # one process per restart slot (8 here), and never more than the CPUs
-    assert RecordingPool.sizes == [8, 3, 1]
-
-
 def _recount(state: search._LocalState) -> Family:
     """Check the state's bookkeeping against a fresh Family; return that Family."""
     fam = Family(state.n, state.k, state.members)
@@ -251,20 +236,20 @@ def test_restart_outcomes_are_sound():
     # each slot on its own, the shrinking star slot included: the score is
     # q|F| - p*Delta of the returned members, which form an intersecting family
     for n, k, c in ((16, 3, Fraction(5, 4)), (20, 3, Fraction(1))):
+        seeds = canonical_seeds(n, k)
+        starts = [s.members for s in seeds] + [None] * max(4, len(seeds))
         for seed in (0, 1, 5):
-            specs = search._restart_specs(n, k, c, 2000, seed)
-            assert specs[0][4] == tuple(canonical_seeds(n, k)[0].members)  # the star
-            for spec in specs:
-                score, members, used, (restarts, *counts) = search._run_restart(spec)
-                tried, taken = counts[:3], counts[3:]
+            for idx, start in enumerate(starts):
+                (score, members), restarts, tried, taken = search._run_restart(
+                    n, k, c, start, 250, seed * 7919 + idx)
                 fam = Family(n, k, members)
                 assert len(fam) == len(members) and fam.is_intersecting()
                 assert score == c.denominator * len(fam) - c.numerator * fam.max_degree()[0]
-                assert used == spec[5] == sum(tried)
+                assert sum(tried) == 250
                 assert all(a <= t for a, t in zip(taken, tried)) and restarts >= 0
-                if spec[4] is not None:  # never worse than its seed
-                    start = Family(n, k, spec[4])
-                    assert score >= c.denominator * len(start) - c.numerator * start.max_degree()[0]
+                if start is not None:  # never worse than its seed
+                    first = Family(n, k, start)
+                    assert score >= c.denominator * len(first) - c.numerator * first.max_degree()[0]
 
 
 def test_random_candidate_meets_anchor():
