@@ -6,7 +6,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .family import MAX_SETS, Family, check_ground_set, comb_capped, iter_ksets, mask_of
+from .family import (MAX_SETS, Family, check_element_bits, check_ground_set, comb_capped,
+                     iter_ksets, mask_of)
 
 # A fixed labeling of the seven lines of the Fano plane.  Any labeling is
 # isomorphic; canonical_form makes the choice immaterial.
@@ -22,7 +23,8 @@ def _by_trace(n: int, k: int, parts):
 
     The size is summed first, by binomials capped just above the guard: a
     family of more than MAX_SETS sets, or one needing more than MAX_SETS
-    core traces tested, is refused before any set is made.  The sets come
+    core traces tested, is refused before any set is made, and so is one
+    above the element-bit guard (check_element_bits).  The sets come
     from the returned iterator, each built from element indices as it is
     yielded.
     """
@@ -53,6 +55,7 @@ def _by_trace(n: int, k: int, parts):
                         f"guard: the family on (n={n}, k={k}) has at least {total} sets "
                         f"after {tested} traces tested, above the {MAX_SETS}-set guard"
                     )
+    check_element_bits(total, k, n)
     return (trace | mask_of(rest) for trace, outside, r in plan
             for rest in itertools.combinations(outside, r))
 
@@ -109,14 +112,6 @@ def family_triangle(n: int, k: int) -> Family:
     return family_uvw(n, k, (1, 2, 3))
 
 
-# The most element-bits (the members' total size times n) a lex prefix may
-# have.  Reading a member's elements back off its mask, as the columns and
-# the file writer do, peels one bit at a time at O(n) each: about 45 ps per
-# element and ground-set bit (CPython 3.11, x86-64), so 10^10 is about half a
-# second per read.
-MAX_ELEMENT_BITS = 10**10
-
-
 def lex_family(n: int, k: int, m: int) -> Family:
     """The first m k-subsets of [n] in lexicographic order."""
     check_ground_set(n)
@@ -124,9 +119,7 @@ def lex_family(n: int, k: int, m: int) -> Family:
         raise ValueError(f"m={m} outside [0, C({n},{k})]")
     if m > MAX_SETS:
         raise ValueError(f"guard: m={m} sets, above the {MAX_SETS}-set guard")
-    if m * k * n > MAX_ELEMENT_BITS:
-        raise ValueError(f"guard: m={m} sets of {k} elements on n={n} read {m * k * n} "
-                         f"element-bits, above the {MAX_ELEMENT_BITS} guard")
+    check_element_bits(m, k, n)
     return Family(n, k, itertools.islice(iter_ksets(n, k), m))
 
 

@@ -1,8 +1,8 @@
 """Brute-force oracles for the cross-intersecting lemmas.
 
-Families of l-sets are bitsets over a family.Universe (the lex-ordered
-l-sets of [n]), so pair enumeration and degree counts reduce to ands and
-popcounts.
+Families of l-sets are bitsets over the complete l-uniform Family (the
+lex-ordered l-sets of [n]), so pair enumeration and degree counts reduce to
+ands and popcounts.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .family import Family, Universe, comb_capped, disjointness, union
+from .family import Family, comb_capped, iter_ksets, union
 from .constructions import MAX_SETS, lex_family, shift_states
 from .formulas import binom
 
@@ -45,14 +45,14 @@ def verify_lemma_fk(m: int, ell: int, method: str = "auto") -> FkReport:
         raise ValueError(f"guard: C({m},{ell}) candidate sets, more than the 16-set guard")
     if method == "auto":
         method = "exhaustive" if size <= 10 else "pruned"
-    u = Universe(m, ell)
+    u = Family(m, ell, iter_ksets(m, ell))
+    missing = [u.full ^ col for col in u.cols[1:]]  # the sets without each element
     threshold = 5 * binom(m - 2, ell - 2)
     cap = binom(m - 2, ell - 2)
     pairs = 0
 
     def good_j_exists(a_picked: int, b_picked: int) -> bool:
-        for e in range(1, m + 1):
-            w = u.avoids[e]
+        for w in missing:
             if (a_picked & w).bit_count() <= cap and (b_picked & w).bit_count() <= cap:
                 return True
         return False
@@ -70,7 +70,7 @@ def verify_lemma_fk(m: int, ell: int, method: str = "auto") -> FkReport:
                 if not good_j_exists(a_picked, b_picked):
                     return FkReport(
                         m, ell, threshold, cap, False, pairs, method,
-                        (u.family(a_picked), u.family(b_picked)),
+                        (u.subfamily(a_picked), u.subfamily(b_picked)),
                     )
             if method == "pruned" or b_picked == 0:
                 break
@@ -85,7 +85,7 @@ def cross_max_compatible(n: int, a: int, b: int, size_a: int) -> int:
     if comb_capped(n, b, 2_000_000) > 2_000_000:
         raise ValueError(f"guard: C({n},{b}) too large to enumerate")
     prefix = lex_family(n, a, size_a).members
-    u = Universe(n, b)
+    u = Family(n, b, iter_ksets(n, b))
     compatible = u.full
     for m in prefix:  # the b-sets meeting m, off the incidence columns
         compatible &= union(u.cols, m)
@@ -167,9 +167,9 @@ def verify_hilton(
             f"guard: exhaustive mode may face up to {bound} pairs, "
             f"above the {HILTON_EXHAUSTIVE_PAIRS}-pair guard"
         )
-    ua, ub = Universe(n, a), Universe(n, b)
-    cross = disjointness(ua.masks, ub.masks)
-    lex_limit = _lex_limits(cross, len(ub.masks))
+    ua, ub = Family(n, a, iter_ksets(n, a)), Family(n, b, iter_ksets(n, b))
+    cross = ub.disjoint_from(ua.members)
+    lex_limit = _lex_limits(cross, len(ub))
     rng = random.Random(seed)
 
     def candidate_pairs():
@@ -183,8 +183,8 @@ def verify_hilton(
                     b_picked = (b_picked - 1) & compat
         else:
             for _ in range(trials):
-                a_picked = rng.getrandbits(len(ua.masks))
-                yield a_picked, ub.meeting(a_picked, cross) & rng.getrandbits(len(ub.masks))
+                a_picked = rng.getrandbits(len(ua))
+                yield a_picked, ub.meeting(a_picked, cross) & rng.getrandbits(len(ub))
 
     pairs = shifts = 0
     for a_picked, b_picked in candidate_pairs():
@@ -192,10 +192,10 @@ def verify_hilton(
         ok = b_picked.bit_count() <= lex_limit[a_picked.bit_count()]
         if ok and a_picked and b_picked and (not exhaustive or pairs % shift_sample_stride == 0):
             shifts += 1
-            ok = _shift_route_ok(n, ua.family(a_picked).members, ub.family(b_picked).members)
+            ok = _shift_route_ok(n, ua.subfamily(a_picked).members, ub.subfamily(b_picked).members)
         if not ok:
             return HiltonReport(
                 n, a, b, exhaustive, pairs, shifts, False,
-                (ua.family(a_picked), ub.family(b_picked)),
+                (ua.subfamily(a_picked), ub.subfamily(b_picked)),
             )
     return HiltonReport(n, a, b, exhaustive, pairs, shifts, True)

@@ -12,13 +12,19 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
 # The most sets a constructor, a lex prefix or a heuristic star seed may have,
 # and the largest ground set a Family takes.
 MAX_SETS = 1_000_000
+
+# The most element-bits (the members' total size times n) a constructor or a
+# family file may have.  Reading a member's elements back off its mask, as
+# the columns and the file writer do, peels one bit at a time at O(n) each:
+# about 45 ps per element and ground-set bit (CPython 3.11, x86-64), so 10^10
+# is about half a second per read.
+MAX_ELEMENT_BITS = 10**10
 
 # _REVERSED_BITS[b] is the byte b with its bit order reversed.
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -28,6 +34,13 @@ def check_ground_set(n: int) -> None:
     """Refuse a ground set [n] above the guard, before anything n-sized is built."""
     if n > MAX_SETS:
         raise ValueError(f"guard: ground set of n={n} elements, above the {MAX_SETS}-element guard")
+
+
+def check_element_bits(sets: int, k: int, n: int) -> None:
+    """Refuse `sets` k-subsets of [n] above the element-bit guard, before any is made."""
+    if sets * k * n > MAX_ELEMENT_BITS:
+        raise ValueError(f"guard: {sets} sets of {k} elements on n={n} read {sets * k * n} "
+                         f"element-bits, above the {MAX_ELEMENT_BITS} guard")
 
 
 def comb_capped(n: int, r: int, cap: int) -> int:
@@ -115,13 +128,6 @@ def union(cols: list[int], mask: int) -> int:
     return out
 
 
-def disjointness(xs: list[int], ys: list[int]) -> list[int]:
-    """table[i] = bitset of the indices j with ys[j] disjoint from xs[i]."""
-    cols = columns(max(map(int.bit_length, xs + ys), default=0), ys)
-    full = (1 << len(ys)) - 1
-    return [full ^ union(cols, x) for x in xs]
-
-
 def _reject_member(n: int, k: int, ms: set[int]) -> None:
     """Raise for the first member of `ms` that is no k-subset of [n]."""
     full = (1 << n) - 1
@@ -134,54 +140,13 @@ def _reject_member(n: int, k: int, ms: set[int]) -> None:
             raise ValueError(f"member {elements_of(m)} has {m.bit_count()} elements, expected {k}")
 
 
-class Universe:
-    """All k-subsets of [n], indexed in lex order.
-
-    A subfamily is a bitset of indices ("picked"), so set-system queries
-    reduce to ands and popcounts: cols[e] holds the sets with element e
-    (cols[0] = 0), avoids[e] the sets without it (avoids[0] is everything)
-    and disjoint[i] the sets disjoint from set i, all read off the one
-    incidence table `cols`.  The quadratic `disjoint` table is built on
-    first use, so a universe read only through cross tables never pays
-    for it.
-    """
-
-    def __init__(self, n: int, k: int):
-        self.n, self.k = n, k
-        self.masks = list(iter_ksets(n, k))
-        self.full = (1 << len(self.masks)) - 1
-        self.cols = columns(n, self.masks)
-        self.avoids = [self.full ^ col for col in self.cols]
-
-    @cached_property
-    def disjoint(self) -> list[int]:
-        return [self.full ^ union(self.cols, m) for m in self.masks]
-
-    def meeting(self, picked: int, table: list[int] | None = None) -> int:
-        """Bitset of the sets meeting every picked one.
-
-        table[i] lists the sets of this universe disjoint from picked set i;
-        it defaults to `disjoint`, and a cross table from disjointness(...)
-        lets `picked` index another universe.
-        """
-        table = self.disjoint if table is None else table
-        bad = 0
-        while picked:
-            low = picked & -picked
-            bad |= table[low.bit_length() - 1]
-            picked ^= low
-        return self.full & ~bad
-
-    def family(self, picked: int) -> "Family":
-        """The picked sets as a Family."""
-        return Family(self.n, self.k, (self.masks[i - 1] for i in elements_of(picked)))
-
-
 class Family:
     """An immutable k-uniform family of subsets of {1, ..., n}; member
-    incidence is read off the columns `cols`, built on first use."""
+    incidence is read off the columns `cols`, built on first use.  A
+    subfamily is a bitset of member indices ("picked"); the complete family
+    Family(n, k, iter_ksets(n, k)) is the universe the searches pick from."""
 
-    __slots__ = ("n", "k", "members", "_cols", "_degrees", "_member_set")
+    __slots__ = ("n", "k", "members", "full", "_cols", "_degrees", "_disjoint")
 
     def __init__(self, n: int, k: int, members: Iterable[int] = ()):
         if n < 1:
@@ -199,9 +164,10 @@ class Family:
         self.members = tuple(sorted(
             ms, key=lambda m: m.to_bytes(nb, "little").translate(_REVERSED_BITS), reverse=True
         ))
+        self.full = (1 << len(self.members)) - 1  # the bitset of every member
         self._cols: list[int] | None = None
         self._degrees: tuple[int, ...] | None = None
-        self._member_set = ms
+        self._disjoint: list[int] | None = None
 
     @classmethod
     def from_sets(cls, n: int, k: int, sets: Iterable[Iterable[int]]) -> "Family":
@@ -225,7 +191,13 @@ class Family:
         return iter(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._member_set
+        """A k-subset of [n] is a member iff the and of its elements' columns is nonzero."""
+        if mask >> self.n or mask.bit_count() != self.k:
+            return False
+        cols, hit = self.cols, self.full
+        for e in elements_of(mask):
+            hit &= cols[e]
+        return hit != 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Family):
@@ -245,7 +217,7 @@ class Family:
         """Members as sorted 1-indexed tuples, in lexicographic order."""
         return [elements_of(m) for m in self.members]
 
-    # -- incidence columns, degrees and diversity measures -----------------
+    # -- incidence columns, subfamily bitsets, degrees and diversity ---------
 
     @property
     def cols(self) -> list[int]:
@@ -253,6 +225,34 @@ class Family:
         if self._cols is None:
             self._cols = columns(self.n, self.members)
         return self._cols
+
+    def disjoint_from(self, masks: Iterable[int]) -> list[int]:
+        """table[i] = bitset of the members disjoint from masks[i]."""
+        cols, full = self.cols, self.full
+        return [full ^ union(cols, m) for m in masks]
+
+    @property
+    def disjoint(self) -> list[int]:
+        """disjoint[i] = bitset of the members disjoint from member i, built on first use."""
+        if self._disjoint is None:
+            self._disjoint = self.disjoint_from(self.members)
+        return self._disjoint
+
+    def meeting(self, picked: int, table: list[int] | None = None) -> int:
+        """Bitset of the members meeting every picked one.  table[i] lists the
+        members disjoint from picked set i: `disjoint` by default, and the
+        cross table disjoint_from(other.members) lets `picked` index `other`."""
+        table = self.disjoint if table is None else table
+        bad = 0
+        while picked:
+            low = picked & -picked
+            bad |= table[low.bit_length() - 1]
+            picked ^= low
+        return self.full & ~bad
+
+    def subfamily(self, picked: int) -> "Family":
+        """The picked members as a Family."""
+        return Family(self.n, self.k, (self.members[i - 1] for i in elements_of(picked)))
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -295,12 +295,12 @@ class Family:
         """True iff every two members share an element (empty family counts):
         each member's columns cover all members.  A k = 0 family has at most
         one member, so no pair."""
-        cols, full = self.cols, (1 << len(self.members)) - 1
+        cols, full = self.cols, self.full
         return not self.k or all(union(cols, m) == full for m in self.members)
 
     def is_star(self) -> bool:
         """True iff some element lies in every member (empty family counts)."""
-        return (1 << len(self.members)) - 1 in self.cols
+        return self.full in self.cols
 
     # -- traces --------------------------------------------------------------
 
@@ -397,7 +397,7 @@ def cross_intersecting(a: Family, b: Family, t: int = 1) -> bool:
     if a.n != b.n:
         raise ValueError(f"families live on different ground sets ({a.n} vs {b.n})")
     if t == 1:  # each member of a meets all of b
-        cols, full = b.cols, (1 << len(b)) - 1
+        cols, full = b.cols, b.full
         return all(union(cols, m) == full for m in a.members)
     return all((am & bm).bit_count() >= t for am in a.members for bm in b.members)
 
@@ -406,9 +406,9 @@ def addable_sets(fam: Family) -> list[int]:
     """k-sets outside the family that meet every member, in lex order."""
     if not fam.is_intersecting():
         raise ValueError("saturation is only defined for intersecting families")
-    cols, full = fam.cols, (1 << len(fam)) - 1
+    cols, full = fam.cols, fam.full
     return [cand for cand in iter_ksets(fam.n, fam.k)
-            if cand not in fam and union(cols, cand) == full]
+            if union(cols, cand) == full and cand not in fam]
 
 
 def is_saturated(fam: Family) -> bool:

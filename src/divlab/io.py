@@ -11,7 +11,7 @@ import operator
 from pathlib import Path
 from typing import Any
 
-from .family import Family, check_ground_set, mask_of
+from .family import Family, check_element_bits, check_ground_set, mask_of
 
 
 class FamilyFormatError(ValueError):
@@ -27,8 +27,9 @@ def family_from_dict(data: Any) -> Family:
 
     Each set is checked once, in file order, and the first bad one is
     reported: a list of integers, of length k, inside [1,n], strictly
-    increasing, not a duplicate.  A ground set above the guard is refused
-    (ValueError) before any set is read.
+    increasing, not a duplicate.  A ground set, or a total of len(sets) * k
+    * n element-bits, above its guard is refused (ValueError) before any set
+    is read.
     """
     if not isinstance(data, dict):
         raise FamilyFormatError("family file must be a JSON object")
@@ -43,6 +44,7 @@ def family_from_dict(data: Any) -> Family:
     check_ground_set(n)
     if not isinstance(sets, list):
         raise FamilyFormatError("sets must be a list of lists")
+    check_element_bits(len(sets), k, n)
     masks = set()
     for s in sets:
         if not isinstance(s, list) or not set(map(type, s)) <= {int}:

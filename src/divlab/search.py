@@ -20,10 +20,11 @@ from fractions import Fraction
 from typing import Iterator
 
 from .constructions import MAX_SETS
-from .family import Family, Universe, comb_capped, elements_of, mask_of
+from .family import Family, comb_capped, elements_of, iter_ksets, mask_of
 from .formulas import hm_size
 
 DEFAULT_NODE_BUDGET = 5_000_000
+DEFAULT_MOVE_BUDGET = 100_000
 EXACT_UNIVERSE_GUARD = 40
 
 
@@ -106,9 +107,10 @@ def max_size_with_degree_cap(
         empty = Family(n, k)
         return CapSearch(0, empty, True, 0, [empty] if collect_optima else None, floor)
 
-    u = Universe(n, k)
-    disjoint, avoids, cols = u.disjoint, u.avoids, u.cols
-    elems = [elements_of(m) for m in u.masks]
+    u = Family(n, k, iter_ksets(n, k))
+    disjoint, cols = u.disjoint, u.cols
+    missing = [u.full ^ col for col in cols]  # the sets without each element
+    elems = [elements_of(m) for m in u.members]
     slack = [cap] * (n + 1)  # cap minus the degree, per element
     path: list[int] = []  # the picked sets, in order
 
@@ -119,7 +121,7 @@ def max_size_with_degree_cap(
         for e in elems[i]:
             slack[e] -= 1
             if not slack[e]:
-                cands &= avoids[e]
+                cands &= missing[e]
         return cands
 
     def drop(i: int) -> None:
@@ -186,15 +188,15 @@ def max_size_with_degree_cap(
     optima = None
     if collect_optima:
         optima = sorted(
-            (u.family(p) for p in set(all_best) if p.bit_count() == best_size),
+            (u.subfamily(p) for p in set(all_best) if p.bit_count() == best_size),
             key=lambda f: f.members,
         )
     if not best:
         return CapSearch(None, None, not out_of_budget, nodes, optima, floor)
-    return CapSearch(best_size, u.family(best), not out_of_budget, nodes, optima, floor)
+    return CapSearch(best_size, u.subfamily(best), not out_of_budget, nodes, optima, floor)
 
 
-def _root_orbit_reps(u: Universe) -> int:
+def _root_orbit_reps(u: Family) -> int:
     """Bitset of the sets rep_j = [j] + {k+1, ..., 2k-j}, 0 < j < k, that fit in [n].
 
     The stabilizer S_k x S_{n-k} of the root [k] sorts the other k-sets into
@@ -209,7 +211,7 @@ def _root_orbit_reps(u: Universe) -> int:
     reps = 0
     for j in range(k - 1, 0, -1):
         if 2 * k - j <= n:
-            reps |= 1 << u.masks.index(mask_of([*range(1, j + 1), *range(k + 1, 2 * k - j + 1)]))
+            reps |= 1 << u.members.index(mask_of([*range(1, j + 1), *range(k + 1, 2 * k - j + 1)]))
     return reps
 
 
@@ -484,7 +486,7 @@ def max_c_diversity_heuristic(
     k: int,
     c: Fraction,
     *,
-    budget: int = 100_000,
+    budget: int = DEFAULT_MOVE_BUDGET,
     seed: int = 0,
 ) -> SearchResult:
     """Seeded local search (add/remove/swap accepting strict improvement).
@@ -504,7 +506,6 @@ def max_c_diversity_heuristic(
             f"guard: heuristic search refused: the star seed has C({n - 1},{k - 1}) sets, "
             f"more than the {MAX_SETS}-set guard"
         )
-    # only the members are kept: a seed Family also holds a set of them
     starts = [s.members for s in canonical_seeds(n, k)]
     starts += [None] * max(4, len(starts))  # the random slots
     slots = len(starts)
@@ -631,6 +632,6 @@ def max_c_diversity(
         return max_c_diversity_exact(n, k, c, budget=budget, override_guard=override_guard)
     if mode == "heuristic":
         return max_c_diversity_heuristic(
-            n, k, c, budget=100_000 if budget is None else budget, seed=seed
+            n, k, c, budget=DEFAULT_MOVE_BUDGET if budget is None else budget, seed=seed
         )
     raise ValueError(f"unknown mode {mode!r}")

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from divlab.constructions import FANO_LINES, family_triangle, family_uvw, lex_family
-from divlab.family import Family, Universe, elements_of, iter_ksets, mask_of
+from divlab.family import Family, elements_of, iter_ksets, mask_of
 from divlab.formulas import BoundVerdict, binom
 from divlab.io import FamilyFormatError, dump_json, family_to_dict
 from divlab.search import CapSearch, _root_orbit_reps
@@ -428,8 +428,8 @@ def reference_max_size_with_degree_cap(
             return CapSearch(None, None, True, 0, [] if collect_optima else None, floor)
         empty = Family(n, k)
         return CapSearch(0, empty, True, 0, [empty] if collect_optima else None, floor)
-    u = Universe(n, k)
-    elems = [elements_of(m) for m in u.masks]
+    u = Family(n, k, iter_ksets(n, k))
+    elems = [elements_of(m) for m in u.members]
     deg = [0] * (n + 1)
 
     def take(i: int, rest: int) -> int:
@@ -437,7 +437,7 @@ def reference_max_size_with_degree_cap(
         for e in elems[i]:
             deg[e] += 1
             if deg[e] == cap:
-                cands &= u.avoids[e]
+                cands &= ~u.cols[e]
         return cands
 
     def drop(i: int) -> None:
@@ -481,9 +481,9 @@ def reference_max_size_with_degree_cap(
     optima = None
     if collect_optima:
         optima = sorted(
-            (u.family(p) for p in set(all_best) if p.bit_count() == best_size),
+            (u.subfamily(p) for p in set(all_best) if p.bit_count() == best_size),
             key=lambda f: f.members,
         )
     if not best:
         return CapSearch(None, None, True, nodes, optima, floor)
-    return CapSearch(best_size, u.family(best), True, nodes, optima, floor)
+    return CapSearch(best_size, u.subfamily(best), True, nodes, optima, floor)

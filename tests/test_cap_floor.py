@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from divlab.family import Family, Universe, elements_of, iter_ksets, mask_of
+from divlab.family import Family, elements_of, iter_ksets, mask_of
 from divlab.formulas import hm_size
 from divlab.search import (
     _cap_floor,
@@ -187,8 +187,8 @@ def test_root_orbit_reps_are_lex_first_of_each_orbit(n, k):
     for mask in iter_ksets(n, k):  # lex order
         firsts.setdefault((mask & root).bit_count(), mask)
     want = [firsts[j] for j in range(1, k) if j in firsts]
-    u = Universe(n, k)
-    assert sorted(u.masks[i - 1] for i in elements_of(_root_orbit_reps(u))) == sorted(want)
+    u = Family(n, k, iter_ksets(n, k))
+    assert sorted(u.members[i - 1] for i in elements_of(_root_orbit_reps(u))) == sorted(want)
 
 
 @pytest.mark.parametrize("n,k", CASES + [(6, 4)])

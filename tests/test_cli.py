@@ -152,7 +152,10 @@ def test_usage_and_input_errors(tmp_path, capsys):
                   "--k", str(MAX_SETS + 1), "--i", str(MAX_SETS + 1),
                   "--out", str(tmp_path / "star.json")),
                  ("construct", "--family", "lex", "--n", str(MAX_SETS + 1),
-                  "--k", str(MAX_SETS // 2), "--m", "1", "--out", str(tmp_path / "star.json"))):
+                  "--k", str(MAX_SETS // 2), "--m", "1", "--out", str(tmp_path / "star.json")),
+                 # inside the ground-set guard, above the element-bit guard
+                 *(("construct", "--family", "star", "--n", str(MAX_SETS), "--k", str(k),
+                    "--out", str(tmp_path / "star.json")) for k in (2, MAX_SETS))):
         code, text, err = run(capsys, *argv)
         assert code == 1, argv
         assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), argv

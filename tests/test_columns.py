@@ -1,14 +1,7 @@
 """The incidence-column engine against the pair scans it replaced."""
 import pytest
 
-from divlab.family import (
-    Family,
-    addable_sets,
-    cross_intersecting,
-    disjointness,
-    iter_ksets,
-    mask_of,
-)
+from divlab.family import Family, addable_sets, cross_intersecting, iter_ksets, mask_of
 from helpers import (
     brute_cross_intersecting,
     brute_degrees,
@@ -32,10 +25,12 @@ def _check_queries(fam: Family, other: Family) -> None:
     for t in (1, 2):
         assert cross_intersecting(fam, other, t) == brute_cross_intersecting(fam, other, t)
     xs, ys = list(fam.members), list(other.members)
-    assert disjointness(xs, ys) == brute_disjointness(xs, ys)
+    assert other.disjoint_from(xs) == brute_disjointness(xs, ys)
+    assert fam.disjoint == brute_disjointness(xs, xs)
     if fam.is_intersecting():
+        members = set(fam.members)
         assert addable_sets(fam) == [
-            c for c in iter_ksets(fam.n, fam.k) if c not in fam and all(c & m for m in fam)
+            c for c in iter_ksets(fam.n, fam.k) if c not in members and all(c & m for m in fam)
         ]
 
 

@@ -264,6 +264,7 @@ def test_size_guard_fires_before_any_family_is_built(monkeypatch):
         lambda: fano_families(300, 6),
         lambda: example_t(60, 30, sample_kernels(28)),
         lambda: lex_family(100, 5, MAX_SETS + 1),
+        lambda: full_star(10**6, 2),  # 999,999 sets, 2 * 10^12 element-bits
     ):
         with pytest.raises(ValueError, match="guard"):
             build()

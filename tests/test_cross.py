@@ -12,7 +12,7 @@ from divlab.cross import (
     verify_hilton,
     verify_lemma_fk,
 )
-from divlab.family import Family, Universe, cross_intersecting, disjointness
+from divlab.family import Family, cross_intersecting, iter_ksets
 from divlab.formulas import binom, cross_lemma_bounds
 from helpers import brute_cross_max_compatible, brute_lex_pair_ok, random_cross_pair
 
@@ -101,8 +101,8 @@ def test_lex_limits_match_the_prefix_table():
     for n in range(2, 9):
         for a in range(1, n):
             for b in range(1, n - a + 1):
-                ua, ub = Universe(n, a), Universe(n, b)
-                limits = _lex_limits(disjointness(ua.masks, ub.masks), len(ub.masks))
+                ua, ub = Family(n, a, iter_ksets(n, a)), Family(n, b, iter_ksets(n, b))
+                limits = _lex_limits(ub.disjoint_from(ua.members), len(ub))
                 table = brute_lex_pair_ok(n, a, b)
                 assert table == {(s, t): t <= limits[s] for s, t in table}, (n, a, b)
 

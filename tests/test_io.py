@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from divlab import family
 from divlab.constructions import MAX_SETS, family_triangle
 from divlab.io import (
     FamilyFormatError,
@@ -48,6 +49,15 @@ def test_reader_refuses_huge_ground_set_before_reading_sets():
     # the bad set would be reported first if the sets were read before the guard
     with pytest.raises(ValueError, match="guard"):
         family_from_dict({"n": MAX_SETS + 1, "k": 1, "sets": [["x"], [MAX_SETS + 1]]})
+
+
+def test_reader_refuses_element_bits_before_reading_sets(monkeypatch):
+    # 3 sets of 2 elements on [4] are 24 element-bits; the bad set is never read
+    monkeypatch.setattr(family, "MAX_ELEMENT_BITS", 23)
+    with pytest.raises(ValueError, match="guard: 3 sets of 2 elements on n=4 read 24 element-bits"):
+        family_from_dict({"n": 4, "k": 2, "sets": [[1, 2], [1, 3], ["x"]]})
+    monkeypatch.setattr(family, "MAX_ELEMENT_BITS", 24)
+    assert len(family_from_dict({"n": 4, "k": 2, "sets": [[1, 2], [1, 3], [2, 3]]})) == 3
 
 
 def test_read_family_bad_json(tmp_path):

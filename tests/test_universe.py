@@ -1,10 +1,10 @@
-"""Family.Universe, disjointness and the k-set enumeration against direct
-scans."""
+"""The complete k-uniform Family as a universe of subfamily bitsets, its
+membership test and the k-set enumeration, against direct scans."""
 import itertools
 
 import pytest
 
-from divlab.family import Universe, disjointness, iter_ksets, mask_of
+from divlab.family import Family, iter_ksets, mask_of
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -24,18 +24,15 @@ def test_universe_matches_pairwise_scans(data):
     n = data.draw(st.integers(1, 6), label="n")
     a = data.draw(st.integers(0, n), label="a")
     b = data.draw(st.integers(0, n), label="b")
-    ua, ub = Universe(n, a), Universe(n, b)
+    ua, ub = Family(n, a, iter_ksets(n, a)), Family(n, b, iter_ksets(n, b))
     sets_a, sets_b = _ksets(n, a), _ksets(n, b)
-    assert ua.masks == [mask_of(s) for s in sets_a]
+    assert list(ua.members) == [mask_of(s) for s in sets_a]
     assert ua.full == (1 << len(sets_a)) - 1
 
-    cross = disjointness(ua.masks, ub.masks)
+    cross = ub.disjoint_from(ua.members)
     for i, x in enumerate(sets_a):
         assert _bits(cross[i]) == [j for j, y in enumerate(sets_b) if not x & y]
         assert _bits(ua.disjoint[i]) == [j for j, y in enumerate(sets_a) if not x & y]
-    assert ua.avoids[0] == ua.full
-    for e in range(1, n + 1):
-        assert _bits(ua.avoids[e]) == [i for i, x in enumerate(sets_a) if e not in x]
 
     picked = data.draw(st.integers(0, ua.full), label="picked")
     chosen = [sets_a[i] for i in _bits(picked)]
@@ -45,9 +42,22 @@ def test_universe_matches_pairwise_scans(data):
     assert _bits(ub.meeting(picked, cross)) == [
         j for j, y in enumerate(sets_b) if all(x & y for x in chosen)
     ]
-    fam = ua.family(picked)
+    fam = ua.subfamily(picked)
     assert (fam.n, fam.k) == (n, a)
     assert fam.sets() == sorted(tuple(sorted(x)) for x in chosen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_membership_reads_the_columns(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    members = data.draw(st.sets(st.sampled_from(list(iter_ksets(n, k)))), label="members")
+    # masks of every size, some with bits beyond [n]
+    probes = data.draw(st.lists(st.integers(0, (1 << (n + 2)) - 1), max_size=20), label="probes")
+    for fam in (Family(n, k, members), Family(n, k), Family(n, 0, [0])):
+        for mask in [*probes, *iter_ksets(n, fam.k), 0, 1 << n, (1 << (n + 1)) - 1, -1]:
+            assert (mask in fam) == (mask in set(fam.members)), (fam, mask)
 
 
 def test_iter_ksets_matches_combinations():
