@@ -126,23 +126,15 @@ class _Canonicalizer:
         return orbit
 
     def _orbit_reps(self, cell: list[int]) -> list[int]:
-        """One element per block of the cell under transposition automorphisms."""
-        parent = {e: e for e in cell}
-
-        def find(e: int) -> int:
-            while parent[e] != e:
-                parent[e] = parent[parent[e]]
-                e = parent[e]
-            return e
-
-        for i in range(len(cell)):
-            for j in range(i + 1, len(cell)):
-                a, b = cell[i], cell[j]
-                if find(a) == find(b):
-                    continue
-                if self._swap_is_automorphism(a, b):
-                    parent[find(b)] = find(a)
-        return sorted({find(e) for e in cell})
+        """The first element, in cell order, of each class of a ~ b iff a = b
+        or (a b) is an automorphism.  This is an equivalence: if (a b) and
+        (b c) fix the family, so does their conjugate (a b)(b c)(a b) = (a c).
+        So testing the elements left against a rep removes exactly its class."""
+        reps, rest = [], cell
+        while rest:
+            reps.append(rest[0])
+            rest = [b for b in rest[1:] if not self._swap_is_automorphism(rest[0], b)]
+        return reps
 
     def _swap_is_automorphism(self, a: int, b: int) -> bool:
         bit_a, bit_b = 1 << a, 1 << b

@@ -253,19 +253,6 @@ def _cmd_verify(args) -> Report:
     return Report(verdict, values, human)
 
 
-def _applicable_bound(c: Fraction, n: int, k: int):
-    """(bound, hypotheses_hold, label) for the regime containing C."""
-    if c == 1:
-        return Fraction(fx.binom(n - 3, k - 2)), n > 36 * k, "diversity<=C(n-3,k-2)"
-    if 1 < c < Fraction(3, 2):
-        threshold, bound = fx.main_bound(c, n, k)
-        return bound, k >= 3 and Fraction(n) >= threshold, "triangle-bound"
-    if Fraction(3, 2) <= c < Fraction(7, 3):
-        # only an asymptotic threshold is known, so never claim a violation
-        return fx.mpw_bound(c, n, k), False, "fano-bound(asymptotic)"
-    return None, False, "none"
-
-
 def _listed(items) -> str:
     return ", ".join(map(str, items)) or "none"
 
@@ -276,7 +263,7 @@ def _cmd_search(args) -> Report:
         args.n, args.k, args.c, mode,
         budget=args.budget, seed=args.seed, workers=args.workers,
     )
-    bound, hyp, label = _applicable_bound(args.c, args.n, args.k)
+    bound, hyp, label = fx.gamma_c_bound(args.c, args.n, args.k)
     exceeded = bound is not None and result.best_value > bound
     if exceeded and hyp:
         verdict = "counterexample"

@@ -169,6 +169,20 @@ def mpw_bound(c: Fraction, n: int, k: int) -> Fraction:
     return value
 
 
+def gamma_c_bound(c: Fraction, n: int, k: int) -> tuple[Fraction | None, bool, str]:
+    """(bound, hypotheses_hold, kind): the published bound on gamma_C for
+    the regime containing C, and whether its hypotheses hold at (n, k)."""
+    if c == 1:
+        return Fraction(binom(n - 3, k - 2)), n > 36 * k, "diversity<=C(n-3,k-2)"
+    if 1 < c < Fraction(3, 2):
+        threshold, bound = main_bound(c, n, k)
+        return bound, k >= 3 and Fraction(n) >= threshold, "triangle-bound"
+    if Fraction(3, 2) <= c < Fraction(7, 3):
+        # only an asymptotic threshold is known, so never claim a violation
+        return mpw_bound(c, n, k), False, "fano-bound(asymptotic)"
+    return None, False, "none"
+
+
 def fano_lower_threshold(c: Fraction, k: int) -> Fraction:
     """2(k-2)/(3-2C): below this n the Fano family beats the triangle bound."""
     c = Fraction(c)
@@ -240,9 +254,8 @@ def check_theorem(
             f"diversity(i={i})", size, fi_size(n, k, i), hypotheses_hold=hyp
         )
     if which == "fw2":
-        v = BoundVerdict.compare(
-            "fw2", size - delta, binom(n - 3, k - 2), hypotheses_hold=n > 36 * k
-        )
+        bound, hyp, _ = gamma_c_bound(Fraction(1), n, k)
+        v = BoundVerdict.compare("fw2", size - delta, bound, hypotheses_hold=hyp)
         if v.tight:
             t = sandwich_triple(fam)
             note = (
@@ -260,10 +273,8 @@ def check_theorem(
         if c is None:
             raise ValueError("main needs the constant C")
         c = Fraction(c)
-        if 1 < c < Fraction(3, 2):
-            threshold, bound = main_bound(c, n, k)
-            hyp = k >= 3 and n >= threshold
-        else:
+        bound, hyp, kind = gamma_c_bound(c, n, k)
+        if kind != "triangle-bound":
             bound, hyp = Fraction(0), False
         return BoundVerdict.compare(
             f"main(C={ratio_str(c)})", fam.c_diversity(c), bound, hypotheses_hold=hyp

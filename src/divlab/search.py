@@ -494,10 +494,10 @@ def max_c_diversity_heuristic(
     One restart slot per canonical seed and as many (at least four) random
     ones share the budget and run in order in one process.  The result is
     deterministic for a given (seed, budget), and is the empty family when
-    every slot ends below 0.  `stats` counts the restart slots, the random
-    restarts (after 400 rejected moves in a row) and the moves tried and
-    accepted per kind.  An (n, k) whose star seed has more than MAX_SETS
-    sets is refused before any set is built.
+    every slot ends below 0, or at once when `_cap_floor` closes every cap.
+    `stats` counts the slots run, the random restarts (after 400 rejected
+    moves in a row) and the moves tried and accepted per kind.  An (n, k)
+    whose star seed has more than MAX_SETS sets is refused before any set is built.
     """
     c = Fraction(c)
     _check_k(n, k)
@@ -511,6 +511,14 @@ def max_c_diversity_heuristic(
     slots = len(starts)
     per = max(1, budget // slots)
     budgets = [per] * (slots - 1) + [max(1, budget - per * (slots - 1))]
+    # exact mode's cap bound with ties kept; once C*cap exceeds the largest
+    # intersecting family it closes every later cap too
+    cap = 1
+    while _cap_floor(n, k, c, cap, Fraction(0), True) is None:
+        if c * cap > unconstrained_max(n, k):
+            budgets = []  # no nonempty family reaches 0: run no slot
+            break
+        cap += 1
     # a running max with a structural tie-break; it starts from the empty
     # family at score 0, as exact mode does, and () sorts before every
     # nonempty family
@@ -525,7 +533,7 @@ def max_c_diversity_heuristic(
         tried = [x + y for x, y in zip(tried, slot_tried)]
         taken = [x + y for x, y in zip(taken, slot_taken)]
     stats = {
-        "slots": slots,
+        "slots": len(budgets),
         "restarts": restarts,
         "tried": dict(zip(_MOVE_KINDS, tried)),
         "accepted": dict(zip(_MOVE_KINDS, taken)),

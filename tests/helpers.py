@@ -249,6 +249,22 @@ def reference_check_main(fam: Family, c: Fraction) -> BoundVerdict:
     return BoundVerdict.compare(f"main(C={c})", fam.c_diversity(c), bound, hypotheses_hold=hyp)
 
 
+def reference_gamma_c_bound(c: Fraction, n: int, k: int):
+    """formulas.gamma_c_bound with each regime's bound and threshold written
+    out: (bound or None, hypotheses_hold, kind)."""
+    if c == 1:
+        return Fraction(binom(n - 3, k - 2)), n > 36 * k, "diversity<=C(n-3,k-2)"
+    if 1 < c < Fraction(3, 2):
+        hyp = k >= 3 and Fraction(n) >= Fraction(42 * k) / (3 - 2 * c)
+        return (3 - 2 * c) * binom(n - 3, k - 2), hyp, "triangle-bound"
+    if Fraction(3, 2) <= c < Fraction(7, 3):
+        fano = (7 - 3 * c) * binom(n - 7, k - 3)
+        if c < Fraction(7, 4):
+            fano += (28 - 16 * c) * binom(n - 7, k - 4)
+        return fano, False, "fano-bound(asymptotic)"
+    return None, False, "none"
+
+
 def brute_named_family(name: str, n: int, k: int, **params) -> Family:
     """A named family from its definition, by filtering every k-subset of [n]."""
     if name == "star":
@@ -406,6 +422,25 @@ class ReferenceCanonicalizer:
         return all(
             m ^ both in self.member_set for m in self.masks if (m & both).bit_count() == 1
         )
+
+
+def brute_swap_classes(cell: list[int], swaps) -> list[list[int]]:
+    """The connected components, each in cell order, of the graph on `cell`
+    whose edges are the pairs (a, b) with swaps(a, b); every pair is tested."""
+    linked = {a: [b for b in cell if b != a and swaps(min(a, b), max(a, b))] for a in cell}
+    classes, seen = [], set()
+    for a in cell:
+        if a in seen:
+            continue
+        comp, todo = {a}, [a]
+        while todo:
+            for b in linked[todo.pop()]:
+                if b not in comp:
+                    comp.add(b)
+                    todo.append(b)
+        seen |= comp
+        classes.append([e for e in cell if e in comp])
+    return classes
 
 
 def reference_canonical_form(fam: Family) -> tuple[Family, int]:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -12,7 +13,7 @@ from divlab.constructions import (
     full_star,
 )
 from divlab.family import Family, iter_ksets
-from helpers import random_family, reference_canonical_form
+from helpers import brute_swap_classes, random_family, reference_canonical_form
 
 
 def random_perm(rng, n):
@@ -108,6 +109,37 @@ def test_full_star_keeps_transposition_pruning():
     search = _Canonicalizer(full_star(12, 2))
     search.run()
     assert search.leaves == 1
+
+
+def test_orbit_reps_match_brute_force_classes(monkeypatch):
+    # every target cell met while canonicalizing; the oracle tests every
+    # pair of the cell and closes the swap relation transitively
+    cells = []
+    orbit_reps = _Canonicalizer._orbit_reps
+
+    def recording(self, cell):
+        cells.append((self, list(cell)))
+        return orbit_reps(self, cell)
+
+    monkeypatch.setattr(_Canonicalizer, "_orbit_reps", recording)
+    rng = random.Random(31)
+    fams = [full_star(9, 3), family_triangle(9, 3), fano_families(9, 3)[0]]
+    fams += [random_family(rng, rng.randint(3, 8), rng.randint(1, 3), rng.random())
+             for _ in range(60)]
+    for fam in fams:
+        canonical_form(fam)
+    assert len(cells) > 100
+    for search, cell in cells:
+        swaps = functools.partial(_Canonicalizer._swap_is_automorphism, search)
+        tested = []
+        search._swap_is_automorphism = lambda a, b: tested.append((a, b)) or swaps(a, b)
+        reps = orbit_reps(search, cell)
+        assert len(tested) <= len(cell) * (len(cell) - 1) // 2
+        classes = brute_swap_classes(cell, swaps)
+        assert reps == [cls[0] for cls in classes]
+        # the swap relation is already transitive: a class is a clique
+        for cls in classes:
+            assert all(swaps(a, b) for a, b in itertools.combinations(cls, 2))
 
 
 def _random_cubic(rng: random.Random, n: int) -> Family:

@@ -128,20 +128,37 @@ def test_heuristic_stays_between_the_empty_family_and_the_exact_maximum(n, k):
 
 
 def test_heuristic_returns_the_empty_family_when_every_set_loses():
-    # at (5,2), C = 3 every nonempty family scores below 0; only the merge
-    # picks the empty family, so the moves and their counts are the ones the
-    # search made when it reported its best nonempty family, at -2
-    tried = [(1250, 376, 374), (1253, 381, 366), (1420, 284, 296)]
-    accepted = [(0, 6, 0), (1, 8, 0), (0, 9, 0)]
+    # at (8,3), C = 5/2 the cap bound leaves cap 4 open, so the restarts
+    # run, but none ends at 0 or above; only the merge picks the empty
+    # family, and the moves and their counts are the ones the search made
+    tried = [(1070, 472, 458), (933, 527, 540), (1005, 496, 499)]
+    accepted = [(4, 48, 0), (1, 48, 2), (3, 45, 0)]
     for seed in range(3):
-        res = max_c_diversity(5, 2, Fraction(3), "heuristic", budget=2000, seed=seed)
-        assert res.best_value == 0 and res.best_family == Family(5, 2)
+        res = max_c_diversity(8, 3, Fraction(5, 2), "heuristic", budget=2000, seed=seed)
+        assert res.best_value == 0 and res.best_family == Family(8, 3)
         assert res.nodes_explored == 2000
         assert res.stats == {
-            "slots": 7, "restarts": 0,
+            "slots": 8, "restarts": 0,
             "tried": dict(zip(("add", "remove", "swap"), tried[seed])),
             "accepted": dict(zip(("add", "remove", "swap"), accepted[seed])),
         }
+
+
+def test_heuristic_makes_no_move_when_every_cap_is_closed():
+    # for C >= k >= 2 no nonempty family reaches gamma_C >= 0, and
+    # _cap_floor with ties kept closes every cap before any move is made
+    zeros = {"add": 0, "remove": 0, "swap": 0}
+    for n, k in ((5, 2), (9, 3)):
+        res = max_c_diversity(n, k, Fraction(3), "heuristic", budget=2000)
+        assert res.best_value == 0 and res.best_family == Family(n, k)
+        assert res.nodes_explored == 0
+        assert res.stats == {"slots": 0, "restarts": 0, "tried": zeros, "accepted": zeros}
+    # a single set ties the empty family at (6,1), C = 1: cap 1 stays open
+    res = max_c_diversity(6, 1, Fraction(1), "heuristic", budget=2000)
+    assert res.best_value == 0 and len(res.best_family) == 1
+    # an open cap keeps every restart's one move at budget 1
+    res = max_c_diversity(8, 2, Fraction(1), "heuristic", budget=1)
+    assert res.nodes_explored == 7 and res.stats["slots"] == 7
 
 
 def test_k_0_is_refused_by_every_entry_point():

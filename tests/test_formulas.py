@@ -20,6 +20,7 @@ from divlab.formulas import (
     cross_lemma_bounds,
     fano_beats_triangle,
     fano_lower_threshold,
+    gamma_c_bound,
     main_bound,
     mpw_bound,
     parse_ratio,
@@ -34,6 +35,7 @@ from helpers import (
     random_intersecting,
     reference_binom_ratio,
     reference_check_main,
+    reference_gamma_c_bound,
     reference_prop28_rows,
 )
 
@@ -138,6 +140,32 @@ def test_check_main_matches_written_out_bound():
             want = reference_check_main(fam, c)
             assert (got.hypotheses_hold, got.lhs, got.rhs, got.satisfied, got.tight) == \
                 (want.hypotheses_hold, want.lhs, want.rhs, want.satisfied, want.tight), (fam, c)
+
+
+def test_gamma_c_bound_regimes_match_written_out_bounds():
+    # one owner of the regime: the search verdict reads gamma_c_bound, and
+    # check_theorem's fw2 (its C = 1 row) and main (its 1 < C < 3/2 rows,
+    # bound 0 and hypotheses false elsewhere) read the same rows
+    grid = [Fraction(-1), Fraction(0), Fraction(1), Fraction(11, 10), Fraction(5, 4),
+            Fraction(7, 5), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(3)]
+    for k in range(2, 6):
+        ns = {36 * k, 36 * k + 1}
+        for c in grid:
+            if 1 < c < Fraction(3, 2):
+                edge = -(-42 * k // (3 - 2 * c))
+                ns |= {edge - 1, edge}
+        for n in sorted(ns):
+            one_set = Family.from_sets(n, k, [range(1, k + 1)])
+            fw2 = check_theorem(one_set, "fw2")
+            assert (fw2.rhs, fw2.hypotheses_hold) == gamma_c_bound(Fraction(1), n, k)[:2]
+            for c in grid:
+                row = gamma_c_bound(c, n, k)
+                assert row == reference_gamma_c_bound(c, n, k), (c, n, k)
+                main = check_theorem(one_set, "main", c=c)
+                if row[2] == "triangle-bound":
+                    assert (main.rhs, main.hypotheses_hold) == row[:2], (c, n, k)
+                else:
+                    assert (main.rhs, main.hypotheses_hold) == (0, False), (c, n, k)
 
 
 def test_check_theorem_requires_intersecting():
