@@ -21,10 +21,23 @@ MAX_SETS = 1_000_000
 
 # The most element-bits (the members' total size times n) a constructor or a
 # family file may have.  Reading a member's elements back off its mask, as
-# the columns and the file writer do, peels one bit at a time at O(n) each:
-# about 45 ps per element and ground-set bit (CPython 3.11, x86-64), so 10^10
-# is about half a second per read.
+# the file writer and the columns of a sparse family do, peels one bit at a
+# time at O(n) each: about 45 ps per element and ground-set bit (CPython
+# 3.11, x86-64), so 10^10 is about half a second per read.
 MAX_ELEMENT_BITS = 10**10
+
+# The columns of a k-uniform family on n <= LANE_WIDTH_PER_ELEMENT * k
+# elements are transposed by byte lanes, O(|F| n / 8) byte steps in C; wider
+# families are read member by member, O(|F| k) interpreted steps.  At n = 64k
+# the two take about the same time on 64-member families, and the lanes are
+# still 1.4 times faster on 4000-member ones (CPython 3.11, x86-64).
+LANE_WIDTH_PER_ELEMENT = 64
+
+# The members joined into the lane rows at a time.
+_LANE_CHUNK = 4096
+
+# _LANE_BIT[i] maps a byte to b"1" when its bit i is set, else to b"0".
+_LANE_BIT = [bytes(b"01"[b >> i & 1] for b in range(256)) for i in range(8)]
 
 # _REVERSED_BITS[b] is the byte b with its bit order reversed.
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -103,11 +116,39 @@ def iter_ksets(n: int, k: int) -> Iterator[int]:
         mask = rest ^ (1 << x) | ((1 << (n - start + 1)) - 1) << (x + 1)
 
 
-def columns(n: int, masks: Sequence[int]) -> list[int]:
+def columns(n: int, masks: Sequence[int], k: int) -> list[int]:
     """cols[e] = bitset of the indices of the masks containing e, for e in
-    [n]; cols[0] = 0.  Each element that occurs gets one bytearray with a
-    bit set per occurrence, so the Python work is linear in the total mask
-    size."""
+    [n]; cols[0] = 0.  The masks are k-sets; a dense family (n at most
+    LANE_WIDTH_PER_ELEMENT * k) is transposed by byte lanes, a sparse one
+    member by member."""
+    if n > LANE_WIDTH_PER_ELEMENT * k:
+        return _columns_by_member(n, masks)
+    cols = [0] * (n + 1)
+    if not masks:
+        return cols
+    nb = (n + 7) // 8
+    # the masks' little-endian bytes, member after member; joined a chunk at a
+    # time, so no bytes object per member outlives its chunk
+    rows = b"".join([
+        b"".join([m.to_bytes(nb, "little") for m in masks[i:i + _LANE_CHUNK]])
+        for i in range(0, len(masks), _LANE_CHUNK)
+    ])
+    last = len(rows) - nb  # where the last member's bytes start
+    for j in range(nb):
+        # byte j of every member, the last member first: int() reads the most
+        # significant digit first, and member 0 is bit 0
+        lane = rows[last + j::-nb]
+        if lane.count(0) == len(lane):
+            continue  # eight columns with no member
+        for i in range(min(8, n - 8 * j)):
+            cols[8 * j + i + 1] = int(lane.translate(_LANE_BIT[i]), 2)
+    return cols
+
+
+def _columns_by_member(n: int, masks: Sequence[int]) -> list[int]:
+    """columns() one member at a time: each element that occurs gets one
+    bytearray with a bit set per occurrence, so the Python work is linear
+    in the total mask size."""
     size = (len(masks) + 7) // 8
     rows: list[bytearray | None] = [None] * (n + 1)
     for i, m in enumerate(masks):
@@ -223,7 +264,7 @@ class Family:
     def cols(self) -> list[int]:
         """cols[x] = bitset of the indices of the members containing x."""
         if self._cols is None:
-            self._cols = columns(self.n, self.members)
+            self._cols = columns(self.n, self.members, self.k)
         return self._cols
 
     def disjoint_from(self, masks: Iterable[int]) -> list[int]:

@@ -212,6 +212,7 @@ def stability_rhs(alpha: Fraction, n: int, k: int, d: int) -> tuple[Fraction, Fr
 # -- theorem checks on a concrete family -------------------------------------
 
 THEOREMS = ("ekr", "hm", "frankl", "diversity", "fw2", "fw3", "main")
+_TAKES_I = ("frankl", "diversity")  # the theorems with an index i; only main takes C
 
 
 def check_theorem(
@@ -224,8 +225,15 @@ def check_theorem(
     """Evaluate one of the named theorem inequalities on an intersecting family.
 
     Hypothesis clauses are evaluated and reported; a verdict with
-    hypotheses_hold=False is informational, not a violation.
+    hypotheses_hold=False is informational, not a violation.  An i or a c
+    the theorem does not take is refused, never dropped.
     """
+    if which not in THEOREMS:
+        raise ValueError(f"unknown theorem {which!r}; expected one of {THEOREMS}")
+    if c is not None and which != "main":
+        raise ValueError(f"theorem {which} takes no constant C; only main does")
+    if i is not None and which not in _TAKES_I:
+        raise ValueError(f"theorem {which} takes no index i; only {' and '.join(_TAKES_I)} do")
     if not fam.is_intersecting():
         raise ValueError("theorem checks require an intersecting family")
     n, k = fam.n, fam.k
@@ -269,17 +277,16 @@ def check_theorem(
         lhs = Fraction(2, 3) - Fraction(k, n)
         rhs = fam.rho() if size else Fraction(0)
         return BoundVerdict.compare("fw3", lhs, rhs, hypotheses_hold=hyp, direction="<")
-    if which == "main":
-        if c is None:
-            raise ValueError("main needs the constant C")
-        c = Fraction(c)
-        bound, hyp, kind = gamma_c_bound(c, n, k)
-        if kind != "triangle-bound":
-            bound, hyp = Fraction(0), False
-        return BoundVerdict.compare(
-            f"main(C={ratio_str(c)})", fam.c_diversity(c), bound, hypotheses_hold=hyp
-        )
-    raise ValueError(f"unknown theorem {which!r}; expected one of {THEOREMS}")
+    # which == "main"
+    if c is None:
+        raise ValueError("main needs the constant C")
+    c = Fraction(c)
+    bound, hyp, kind = gamma_c_bound(c, n, k)
+    if kind != "triangle-bound":
+        bound, hyp = Fraction(0), False
+    return BoundVerdict.compare(
+        f"main(C={ratio_str(c)})", fam.c_diversity(c), bound, hypotheses_hold=hyp
+    )
 
 
 def sandwich_triple(fam: Family) -> tuple[int, int, int] | None:

@@ -506,19 +506,20 @@ def max_c_diversity_heuristic(
             f"guard: heuristic search refused: the star seed has C({n - 1},{k - 1}) sets, "
             f"more than the {MAX_SETS}-set guard"
         )
-    starts = [s.members for s in canonical_seeds(n, k)]
-    starts += [None] * max(4, len(starts))  # the random slots
-    slots = len(starts)
-    per = max(1, budget // slots)
-    budgets = [per] * (slots - 1) + [max(1, budget - per * (slots - 1))]
     # exact mode's cap bound with ties kept; once C*cap exceeds the largest
     # intersecting family it closes every later cap too
     cap = 1
     while _cap_floor(n, k, c, cap, Fraction(0), True) is None:
         if c * cap > unconstrained_max(n, k):
-            budgets = []  # no nonempty family reaches 0: run no slot
+            starts, budgets = [], []  # no nonempty family reaches 0: build no seed, run no slot
             break
         cap += 1
+    else:
+        starts = [s.members for s in canonical_seeds(n, k)]
+        starts += [None] * max(4, len(starts))  # the random slots
+        slots = len(starts)
+        per = max(1, budget // slots)
+        budgets = [per] * (slots - 1) + [max(1, budget - per * (slots - 1))]
     # a running max with a structural tie-break; it starts from the empty
     # family at score 0, as exact mode does, and () sorts before every
     # nonempty family

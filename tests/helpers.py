@@ -36,6 +36,12 @@ def random_cross_pair(rng: random.Random, n: int, a: int, b: int) -> tuple[Famil
     return fam_a, fam_b
 
 
+def brute_columns(fam: Family) -> list[int]:
+    """cols[e] = bitset of the members containing e, one bit test per member and element."""
+    return [0] + [sum(1 << i for i, m in enumerate(fam.members) if m >> (e - 1) & 1)
+                  for e in range(1, fam.n + 1)]
+
+
 def brute_is_intersecting(fam: Family) -> bool:
     """Every two distinct members share an element, by the pair scan."""
     ms = fam.members

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from divlab import search
 from divlab.family import Family, elements_of, iter_ksets, mask_of
 from divlab.formulas import hm_size
 from divlab.search import (
@@ -159,6 +160,20 @@ def test_heuristic_makes_no_move_when_every_cap_is_closed():
     # an open cap keeps every restart's one move at budget 1
     res = max_c_diversity(8, 2, Fraction(1), "heuristic", budget=1)
     assert res.nodes_explored == 7 and res.stats["slots"] == 7
+
+
+def test_heuristic_builds_no_seed_when_every_cap_is_closed(monkeypatch):
+    # the cap walk runs before the seeds are built, so a search that makes
+    # no move never builds the star seed either
+    def no_seeds(n, k):
+        raise AssertionError(f"seeds built at ({n},{k})")
+
+    monkeypatch.setattr(search, "canonical_seeds", no_seeds)
+    for n, k in ((5, 2), (9, 3)):
+        res = max_c_diversity(n, k, Fraction(3), "heuristic", budget=2000)
+        assert res.best_value == 0 and res.best_family == Family(n, k) and res.nodes_explored == 0
+    with pytest.raises(AssertionError, match="seeds built"):
+        max_c_diversity(6, 1, Fraction(1), "heuristic", budget=10)
 
 
 def test_k_0_is_refused_by_every_entry_point():

@@ -166,6 +166,19 @@ def test_usage_and_input_errors(tmp_path, capsys):
     code, text, err = run(capsys, "stability", str(tiny))
     assert code == 1
     assert text == "" and err.count("\n") == 1 and "n >= 3" in err
+    # verify refuses a constant its theorem does not take, rather than drop it
+    tri = tmp_path / "tri.json"
+    write_family(family_triangle(10, 3), tri)
+    for theorem, extra, word in (("fw2", ("--c", "3"), "constant C"),
+                                 ("ekr", ("--c", "5/4"), "constant C"),
+                                 ("ekr", ("--i", "3"), "index i"),
+                                 ("main", ("--c", "5/4", "--i", "3"), "index i"),
+                                 ("fw3", ("--i", "3"), "index i"),
+                                 ("frankl", ("--i", "3", "--c", "2"), "constant C")):
+        code, text, err = run(capsys, "verify", "--theorem", theorem, "--family", str(tri), *extra)
+        assert code == 1, (theorem, extra)
+        assert text == "" and err.count("\n") == 1, (theorem, extra)
+        assert err.startswith(f"divlab: error: theorem {theorem} takes no {word}"), err
 
 
 def test_construct_bad_kernels_and_missing_args(tmp_path, capsys):

@@ -1,8 +1,20 @@
 """The incidence-column engine against the pair scans it replaced."""
+import itertools
+import math
+
 import pytest
 
-from divlab.family import Family, addable_sets, cross_intersecting, iter_ksets, mask_of
+from divlab import family as family_module
+from divlab.family import (
+    LANE_WIDTH_PER_ELEMENT,
+    Family,
+    addable_sets,
+    cross_intersecting,
+    iter_ksets,
+    mask_of,
+)
 from helpers import (
+    brute_columns,
     brute_cross_intersecting,
     brute_degrees,
     brute_disjointness,
@@ -13,12 +25,14 @@ from helpers import (
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+# addable_sets walks every k-set, so it is checked on universes up to this size
+_ADDABLE_UNIVERSE = 5000
+
 
 def _check_queries(fam: Family, other: Family) -> None:
     """Every column query on `fam` (and the pair fam, other) equals its oracle."""
     assert len(fam.cols) == fam.n + 1 and fam.cols[0] == 0
-    for e in range(1, fam.n + 1):
-        assert fam.cols[e] == sum(1 << i for i, m in enumerate(fam.members) if m >> (e - 1) & 1)
+    assert fam.cols == brute_columns(fam)
     assert fam.degrees == brute_degrees(fam)
     assert fam.is_star() == brute_is_star(fam)
     assert fam.is_intersecting() == brute_is_intersecting(fam)
@@ -27,23 +41,31 @@ def _check_queries(fam: Family, other: Family) -> None:
     xs, ys = list(fam.members), list(other.members)
     assert other.disjoint_from(xs) == brute_disjointness(xs, ys)
     assert fam.disjoint == brute_disjointness(xs, xs)
-    if fam.is_intersecting():
+    if fam.is_intersecting() and math.comb(fam.n, fam.k) <= _ADDABLE_UNIVERSE:
         members = set(fam.members)
         assert addable_sets(fam) == [
             c for c in iter_ksets(fam.n, fam.k) if c not in members and all(c & m for m in fam)
         ]
 
 
+def _draw_family(data, n: int, label: str) -> Family:
+    """A k-uniform family on [n] drawn as masks, with k and up to 12 members."""
+    k = data.draw(st.integers(0, n), label=f"{label} k")
+    ksets = st.permutations(range(1, n + 1)).map(lambda order: mask_of(order[:k]))
+    return Family(n, k, data.draw(st.sets(ksets, max_size=min(12, math.comb(n, k))), label=label))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_columns_match_pair_scans(data):
-    n = data.draw(st.integers(1, 7), label="n")
-    k, k2 = (data.draw(st.integers(0, n), label=label) for label in ("k", "k2"))
-    fam, other = (
-        Family(n, size, data.draw(st.sets(st.sampled_from(list(iter_ksets(n, size)))), label=label))
-        for size, label in ((k, "members"), (k2, "other"))
-    )
-    _check_queries(fam, other)
+    # n up to 20 spans one to three byte lanes, with a partial last lane
+    n = data.draw(st.integers(1, 20), label="n")
+    _check_queries(_draw_family(data, n, "members"), _draw_family(data, n, "other"))
+
+
+def _first(n: int, k: int, size: int) -> list[int]:
+    """The first `size` k-subsets of [n] in lex order."""
+    return list(itertools.islice(iter_ksets(n, k), size))
 
 
 _EDGE = {
@@ -57,6 +79,20 @@ _EDGE = {
     "idle-elements": Family.from_sets(9, 2, [(1, 2), (1, 3), (2, 3)]),
     "disjoint-pair": Family.from_sets(9, 2, [(1, 2), (3, 4)]),
     "wide": Family(300, 2, [mask_of((1, 300)), mask_of((2, 300)), mask_of((1, 2))]),
+    # one full lane, a partial second lane, two full lanes and a partial third
+    "n8-7sets": Family(8, 3, _first(8, 3, 7)),
+    "n8-8sets": Family(8, 7, iter_ksets(8, 7)),
+    "n9-9sets": Family(9, 8, iter_ksets(9, 8)),
+    "n16-8sets": Family(16, 5, _first(16, 5, 8)),
+    "n16-9sets": Family.from_sets(16, 2, [(1, 16), (2, 15), (3, 14), (4, 13), (5, 12),
+                                          (6, 11), (7, 10), (8, 9), (8, 16)]),
+    "n17-7sets": Family.from_sets(17, 3, [(1, 9, 17), (2, 10, 17), (3, 11, 17), (4, 12, 17),
+                                          (5, 13, 17), (6, 14, 17), (7, 15, 16)]),
+    # elements 9..16 lie in no member: the second lane is all zero
+    "n24-zero-lane": Family.from_sets(24, 2, [(1, 2), (1, 17), (2, 24), (8, 17)]),
+    # n = 64k is the widest family read by byte lanes, n = 64k + 1 the narrowest read by member
+    "lane-widest": Family.from_sets(128, 2, [(1, 128), (1, 64), (64, 65), (65, 128), (2, 3)]),
+    "member-narrowest": Family.from_sets(129, 2, [(1, 129), (1, 64), (64, 65), (65, 129), (2, 3)]),
 }
 
 
@@ -67,3 +103,29 @@ def test_columns_on_edge_families(name):
         if other.n == fam.n:
             _check_queries(fam, other)
 
+
+def test_the_width_rule_picks_the_path(monkeypatch):
+    # a dense family (n <= 64k) is read by byte lanes, a wider one member by member
+    by_member = family_module._columns_by_member
+    read = []
+
+    def spy(n, masks):
+        read.append(n)
+        return by_member(n, masks)
+
+    monkeypatch.setattr(family_module, "_columns_by_member", spy)
+    width = LANE_WIDTH_PER_ELEMENT
+    for k in (1, 2, 3):
+        for n in (width * k, width * k + 1):
+            fam = Family(n, k, [(1 << k) - 1, ((1 << k) - 1) << (n - k)])
+            assert fam.cols == brute_columns(fam)
+    assert read == [width + 1, 2 * width + 1, 3 * width + 1]
+
+
+def test_columns_across_join_chunks():
+    # the lane rows are joined 4096 members at a time: one more member
+    # crosses a chunk boundary, and the whole (16,5) universe spans two chunks
+    chunk = family_module._LANE_CHUNK
+    for fam in (Family(16, 5, _first(16, 5, chunk + 1)), Family(16, 5, iter_ksets(16, 5))):
+        assert len(fam) > chunk
+        assert fam.cols == brute_columns(fam)

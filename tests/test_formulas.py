@@ -14,6 +14,7 @@ from divlab.constructions import (
 )
 from divlab.family import Family, mask_of
 from divlab.formulas import (
+    THEOREMS,
     BoundVerdict,
     binom,
     check_theorem,
@@ -174,6 +175,26 @@ def test_check_theorem_requires_intersecting():
         check_theorem(bad, "ekr")
     with pytest.raises(ValueError):
         check_theorem(full_star(8, 3), "no-such-theorem")
+
+
+def test_check_theorem_refuses_constants_it_would_drop():
+    # only main takes C, and only frankl and diversity take i; every other
+    # pairing is refused, before the family is even read
+    tri = family_triangle(10, 3)
+    bad = Family.from_sets(6, 3, [[1, 2, 3], [4, 5, 6]])
+    for which in THEOREMS:
+        kwargs = {"i": 3} if which in ("frankl", "diversity") else {}
+        if which == "main":
+            kwargs["c"] = Fraction(5, 4)
+        check_theorem(tri, which, **kwargs)
+        if which != "main":
+            for fam in (tri, bad):
+                with pytest.raises(ValueError, match=f"^theorem {which} takes no constant C"):
+                    check_theorem(fam, which, c=Fraction(3), **kwargs)
+        if which not in ("frankl", "diversity"):
+            for fam in (tri, bad):
+                with pytest.raises(ValueError, match=f"^theorem {which} takes no index i"):
+                    check_theorem(fam, which, i=3, **kwargs)
 
 
 def test_mpw_bound():
