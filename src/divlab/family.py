@@ -28,10 +28,12 @@ MAX_ELEMENT_BITS = 10**10
 
 # The columns of a k-uniform family on n <= LANE_WIDTH_PER_ELEMENT * k
 # elements are transposed by byte lanes, O(|F| n / 8) byte steps in C; wider
-# families are read member by member, O(|F| k) interpreted steps.  At n = 64k
-# the two take about the same time on 64-member families, and the lanes are
-# still 1.4 times faster on 4000-member ones (CPython 3.11, x86-64).
-LANE_WIDTH_PER_ELEMENT = 64
+# families are read member by member, O(|F| k) interpreted steps.  At n = 96k
+# the lanes are about 1.1 times faster on families of 747 and 4000 members,
+# the two are level at 112k and the member loop is faster from 128k (CPython
+# 3.11, x86-64); on 64-member families, a few microseconds either way, the
+# loop is faster from about 80k.
+LANE_WIDTH_PER_ELEMENT = 96
 
 # The members joined into the lane rows at a time.
 _LANE_CHUNK = 4096

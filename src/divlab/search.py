@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .constructions import MAX_SETS
-from .family import Family, comb_capped, elements_of, iter_ksets, mask_of
-from .formulas import hm_size
+from .family import Family, check_element_bits, comb_capped, elements_of, iter_ksets, mask_of
+from .formulas import fano_l_size, fano_lplus_size, fi_size, hm_size, star_size, triangle_size
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_MOVE_BUDGET = 100_000
@@ -381,6 +381,19 @@ def canonical_seeds(n: int, k: int) -> list[Family]:
     return [s for s in seeds if len(s)]
 
 
+def _seed_sizes(n: int, k: int) -> list[int]:
+    """The sizes of canonical_seeds(n, k), in order, by their closed forms;
+    no set is built."""
+    sizes = [star_size(n, k)]
+    if k >= 2 and n >= 3:
+        sizes += [fi_size(n, k, 3), triangle_size(n, k)]
+    if n >= 7 and k >= 3:
+        sizes.append(fano_l_size(n, k))
+        if k >= 4:
+            sizes.append(fano_lplus_size(n, k))
+    return [size for size in sizes if size]
+
+
 class _LocalState:
     """Mutable family with incremental size/degree/score bookkeeping.
 
@@ -497,7 +510,9 @@ def max_c_diversity_heuristic(
     every slot ends below 0, or at once when `_cap_floor` closes every cap.
     `stats` counts the slots run, the random restarts (after 400 rejected
     moves in a row) and the moves tried and accepted per kind.  An (n, k)
-    whose star seed has more than MAX_SETS sets is refused before any set is built.
+    whose star seed has more than MAX_SETS sets is refused before any set is
+    built, and so is one where building a seed would be refused (the seed
+    guards are checked on `_seed_sizes` before the caps are walked).
     """
     c = Fraction(c)
     _check_k(n, k)
@@ -506,6 +521,16 @@ def max_c_diversity_heuristic(
             f"guard: heuristic search refused: the star seed has C({n - 1},{k - 1}) sets, "
             f"more than the {MAX_SETS}-set guard"
         )
+    # the seeds' own guards, read off their sizes before the cap walk, so a
+    # search whose seeds would be refused is refused even where no seed is
+    # built; every binomial in those sizes is at most the star's, capped above
+    largest = max(_seed_sizes(n, k))
+    if largest > MAX_SETS:
+        raise ValueError(
+            f"guard: heuristic search refused: a seed has {largest} sets, "
+            f"more than the {MAX_SETS}-set guard"
+        )
+    check_element_bits(largest, k, n)
     # exact mode's cap bound with ties kept; once C*cap exceeds the largest
     # intersecting family it closes every later cap too
     cap = 1

@@ -176,6 +176,20 @@ def test_heuristic_builds_no_seed_when_every_cap_is_closed(monkeypatch):
         max_c_diversity(6, 1, Fraction(1), "heuristic", budget=10)
 
 
+def test_heuristic_refuses_what_its_seeds_would_before_the_cap_walk(monkeypatch):
+    # where every cap is closed no seed is built, yet a seed the guards refuse
+    # still refuses the search: the star of (10^6, 2) by its 2*10^12
+    # element-bits, F_3 of (28, 21) by its 1,012,000 sets
+    def no_walk(*args):
+        raise AssertionError("cap walked")
+
+    monkeypatch.setattr(search, "_cap_floor", no_walk)
+    with pytest.raises(ValueError, match=r"^guard: 999999 sets of 2 elements on n=1000000"):
+        max_c_diversity(10**6, 2, Fraction(2), "heuristic", budget=10)
+    with pytest.raises(ValueError, match=r"^guard: heuristic search refused: a seed has 1012000 sets"):
+        max_c_diversity(28, 21, Fraction(3), "heuristic", budget=10)
+
+
 def test_k_0_is_refused_by_every_entry_point():
     # at k = 0 the one k-set is empty, and {empty set} (size 1, max degree 0)
     # is a family the cap searches never build; every entry point refuses k = 0

@@ -103,6 +103,13 @@ def test_usage_and_input_errors(tmp_path, capsys):
     )
     assert code == 1
     assert text == "" and err.count("\n") == 1 and "guard" in err
+    # and before it walks any cap, where every cap is closed: the star seed
+    # of (10^6, 2) is above the element-bit guard, F_3 of (28, 21) above the set guard
+    for n, k, c in (("1000000", "2", "2"), ("28", "21", "3")):
+        code, text, err = run(capsys, "search", "max-cdiv", "--n", n, "--k", k, "--c", c,
+                              "--heuristic")
+        assert code == 1, n
+        assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), n
     # budgets and workers below 1 are input errors, not silent defaults
     base = ("search", "max-cdiv", "--n", "6", "--k", "2", "--c", "5/4")
     for extra in (("--heuristic", "--budget", "0"), ("--heuristic", "--budget", "-5"),

@@ -25,12 +25,14 @@ from helpers import (
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-# addable_sets walks every k-set, so it is checked on universes up to this size
+# the oracle for addable_sets walks every k-set, so drawn families check it
+# on universes up to this size; every edge family checks it
 _ADDABLE_UNIVERSE = 5000
 
 
-def _check_queries(fam: Family, other: Family) -> None:
-    """Every column query on `fam` (and the pair fam, other) equals its oracle."""
+def _check_queries(fam: Family, other: Family, addable: bool = True) -> None:
+    """Every column query on `fam` (and the pair fam, other) equals its oracle;
+    `addable_sets` too when `addable` is set and `fam` is intersecting."""
     assert len(fam.cols) == fam.n + 1 and fam.cols[0] == 0
     assert fam.cols == brute_columns(fam)
     assert fam.degrees == brute_degrees(fam)
@@ -41,15 +43,27 @@ def _check_queries(fam: Family, other: Family) -> None:
     xs, ys = list(fam.members), list(other.members)
     assert other.disjoint_from(xs) == brute_disjointness(xs, ys)
     assert fam.disjoint == brute_disjointness(xs, xs)
-    if fam.is_intersecting() and math.comb(fam.n, fam.k) <= _ADDABLE_UNIVERSE:
+    if addable and fam.is_intersecting():
         members = set(fam.members)
         assert addable_sets(fam) == [
             c for c in iter_ksets(fam.n, fam.k) if c not in members and all(c & m for m in fam)
         ]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_columns_match_pair_scans(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    k, k2 = (data.draw(st.integers(0, n), label=label) for label in ("k", "k2"))
+    fam, other = (
+        Family(n, size, data.draw(st.sets(st.sampled_from(list(iter_ksets(n, size)))), label=label))
+        for size, label in ((k, "members"), (k2, "other"))
+    )
+    _check_queries(fam, other)
+
+
 def _draw_family(data, n: int, label: str) -> Family:
-    """A k-uniform family on [n] drawn as masks, with k and up to 12 members."""
+    """A k-uniform family on [n], k drawn too, of up to 12 k-sets drawn as masks."""
     k = data.draw(st.integers(0, n), label=f"{label} k")
     ksets = st.permutations(range(1, n + 1)).map(lambda order: mask_of(order[:k]))
     return Family(n, k, data.draw(st.sets(ksets, max_size=min(12, math.comb(n, k))), label=label))
@@ -57,10 +71,15 @@ def _draw_family(data, n: int, label: str) -> Family:
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_columns_match_pair_scans(data):
-    # n up to 20 spans one to three byte lanes, with a partial last lane
-    n = data.draw(st.integers(1, 20), label="n")
-    _check_queries(_draw_family(data, n, "members"), _draw_family(data, n, "other"))
+def test_columns_match_pair_scans_on_wider_masks(data):
+    # n from 8 to 20 spans one to three byte lanes, with a partial last lane;
+    # each k-set is drawn as a mask, so no list of every k-set is made
+    n = data.draw(st.integers(8, 20), label="n")
+    fam, other = (_draw_family(data, n, label) for label in ("members", "other"))
+    _check_queries(fam, other, addable=math.comb(n, fam.k) <= _ADDABLE_UNIVERSE)
+
+
+_W = LANE_WIDTH_PER_ELEMENT
 
 
 def _first(n: int, k: int, size: int) -> list[int]:
@@ -90,9 +109,12 @@ _EDGE = {
                                           (5, 13, 17), (6, 14, 17), (7, 15, 16)]),
     # elements 9..16 lie in no member: the second lane is all zero
     "n24-zero-lane": Family.from_sets(24, 2, [(1, 2), (1, 17), (2, 24), (8, 17)]),
-    # n = 64k is the widest family read by byte lanes, n = 64k + 1 the narrowest read by member
-    "lane-widest": Family.from_sets(128, 2, [(1, 128), (1, 64), (64, 65), (65, 128), (2, 3)]),
-    "member-narrowest": Family.from_sets(129, 2, [(1, 129), (1, 64), (64, 65), (65, 129), (2, 3)]),
+    # at k = 2, n = 2w is the widest family read by byte lanes and n = 2w + 1
+    # the narrowest read member by member (w = LANE_WIDTH_PER_ELEMENT)
+    "lane-widest": Family.from_sets(2 * _W, 2, [(1, 2 * _W), (1, _W), (_W, _W + 1),
+                                                (_W + 1, 2 * _W), (2, 3)]),
+    "member-narrowest": Family.from_sets(2 * _W + 1, 2, [(1, 2 * _W + 1), (1, _W), (_W, _W + 1),
+                                                         (_W + 1, 2 * _W + 1), (2, 3)]),
 }
 
 
@@ -105,7 +127,7 @@ def test_columns_on_edge_families(name):
 
 
 def test_the_width_rule_picks_the_path(monkeypatch):
-    # a dense family (n <= 64k) is read by byte lanes, a wider one member by member
+    # a dense family (n <= wk) is read by byte lanes, a wider one member by member
     by_member = family_module._columns_by_member
     read = []
 
@@ -114,12 +136,11 @@ def test_the_width_rule_picks_the_path(monkeypatch):
         return by_member(n, masks)
 
     monkeypatch.setattr(family_module, "_columns_by_member", spy)
-    width = LANE_WIDTH_PER_ELEMENT
     for k in (1, 2, 3):
-        for n in (width * k, width * k + 1):
+        for n in (_W * k, _W * k + 1):
             fam = Family(n, k, [(1 << k) - 1, ((1 << k) - 1) << (n - k)])
             assert fam.cols == brute_columns(fam)
-    assert read == [width + 1, 2 * width + 1, 3 * width + 1]
+    assert read == [_W + 1, 2 * _W + 1, 3 * _W + 1]
 
 
 def test_columns_across_join_chunks():

@@ -115,6 +115,13 @@ def test_extremal_families_are_triangles():
     assert canons == {canonical_form(family_triangle(6, 2))}
 
 
+def test_seed_sizes_match_the_built_seeds():
+    # the heuristic checks the seed guards on these sizes before it builds any seed
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            assert search._seed_sizes(n, k) == [len(s) for s in canonical_seeds(n, k)], (n, k)
+
+
 def test_canonical_seeds():
     seeds = canonical_seeds(12, 4)
     kinds = {len(s) for s in seeds}
