@@ -173,8 +173,8 @@ _BUILDERS = {
     "uvw": ("--t u,v,w", lambda a: cons.family_uvw(a.n, a.k, a.t)),
     "uvw-star": ("--t u,v,w", lambda a: cons.family_uvw_star(a.n, a.k, a.t)),
     "lex": ("--m", lambda a: cons.lex_family(a.n, a.k, a.m)),
-    "fano-l": (None, lambda a: cons.fano_families(a.n, a.k)[0]),
-    "fano-lplus": (None, lambda a: cons.fano_families(a.n, a.k)[1]),
+    "fano-l": (None, lambda a: cons.fano_l(a.n, a.k)),
+    "fano-lplus": (None, lambda a: cons.fano_lplus(a.n, a.k)),
     "example-t": ("--kernels", lambda a: cons.example_t(a.n, a.k, _kernels(a.kernels))),
 }
 

@@ -79,7 +79,6 @@ def family_fi(n: int, k: int, i: int) -> Family:
         raise ValueError(f"i={i} outside [3, k+1] for k={k}")
     if i > n:
         raise ValueError(f"i={i} exceeds the ground set")
-    check_ground_set(n)
     window = ((1 << i) - 1) ^ 1  # the elements 2..i
     return Family(n, k, _by_trace(n, k, [
         (1 | window, lambda p: p & window == window or p & 1 and p & window),
@@ -169,20 +168,32 @@ def shift_closure(fam: Family) -> Family:
     return Family(fam.n, fam.k, current)
 
 
-def fano_families(n: int, k: int) -> tuple[Family, Family]:
-    """(F_L, F_L+): k-sets whose trace on [7] is a Fano line, resp. a line
-    or a 4-subset of [7] other than a line complement."""
+_SEVEN = mask_of(range(1, 8))
+_LINES = frozenset(mask_of(line) for line in FANO_LINES)
+
+
+def _fano(n: int, k: int, keep) -> Family:
     if n < 7:
         raise ValueError(f"Fano families need n >= 7, got {n}")
     if k < 3:
         raise ValueError(f"Fano families need k >= 3, got {k}")
-    seven = mask_of(range(1, 8))
-    lines = {mask_of(line) for line in FANO_LINES}
-    quads = set(iter_ksets(7, 4)) - {seven ^ line for line in lines}
-    return (
-        Family(n, k, _by_trace(n, k, [(seven, lines.__contains__)])),
-        Family(n, k, _by_trace(n, k, [(seven, (lines | quads).__contains__)])),
-    )
+    return Family(n, k, _by_trace(n, k, [(_SEVEN, keep)]))
+
+
+def fano_l(n: int, k: int) -> Family:
+    """F_L: the k-sets whose trace on [7] is a Fano line."""
+    return _fano(n, k, _LINES.__contains__)
+
+
+def fano_lplus(n: int, k: int) -> Family:
+    """F_L+: the k-sets whose trace on [7] is a Fano line or a 4-subset of
+    [7] other than a line complement."""
+    return _fano(n, k, lambda p: p in _LINES or p.bit_count() == 4 and _SEVEN ^ p not in _LINES)
+
+
+def fano_families(n: int, k: int) -> tuple[Family, Family]:
+    """(F_L, F_L+), each built on its own."""
+    return fano_l(n, k), fano_lplus(n, k)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,8 @@ def max_size_with_degree_cap(
     each orbit of its stabilizer (`_root_orbit_reps`); the search returns
     the same family as a full root, with fewer nodes.
     Only sizes above `floor` count: the search starts with that incumbent
-    and returns no family (size None) when nothing beats it.  A maximum
+    and no other, since its first descent is the greedy leaf, and returns
+    no family (size None) when nothing beats it.  A maximum
     above the floor comes back with the same family and optima as without
     a floor, since no ancestor of the first maximal node is ever cut.
 
@@ -129,19 +130,8 @@ def max_size_with_degree_cap(
         for e in elems[i]:
             slack[e] += 1
 
-    # greedy incumbent for pruning power: the leftmost leaf of the search
-    best = 0
-    cands = u.full
-    while cands:
-        low = cands & -cands
-        best |= low
-        cands = take(low.bit_length() - 1, cands ^ low)
-    for i in elements_of(best):
-        drop(i - 1)
-    best_size = best.bit_count()
-    if best_size <= floor:
-        best, best_size = 0, floor
-    all_best = [best] if collect_optima and best else []
+    best, best_size = 0, floor
+    all_best: list[int] = []  # the picked sets of each node at best_size, in DFS order
     nodes = 0
     out_of_budget = False
 
@@ -187,10 +177,7 @@ def max_size_with_degree_cap(
 
     optima = None
     if collect_optima:
-        optima = sorted(
-            (u.subfamily(p) for p in set(all_best) if p.bit_count() == best_size),
-            key=lambda f: f.members,
-        )
+        optima = sorted((u.subfamily(p) for p in all_best), key=lambda f: f.members)
     if not best:
         return CapSearch(None, None, not out_of_budget, nodes, optima, floor)
     return CapSearch(best_size, u.subfamily(best), not out_of_budget, nodes, optima, floor)
@@ -532,10 +519,12 @@ def max_c_diversity_heuristic(
         )
     check_element_bits(largest, k, n)
     # exact mode's cap bound with ties kept; once C*cap exceeds the largest
-    # intersecting family it closes every later cap too
+    # intersecting family it closes every later cap too, and so it does at
+    # every cap when C >= k >= 2 (the degree bound 1 + k(cap - 1) < C*cap) or
+    # C*k > n (the capacity bound n*cap/k < C*cap)
     cap = 1
     while _cap_floor(n, k, c, cap, Fraction(0), True) is None:
-        if c * cap > unconstrained_max(n, k):
+        if c * cap > unconstrained_max(n, k) or c >= k > 1 or c * k > n:
             starts, budgets = [], []  # no nonempty family reaches 0: build no seed, run no slot
             break
         cap += 1

@@ -34,7 +34,7 @@ def _measure_rows(
     fam: Family,
     params: str,
     size_formula: int,
-    delta_formula: int | None,
+    delta_formula: int,
     support: tuple[int, ...],
 ) -> list[Row]:
     """Compare |F|, Delta, gamma against closed forms with the flag policy."""
@@ -58,8 +58,6 @@ def _measure_rows(
                 "pass" if ekr_ok else "fail",
             )
         )
-    if delta_formula is None:
-        return rows
     delta, witness = fam.max_degree()
     gamma_formula = size_formula - delta_formula
     for quantity, formula, measured in (

@@ -9,7 +9,7 @@ from divlab.constructions import FANO_LINES, family_triangle, family_uvw, lex_fa
 from divlab.family import Family, elements_of, iter_ksets, mask_of
 from divlab.formulas import BoundVerdict, binom
 from divlab.io import FamilyFormatError, dump_json, family_to_dict
-from divlab.search import CapSearch, _root_orbit_reps
+from divlab.search import CapSearch, _cap_floor, _root_orbit_reps, unconstrained_max
 from divlab.sweeps import Row
 
 
@@ -461,7 +461,7 @@ def reference_max_size_with_degree_cap(
     n: int, k: int, cap: int, *, collect_optima: bool = False, floor: int = -1
 ) -> CapSearch:
     """The cap search pruned by the candidate and capacity bounds only: no
-    room bound.  Same root forcing, root orbit branching, greedy incumbent
+    room bound.  Same root forcing, root orbit branching, floor incumbent
     and lex DFS order as `search.max_size_with_degree_cap`, without a node
     budget."""
     if cap <= 0 or k == 0:
@@ -485,17 +485,8 @@ def reference_max_size_with_degree_cap(
         for e in elems[i]:
             deg[e] -= 1
 
-    best, cands = 0, u.full
-    while cands:
-        low = cands & -cands
-        best |= low
-        cands = take(low.bit_length() - 1, cands ^ low)
-    for i in elements_of(best):
-        drop(i - 1)
-    best_size = best.bit_count()
-    if best_size <= floor:
-        best, best_size = 0, floor
-    all_best = [best] if collect_optima and best else []
+    best, best_size = 0, floor
+    all_best = []
     nodes = 0
 
     def descend(picked: int, size: int, cands: int, capacity: int, branch: int = -1) -> None:
@@ -528,3 +519,15 @@ def reference_max_size_with_degree_cap(
     if not best:
         return CapSearch(None, None, True, nodes, optima, floor)
     return CapSearch(best_size, u.subfamily(best), True, nodes, optima, floor)
+
+
+def reference_every_cap_closed(n: int, k: int, c: Fraction) -> bool:
+    """The heuristic's cap walk, one cap at a time: whether `_cap_floor`
+    (ties kept, incumbent 0) closes every cap from 1 until C*cap exceeds the
+    largest intersecting family, which closes every later cap."""
+    cap = 1
+    while _cap_floor(n, k, c, cap, Fraction(0), True) is None:
+        if c * cap > unconstrained_max(n, k):
+            return True
+        cap += 1
+    return False

@@ -21,6 +21,7 @@ from divlab.search import (
 from helpers import (
     all_intersecting_families,
     brute_c_diversity_optima,
+    reference_every_cap_closed,
     reference_max_size_with_degree_cap,
 )
 
@@ -174,6 +175,39 @@ def test_heuristic_builds_no_seed_when_every_cap_is_closed(monkeypatch):
         assert res.best_value == 0 and res.best_family == Family(n, k) and res.nodes_explored == 0
     with pytest.raises(AssertionError, match="seeds built"):
         max_c_diversity(6, 1, Fraction(1), "heuristic", budget=10)
+
+
+def test_heuristic_closes_every_cap_exactly_where_the_walk_does():
+    # the closed-form stop (C >= k >= 2, or C*k > n) never closes a search
+    # that the cap-by-cap walk leaves open, and misses none it closes
+    grid = sorted({Fraction(p, q) for p in range(15) for q in (1, 2, 3)})
+    closed = 0
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            for c in grid:
+                want = reference_every_cap_closed(n, k, c)
+                res = max_c_diversity(n, k, c, "heuristic", budget=1)
+                assert (res.stats["slots"] == 0) == want, (n, k, c)
+                closed += want
+    assert closed
+
+
+def test_heuristic_stops_the_cap_walk_at_the_first_cap(monkeypatch):
+    # the walk would step through 166,501 caps at (1001, 3, 3) and 7 caps at
+    # (7, 3, 5/2); C >= k >= 2 and C*k > n each close every cap at once
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _cap_floor(*args)
+
+    monkeypatch.setattr(search, "_cap_floor", counted)
+    for n, k, c in ((1001, 3, Fraction(3)), (7, 3, Fraction(5, 2))):
+        calls.clear()
+        res = max_c_diversity(n, k, c, "heuristic", budget=10)
+        assert len(calls) <= 2, (n, k, c)
+        assert res.best_value == 0 and res.best_family == Family(n, k)
+        assert res.nodes_explored == 0
 
 
 def test_heuristic_refuses_what_its_seeds_would_before_the_cap_walk(monkeypatch):

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from divlab import cli
+from divlab import cli, constructions
 from divlab.formulas import BoundVerdict
-from divlab.constructions import MAX_SETS, family_triangle
+from divlab.constructions import MAX_SETS, family_triangle, fano_families
 from divlab.family import Family
 from divlab.io import read_family, dump_json, write_family
 from helpers import triangle_with_disjoint_pair
@@ -57,6 +57,21 @@ def test_construct_all_families(tmp_path, capsys):
         code, _, _ = run(capsys, "construct", *extra, "--out", str(out))
         assert code == 0, extra
         read_family(out)
+
+
+def test_construct_builds_only_the_fano_family_asked_for(tmp_path, capsys, monkeypatch):
+    # at (12,5) F_L has 70 sets and F_L+ has 210: under a 150-set guard
+    # fano-l is built, while fano-lplus and the pair are refused
+    monkeypatch.setattr(constructions, "MAX_SETS", 150)
+    out = tmp_path / "fl.json"
+    code, _, _ = run(capsys, "construct", "--family", "fano-l", "--n", "12", "--k", "5",
+                     "--out", str(out))
+    assert code == 0 and len(read_family(out)) == 70
+    code, _, err = run(capsys, "construct", "--family", "fano-lplus", "--n", "12", "--k", "5",
+                       "--out", str(tmp_path / "flp.json"))
+    assert code == 1 and err.startswith("divlab: error: guard") and "150-set guard" in err
+    with pytest.raises(ValueError, match="150-set guard"):
+        fano_families(12, 5)
 
 
 def test_verify_exit_codes(tmp_path, capsys, monkeypatch):

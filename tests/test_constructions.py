@@ -15,6 +15,8 @@ from divlab.constructions import (
     family_uvw,
     family_uvw_star,
     fano_families,
+    fano_l,
+    fano_lplus,
     full_star,
     lex_family,
     sample_kernels,
@@ -153,6 +155,19 @@ def test_fano_families():
     assert {frozenset(s) for s in plane.sets()} == set(FANO_LINES)
     with pytest.raises(ValueError):
         fano_families(6, 3)
+
+
+def test_fano_constructors_match_the_pair_and_their_definitions():
+    for n in range(7, 13):
+        for k in range(3, 7):
+            pair = (fano_l(n, k), fano_lplus(n, k))
+            assert pair == fano_families(n, k), (n, k)
+            assert pair == tuple(brute_named_family(name, n, k) for name in ("fano-l", "fano-lplus"))
+    for build in (fano_l, fano_lplus):
+        with pytest.raises(ValueError, match="n >= 7"):
+            build(6, 3)
+        with pytest.raises(ValueError, match="k >= 3"):
+            build(9, 2)
 
 
 def test_example_t():

@@ -35,6 +35,15 @@ def test_fk_six_two_pruned():
     assert rep.pairs_checked == 6
 
 
+def test_fk_six_two_exhaustive_matches_pruned():
+    # (6,2) is the smallest m with a qualifying pair, so the only case here
+    # where exhaustive mode walks the submasks of a compatible B
+    exhaustive = verify_lemma_fk(6, 2, method="exhaustive")
+    pruned = verify_lemma_fk(6, 2, method="pruned")
+    assert exhaustive.ok and pruned.ok
+    assert exhaustive.pairs_checked == pruned.pairs_checked == 6
+
+
 def test_fk_star_pair_direct():
     # the star pair of the lemma statement: j = center works trivially
     star = full_star(6, 2, 1)

@@ -13,14 +13,19 @@ from divlab.constructions import (
     full_star,
     sample_kernels,
 )
-from divlab.family import Family, trace_counter
+from divlab.family import Family, iter_ksets, mask_of, trace_counter
 from divlab.formulas import binom, example_t_missing, example_t_outside
 from divlab.stability import (
     find_stability_triple,
     triangle_decomposition,
     verify_lemma_key2,
 )
-from helpers import brute_stability_key, random_family, triangle_with_disjoint_pair
+from helpers import (
+    brute_stability_key,
+    random_family,
+    random_intersecting,
+    triangle_with_disjoint_pair,
+)
 
 
 def test_sample_kernels_shape():
@@ -74,6 +79,23 @@ def test_decomposition_identities_random():
         )
     with pytest.raises(ValueError):
         triangle_decomposition(family_triangle(8, 3), (1, 1, 2))
+
+
+def test_decomposition_matches_the_stability_triple():
+    # at the reported triple the decomposition's outside() and missing() are
+    # the scan's, and missing() counts the absent sets meeting T twice
+    rng = random.Random(47)
+    for _ in range(40):
+        n = rng.randint(5, 9)
+        k = rng.randint(2, 4)
+        fam = random_intersecting(rng, n, k)
+        rep = find_stability_triple(fam)
+        dec = triangle_decomposition(fam, rep.triple)
+        assert (dec.outside(), dec.missing()) == (rep.outside, rep.missing)
+        t = mask_of(rep.triple)
+        assert dec.missing() == sum(
+            1 for m in iter_ksets(n, k) if (m & t).bit_count() == 2 and m not in fam
+        )
 
 
 def test_stability_pure_triangle():
