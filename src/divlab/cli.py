@@ -381,25 +381,27 @@ def _cmd_sweep(args) -> Report:
         isinstance(item, dict) and isinstance(item.get("name"), str) for item in items
     ):
         raise FamilyFormatError('sweep config must be {"sweeps": [{"name": ...}, ...]}')
-    all_rows = []
+    # each sweep's rows are counted, and turned into CSV lines for --out, as
+    # run_sweep returns them; no list of every sweep's rows is kept
+    counts = {"pass": 0, "flagged": 0, "fail": 0}
+    lines = [",".join(sweeps.Row._fields)]
     for item in items:
         params = {key: value for key, value in item.items() if key != "name"}
-        all_rows.extend(sweeps.run_sweep(item["name"], **params))
-    counts = {"pass": 0, "flagged": 0, "fail": 0}
-    for row in all_rows:
-        counts[row.status] += 1
-    if args.out:
-        lines = [",".join(sweeps.Row._fields)]
-        lines += [",".join(map(str, r)) for r in all_rows]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        rows = sweeps.run_sweep(item["name"], **params)
+        for row in rows:
+            counts[row.status] += 1
+        if args.out:
+            lines += [",".join(map(str, row)) for row in rows]
+    checks = sum(counts.values())
     human = [
-        f"{len(all_rows)} checks: {counts['pass']} pass, "
+        f"{checks} checks: {counts['pass']} pass, "
         f"{counts['flagged']} flagged (hypothesis out of range), {counts['fail']} fail"
     ]
     if args.out:
+        Path(args.out).write_text("\n".join(lines) + "\n")
         human.append(f"matrix written to {args.out}")
     verdict = "violation" if counts["fail"] else "pass"
-    return Report(verdict, counts, human, {"nodes": len(all_rows)})
+    return Report(verdict, counts, human, {"nodes": checks})
 
 
 # subcommand -> (handler, the argument naming the input file it reads, if any)

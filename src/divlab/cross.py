@@ -152,8 +152,11 @@ def verify_hilton(
     the subsets of the sets compatible with A); the shift route is run on
     every pair when few, else on a deterministic stride sample.  A cross
     table of more than MAX_SETS entries, or an exhaustive run facing more
-    than HILTON_EXHAUSTIVE_PAIRS pairs, is refused before any table is built.
+    than HILTON_EXHAUSTIVE_PAIRS pairs, is refused before any table is built,
+    and so is a trial count below 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if n < a + b:
         raise ValueError("requires n >= a + b")
     if comb_capped(n, a, MAX_SETS) * comb_capped(n, b, MAX_SETS) > MAX_SETS:

@@ -2,13 +2,16 @@
 
 Exact mode decomposes by maximum-degree cap: gamma_C is not monotone under
 supersets for C > 1, but within a fixed cap |F|-maximization is, so a
-branch-and-bound over the lex order of k-sets is sound.  A cap that cannot
-beat the best gamma_C found so far is skipped, and the others are searched
+branch-and-bound over the lex order of k-sets is sound.  One driver
+(`_walk_caps`) runs the caps in order for both the best value and the
+extremal families; it keeps the incumbent, the winners and the stats.  A
+cap that cannot beat the incumbent is skipped, and the others are searched
 only above the size that would beat it (`_cap_floor`).  Within a cap a
 subtree is cut when an upper bound on its sizes (the candidates, the
 degree capacity, and the room each picked set leaves) cannot reach what
 the node needs.  Heuristic mode is seeded local search and never claims
-exactness.  Both modes take 1 <= k <= n and start from the empty family,
+exactness.  Every entry point makes one input check (`_check_input`:
+1 <= k <= n, budget >= 1), and both modes start from the empty family,
 whose gamma_C is 0, so neither reports a value below 0.
 """
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .constructions import MAX_SETS
 from .family import Family, check_element_bits, comb_capped, elements_of, iter_ksets, mask_of
@@ -53,14 +55,17 @@ class CapSearch:
     floor: int = -1
 
 
-def _check_k(n: int, k: int) -> None:
-    """Both modes search k-sets with k >= 1: at k = 0 the one set is empty."""
+def _check_input(n: int, k: int, budget: int | None) -> None:
+    """The check every search entry point makes: k-sets with k >= 1 (at k = 0
+    the one set is empty) and a node or move budget of at least 1."""
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if not 1 <= k <= n:
         raise ValueError(f"uniformity k={k} out of range for n={n}")
 
 
-def _check_exact_input(n: int, k: int, override_guard: bool) -> None:
-    _check_k(n, k)
+def _check_exact_input(n: int, k: int, budget: int | None, override_guard: bool) -> None:
+    _check_input(n, k, budget)
     if not override_guard and comb_capped(n, k, EXACT_UNIVERSE_GUARD) > EXACT_UNIVERSE_GUARD:
         raise ValueError(
             f"guard: exact search refused: C({n},{k}) is more than the "
@@ -100,7 +105,7 @@ def max_size_with_degree_cap(
     in lex DFS order, nor (when collecting) of any maximal node: the result
     is the same as with the candidate and capacity bounds alone.
     """
-    _check_exact_input(n, k, override_guard)
+    _check_exact_input(n, k, budget, override_guard)
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
     if cap <= 0:
         if floor >= 0:
@@ -232,43 +237,65 @@ def _cap_floor(
     return floor
 
 
-def _cap_searches(
+def _walk_caps(
     n: int,
     k: int,
     c: Fraction,
     *,
     budget: int | None,
     override_guard: bool,
-    collect_optima: bool = False,
-) -> Iterator[tuple[int, CapSearch | None]]:
-    """(cap, max-|F| search under that cap, or None if skipped) for caps 0, 1, ...
+    collect_optima: bool,
+) -> tuple[Fraction, list[Family], int, dict]:
+    """The best gamma_C, its winners, its cap and the stats, over caps 0, 1, ...
 
-    The incumbent starts at the empty family's value 0 and rises with every
-    family found; each cap is skipped or searched above the floor
-    `_cap_floor` gives.  Yielding one cap at a time keeps a single optima
-    list alive.
+    The one exact cap loop.  The incumbent starts at the empty family's 0,
+    which is the first winner; each cap is skipped or searched above the
+    floor `_cap_floor` gives, and each family found (each optimum when
+    collecting) is measured once.  A direct search keeps the first family
+    at the best value: its floor already asks for more than the incumbent.
+    A collecting search keeps every tie, and refuses a truncated cap, whose
+    optima may be missing some.  `stats` lists each cap searched (its floor,
+    nodes, size or None when nothing beat the floor, and exact flag), the
+    caps skipped and the caps that hit the node budget.
 
     The input and guard checks come first, since every cap may be skipped.
     C < 0 is refused: a cap's largest family need not have the largest
     max degree under it, so max-|F| per cap no longer decides gamma_C.
     """
-    _check_exact_input(n, k, override_guard)
+    _check_exact_input(n, k, budget, override_guard)
+    c = Fraction(c)
     if c < 0:
         raise ValueError(f"exact search needs C >= 0, got {c}")
-    incumbent = Fraction(0)
+    best, winners, best_cap = Fraction(0), [Family(n, k)], 0
+    runs: list[dict] = []
+    skipped: list[int] = []
     for cap in range(0, math.comb(n - 1, k - 1) + 1):
-        floor = _cap_floor(n, k, c, cap, incumbent, collect_optima)
+        floor = _cap_floor(n, k, c, cap, best, collect_optima)
         if floor is None:
-            yield cap, None
+            skipped.append(cap)
             continue
         res = max_size_with_degree_cap(
             n, k, cap, budget=budget, collect_optima=collect_optima,
             override_guard=override_guard, floor=floor,
         )
-        yield cap, res
-        if res.family is not None:
-            for fam in res.optima if collect_optima else [res.family]:
-                incumbent = max(incumbent, fam.c_diversity(c))
+        runs.append({"cap": cap, "floor": floor, "nodes": res.nodes,
+                     "size": res.size, "exact": res.exact})
+        if collect_optima and not res.exact:
+            raise RuntimeError("budget exceeded while collecting extremal families")
+        if res.family is None:
+            continue
+        for fam in res.optima if collect_optima else [res.family]:
+            value = fam.c_diversity(c)
+            if value > best:
+                best, winners, best_cap = value, [fam], cap
+            elif value == best and fam not in winners:
+                winners.append(fam)
+    stats = {
+        "caps": runs,
+        "skipped": skipped,
+        "truncated": [run["cap"] for run in runs if not run["exact"]],
+    }
+    return best, winners, best_cap, stats
 
 
 def max_c_diversity_exact(
@@ -279,37 +306,14 @@ def max_c_diversity_exact(
     budget: int | None = None,
     override_guard: bool = False,
 ) -> SearchResult:
-    """Exact max of |F| - C max-degree by iterating over degree caps.
-
-    `stats` lists each cap searched (its floor, nodes, size or None when
-    nothing beat the floor, and exact flag), the caps skipped by the
-    incumbent, and the caps that hit the node budget.
-    """
-    c = Fraction(c)
-    best_val = Fraction(0)  # the empty family, at cap 0
-    best_fam = Family(n, k)
-    best_cap = 0
-    runs: list[dict] = []
-    skipped: list[int] = []
-    for cap, res in _cap_searches(n, k, c, budget=budget, override_guard=override_guard):
-        if res is None:
-            skipped.append(cap)
-            continue
-        runs.append({"cap": cap, "floor": res.floor, "nodes": res.nodes,
-                     "size": res.size, "exact": res.exact})
-        if res.family is None:
-            continue
-        value = res.family.c_diversity(c)
-        if value > best_val:
-            best_val, best_fam, best_cap = value, res.family, cap
-    stats = {
-        "caps": runs,
-        "skipped": skipped,
-        "truncated": [run["cap"] for run in runs if not run["exact"]],
-    }
+    """Exact max of |F| - C max-degree by iterating over degree caps
+    (`_walk_caps`, whose stats it reports)."""
+    best, winners, cap, stats = _walk_caps(
+        n, k, c, budget=budget, override_guard=override_guard, collect_optima=False
+    )
     return SearchResult(
-        best_fam, best_val, not stats["truncated"], sum(run["nodes"] for run in runs),
-        degree_cap_used=best_cap, stats=stats,
+        winners[0], best, not stats["truncated"], sum(run["nodes"] for run in stats["caps"]),
+        degree_cap_used=cap, stats=stats,
     )
 
 
@@ -329,24 +333,10 @@ def extremal_c_diversity_families(
     with the incumbent, and a maximizer first appears at the cap equal to
     its max degree, so the winners come in the same order as without them.
     """
-    c = Fraction(c)
-    best_val = Fraction(0)  # the empty family, which cap 0 always collects
-    winners: list[Family] = []
-    for _, res in _cap_searches(
+    best, winners, _, _ = _walk_caps(
         n, k, c, budget=budget, override_guard=override_guard, collect_optima=True
-    ):
-        if res is None:
-            continue
-        if not res.exact:
-            raise RuntimeError("budget exceeded while collecting extremal families")
-        for fam in res.optima:
-            value = fam.c_diversity(c)
-            if value > best_val:
-                best_val = value
-                winners = [fam]
-            elif value == best_val and fam not in winners:
-                winners.append(fam)
-    return best_val, winners
+    )
+    return best, winners
 
 
 # -- heuristic local search ----------------------------------------------------
@@ -502,7 +492,7 @@ def max_c_diversity_heuristic(
     guards are checked on `_seed_sizes` before the caps are walked).
     """
     c = Fraction(c)
-    _check_k(n, k)
+    _check_input(n, k, budget)
     if comb_capped(n - 1, k - 1, MAX_SETS) > MAX_SETS:
         raise ValueError(
             f"guard: heuristic search refused: the star seed has C({n - 1},{k - 1}) sets, "
@@ -647,8 +637,6 @@ def max_c_diversity(
     unused: no result depends on it.
     """
     c = Fraction(c)
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if mode == "exact":

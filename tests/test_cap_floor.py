@@ -12,10 +12,11 @@ from divlab.family import Family, elements_of, iter_ksets, mask_of
 from divlab.formulas import hm_size
 from divlab.search import (
     _cap_floor,
-    _cap_searches,
     _root_orbit_reps,
     extremal_c_diversity_families,
     max_c_diversity,
+    max_c_diversity_exact,
+    max_c_diversity_heuristic,
     max_size_with_degree_cap,
 )
 from helpers import (
@@ -238,6 +239,30 @@ def test_k_0_is_refused_by_every_entry_point():
             search()
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_bad_budget_is_refused_by_every_entry_point(budget):
+    # budgets below 1 are refused with the same message before any search,
+    # by library calls as by the CLI
+    for search in (
+        lambda: max_c_diversity(7, 3, Fraction(5, 4), "exact", budget=budget),
+        lambda: max_c_diversity(7, 3, Fraction(5, 4), "heuristic", budget=budget),
+        lambda: max_c_diversity_exact(7, 3, Fraction(5, 4), budget=budget),
+        lambda: max_c_diversity_heuristic(10, 3, Fraction(5, 4), budget=budget),
+        lambda: max_size_with_degree_cap(7, 3, 5, budget=budget),
+        lambda: extremal_c_diversity_families(7, 3, Fraction(5, 4), budget=budget),
+    ):
+        with pytest.raises(ValueError, match=rf"^budget must be >= 1, got {budget}$"):
+            search()
+
+
+def test_extremal_search_refuses_a_truncated_cap():
+    # a cap search that hits the budget may miss optima, so the winners
+    # would be incomplete; a direct search reports the cap as truncated
+    with pytest.raises(RuntimeError, match="^budget exceeded while collecting extremal families$"):
+        extremal_c_diversity_families(7, 3, Fraction(5, 4), budget=50)
+    assert max_c_diversity_exact(7, 3, Fraction(5, 4), budget=50).stats["truncated"]
+
+
 def test_exact_stats_are_deterministic():
     a = max_c_diversity(7, 3, Fraction(5, 4), "exact")
     b = max_c_diversity(7, 3, Fraction(5, 4), "exact")
@@ -330,9 +355,10 @@ def test_room_bound_matches_reference_83(cap, top):
 def test_collecting_keeps_the_empty_family_at_cap_0(n, k):
     # 1 + k(cap - 1) is negative at cap 0, where the empty family has size 0
     for c in C_GRID:
-        cap, res = next(_cap_searches(n, k, c, budget=None, override_guard=False,
-                                      collect_optima=True))
-        assert cap == 0 and res is not None and res.optima == [Family(n, k)], (n, k, c)
+        floor = _cap_floor(n, k, c, 0, Fraction(0), True)
+        assert floor is not None, (n, k, c)
+        res = max_size_with_degree_cap(n, k, 0, collect_optima=True, floor=floor)
+        assert res.optima == [Family(n, k)], (n, k, c)
     value, winners = extremal_c_diversity_families(6, 3, Fraction(2))
     assert value == 0 and Family(6, 3) in winners
 

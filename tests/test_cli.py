@@ -154,6 +154,11 @@ def test_usage_and_input_errors(tmp_path, capsys):
         code, text, err = run(capsys, "lemma", *extra)
         assert code == 1, extra
         assert text == "" and err.count("\n") == 1 and err.startswith("divlab: error: guard"), extra
+    # and refuses a trial count below 1 instead of passing after 0 pairs
+    code, text, err = run(capsys, "lemma", "hilton", "--n", "6", "--a", "2", "--b", "2",
+                          "--trials", "-3")
+    assert code == 1
+    assert text == "" and err == "divlab: error: trials must be >= 1, got -3\n"
     # k = 0 is refused in both modes with one line
     for mode in ("--heuristic", "--exact"):
         code, text, err = run(capsys, "search", "max-cdiv", "--n", "3", "--k", "0", "--c", "1", mode)

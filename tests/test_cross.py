@@ -136,6 +136,12 @@ def test_hilton_pair_bound_covers_every_exhaustive_run():
     assert verify_hilton(8, 2, 1, trials=5).pairs_checked == 5
 
 
+def test_hilton_refuses_trials_below_1():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match=rf"^trials must be >= 1, got {trials}$"):
+            verify_hilton(6, 2, 2, trials=trials)
+
+
 def test_hilton_randomized_deterministic():
     one = verify_hilton(6, 2, 2, trials=80, seed=4)
     two = verify_hilton(6, 2, 2, trials=80, seed=4)
