@@ -11,6 +11,7 @@ nothing here ever touches floating point.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -183,11 +184,24 @@ def _reject_member(n: int, k: int, ms: set[int]) -> None:
             raise ValueError(f"member {elements_of(m)} has {m.bit_count()} elements, expected {k}")
 
 
+def _lex_keys(n: int, masks: Iterable[int]) -> Iterator[bytes]:
+    """Sort keys of k-subsets of [n]: lex order is the descending order of
+    the bit-reversed masks, that is, of each mask's little-endian bytes
+    with the bits of every byte reversed."""
+    nb = (n + 7) // 8
+    return map(bytes.translate,
+               map(int.to_bytes, masks, itertools.repeat(nb), itertools.repeat("little")),
+               itertools.repeat(_REVERSED_BITS))
+
+
 class Family:
     """An immutable k-uniform family of subsets of {1, ..., n}; member
     incidence is read off the columns `cols`, built on first use.  A
     subfamily is a bitset of member indices ("picked"); the complete family
-    Family(n, k, iter_ksets(n, k)) is the universe the searches pick from."""
+    Family(n, k, iter_ksets(n, k)) is the universe the searches pick from.
+    The members are sorted and deduplicated only when they arrive out of
+    lex order or repeated; members already in strict lex order, as
+    iter_ksets and the family reader give them, are kept as they come."""
 
     __slots__ = ("n", "k", "members", "full", "_cols", "_degrees", "_disjoint")
 
@@ -197,16 +211,19 @@ class Family:
         check_ground_set(n)
         if not 0 <= k <= n:
             raise ValueError(f"uniformity k={k} out of range for n={n}")
-        ms = set(members)
+        ms = tuple(members)
         if ms and (min(ms) < 0 or max(ms) >> n or set(map(int.bit_count, ms)) != {k}):
-            _reject_member(n, k, ms)
+            _reject_member(n, k, set(ms))
         self.n = n
         self.k = k
-        # lex order on k-sets is the descending order of the bit-reversed masks
-        nb = (n + 7) // 8
-        self.members = tuple(sorted(
-            ms, key=lambda m: m.to_bytes(nb, "little").translate(_REVERSED_BITS), reverse=True
-        ))
+        # the keys are streamed, two at a time, and kept only when the
+        # members must be sorted
+        keys, later = itertools.tee(_lex_keys(n, ms))
+        next(later, None)
+        if not all(map(operator.gt, keys, later)):
+            by_key = dict(zip(_lex_keys(n, ms), ms))
+            ms = tuple(map(by_key.__getitem__, sorted(by_key, reverse=True)))
+        self.members = ms
         self.full = (1 << len(self.members)) - 1  # the bitset of every member
         self._cols: list[int] | None = None
         self._degrees: tuple[int, ...] | None = None

@@ -8,10 +8,11 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
-from .family import Family, check_element_bits, check_ground_set, mask_of
+from .family import Family, check_element_bits, check_ground_set, elements_of, mask_of
 
 
 class FamilyFormatError(ValueError):
@@ -25,11 +26,12 @@ def family_to_dict(fam: Family) -> dict[str, Any]:
 def family_from_dict(data: Any) -> Family:
     """The family a parsed family file describes.
 
-    Each set is checked once, in file order, and the first bad one is
-    reported: a list of integers, of length k, inside [1,n], strictly
-    increasing, not a duplicate.  A ground set, or a total of len(sets) * k
-    * n element-bits, above its guard is refused (ValueError) before any set
-    is read.
+    Every set must be a list of integers, of length k, inside [1,n],
+    strictly increasing and not a duplicate.  The sets are checked in bulk,
+    a column of the family at a time; only when a check fails are they read
+    again one at a time, in file order, to report the first bad one.  A
+    ground set, or a total of len(sets) * k * n element-bits, above its
+    guard is refused (ValueError) before any set is read.
     """
     if not isinstance(data, dict):
         raise FamilyFormatError("family file must be a JSON object")
@@ -45,7 +47,37 @@ def family_from_dict(data: Any) -> Family:
     if not isinstance(sets, list):
         raise FamilyFormatError("sets must be a list of lists")
     check_element_bits(len(sets), k, n)
-    masks = set()
+    masks = _masks(n, k, sets)
+    if masks is None:
+        _reject_set(n, k, sets)
+    fam = Family(n, k, masks)
+    if len(fam) < len(masks):  # some set repeats
+        _reject_set(n, k, sets)
+    return fam
+
+
+def _masks(n: int, k: int, sets: list) -> list[int] | None:
+    """The masks of `sets`, or None if some set is not a list of k integers
+    inside [1,n] in strictly increasing order.  The sets are read a column
+    at a time (element j of every set), so each check and each mask bit is
+    one C-level pass over a column, and at most two columns are held."""
+    if not all(map(isinstance, sets, repeat(list))) or set(map(len, sets)) - {k}:
+        return None
+    masks = [0] * len(sets)  # element e sets bit e; the masks are shifted down at the end
+    for j in range(k):
+        col = list(map(operator.itemgetter(j), sets))
+        if set(map(type, col)) - {int} or col and not (1 <= min(col) and max(col) <= n):
+            return None
+        if j and not all(map(operator.lt, prev, col)):
+            return None
+        masks = list(map(operator.or_, masks, map(operator.lshift, repeat(1), col)))
+        prev = col
+    return list(map(operator.rshift, masks, repeat(1)))
+
+
+def _reject_set(n: int, k: int, sets: list) -> None:
+    """Raise for the first set, in file order, that a family file may not hold."""
+    seen = set()
     for s in sets:
         if not isinstance(s, list) or not set(map(type, s)) <= {int}:
             raise FamilyFormatError(f"set {s!r} must be a list of integers")
@@ -56,10 +88,9 @@ def family_from_dict(data: Any) -> Family:
         if not all(map(operator.lt, s, s[1:])):
             raise FamilyFormatError(f"set {s} is not strictly increasing")
         m = mask_of(s)
-        if m in masks:
+        if m in seen:
             raise FamilyFormatError(f"duplicate set {s}")
-        masks.add(m)
-    return Family(n, k, masks)
+        seen.add(m)
 
 
 def dump_json(data: Any) -> str:
@@ -68,20 +99,18 @@ def dump_json(data: Any) -> str:
 
 
 def write_family(fam: Family, path: str | Path) -> None:
-    """Write the bytes of dump_json(family_to_dict(fam)), joined directly."""
-    if not fam.members:
-        sets = "[]"
-    elif fam.k == 0:  # the one member is the empty set
-        sets = "[\n    []\n  ]"
-    else:
-        sets = (
-            json.dumps(fam.sets())
-            .replace("], [", "\n    ],\n    [\n      ")
-            .replace(", ", ",\n      ")
-            .replace("[[", "[\n    [\n      ")
-            .replace("]]", "\n    ]\n  ]")
-        )
-    Path(path).write_text(f'{{\n  "n": {fam.n},\n  "k": {fam.k},\n  "sets": {sets}\n}}\n')
+    """Write the bytes of dump_json(family_to_dict(fam)), each set through
+    one row template, a row at a time."""
+    # the k = 0 row is the empty set's "[]"
+    row = ",\n    [" + ",".join(["\n      %d"] * fam.k) + ("\n    ]" if fam.k else "]")
+    rows = map(row.__mod__, map(elements_of, fam.members))
+    with open(path, "w") as out:
+        out.write(f'{{\n  "n": {fam.n},\n  "k": {fam.k},\n  "sets": [')
+        if fam.members:
+            out.write("\n" + next(rows)[2:])  # the first row has no separator
+            out.writelines(rows)
+            out.write("\n  ")
+        out.write("]\n}\n")
 
 
 def read_family(path: str | Path) -> Family:

@@ -476,7 +476,7 @@ def max_c_diversity_heuristic(
     k: int,
     c: Fraction,
     *,
-    budget: int = DEFAULT_MOVE_BUDGET,
+    budget: int | None = None,
     seed: int = 0,
 ) -> SearchResult:
     """Seeded local search (add/remove/swap accepting strict improvement).
@@ -493,6 +493,7 @@ def max_c_diversity_heuristic(
     """
     c = Fraction(c)
     _check_input(n, k, budget)
+    budget = DEFAULT_MOVE_BUDGET if budget is None else budget
     if comb_capped(n - 1, k - 1, MAX_SETS) > MAX_SETS:
         raise ValueError(
             f"guard: heuristic search refused: the star seed has C({n - 1},{k - 1}) sets, "
@@ -642,7 +643,5 @@ def max_c_diversity(
     if mode == "exact":
         return max_c_diversity_exact(n, k, c, budget=budget, override_guard=override_guard)
     if mode == "heuristic":
-        return max_c_diversity_heuristic(
-            n, k, c, budget=DEFAULT_MOVE_BUDGET if budget is None else budget, seed=seed
-        )
+        return max_c_diversity_heuristic(n, k, c, budget=budget, seed=seed)
     raise ValueError(f"unknown mode {mode!r}")

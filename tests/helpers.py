@@ -2,11 +2,19 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 from divlab.constructions import FANO_LINES, family_triangle, family_uvw, lex_family
-from divlab.family import Family, elements_of, iter_ksets, mask_of
+from divlab.family import (
+    Family,
+    check_element_bits,
+    check_ground_set,
+    elements_of,
+    iter_ksets,
+    mask_of,
+)
 from divlab.formulas import BoundVerdict, binom
 from divlab.io import FamilyFormatError, dump_json, family_to_dict
 from divlab.search import CapSearch, _cap_floor, _root_orbit_reps, unconstrained_max
@@ -342,6 +350,40 @@ def reference_family_from_dict(data) -> Family:
             raise FamilyFormatError(f"duplicate set {s}")
         seen.add(key)
     return Family.from_sets(n, k, sets)
+
+
+def brute_family_from_dict(data) -> Family:
+    """The family reader as it was before the bulk checks: each set checked
+    once, in file order, the first bad one reported."""
+    if not isinstance(data, dict):
+        raise FamilyFormatError("family file must be a JSON object")
+    for key in ("n", "k", "sets"):
+        if key not in data:
+            raise FamilyFormatError(f"missing key {key!r}")
+    n, k, sets = data["n"], data["k"], data["sets"]
+    if not isinstance(n, int) or not isinstance(k, int) or isinstance(n, bool) or isinstance(k, bool):
+        raise FamilyFormatError("n and k must be integers")
+    if n < 1 or not 0 <= k <= n:
+        raise FamilyFormatError(f"invalid sizes n={n}, k={k}")
+    check_ground_set(n)
+    if not isinstance(sets, list):
+        raise FamilyFormatError("sets must be a list of lists")
+    check_element_bits(len(sets), k, n)
+    masks = set()
+    for s in sets:
+        if not isinstance(s, list) or not set(map(type, s)) <= {int}:
+            raise FamilyFormatError(f"set {s!r} must be a list of integers")
+        if len(s) != k:
+            raise FamilyFormatError(f"set {s} has {len(s)} elements, expected {k}")
+        if s and not 1 <= min(s) <= max(s) <= n:
+            raise FamilyFormatError(f"set {s} has elements outside [1,{n}]")
+        if not all(map(operator.lt, s, s[1:])):
+            raise FamilyFormatError(f"set {s} is not strictly increasing")
+        m = mask_of(s)
+        if m in masks:
+            raise FamilyFormatError(f"duplicate set {s}")
+        masks.add(m)
+    return Family(n, k, masks)
 
 
 def reference_prop28_rows(n_max: int = 200, k_max: int = 12) -> list[Row]:

@@ -1,10 +1,11 @@
-"""The family writer and the family reader against the element-by-element
-versions they replaced (the oracles in helpers)."""
+"""The family writer, the family reader and Family's member order against
+the versions they replaced (the oracles in helpers)."""
 import pytest
 
-from divlab.family import Family, mask_of
+from divlab.constructions import example_t, full_star, sample_kernels
+from divlab.family import Family, elements_of, iter_ksets, mask_of
 from divlab.io import family_from_dict, write_family
-from helpers import reference_family_from_dict, reference_family_text
+from helpers import brute_family_from_dict, reference_family_from_dict, reference_family_text
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -23,6 +24,9 @@ def families(draw, n_max=70):
 @example(Family(5, 0))  # the empty family at k = 0
 @example(Family(5, 0, [0]))  # the empty set, the one 0-set
 @example(Family(3, 2))  # the empty family
+@example(Family(5, 1, [1, 4, 16]))
+@example(example_t(28, 6, sample_kernels(3)))  # 16,698 sets
+@example(full_star(40, 3))
 def test_writer_matches_generic_encoder(tmp_path_factory, fam):
     path = tmp_path_factory.mktemp("w") / "f.json"
     write_family(fam, path)
@@ -82,3 +86,67 @@ def _outcome(reader, data):
 @example([{"n": 5}])  # not an object
 def test_reader_matches_elementwise_reader(data):
     assert _outcome(family_from_dict, data) == _outcome(reference_family_from_dict, data)
+
+
+@st.composite
+def family_files(draw):
+    """Parsed family files on n <= 12: distinct k-sets in lex order, the
+    same sets shuffled, or either with bad sets put in at random places
+    (a repeat, an unsorted or wrongly sized set, an element out of range
+    or of the wrong type, a set that is no list)."""
+    n = draw(st.integers(1, 12), label="n")
+    k = draw(st.integers(0, n), label="k")
+    picked = draw(st.lists(st.sampled_from(list(iter_ksets(n, k))), unique=True, max_size=30))
+    sets = [list(elements_of(m)) for m in sorted(picked, key=elements_of)]
+    if draw(st.booleans()):
+        sets = draw(st.permutations(sets))
+    good = list(sets)
+    for _ in range(draw(st.integers(0, 2), label="bad sets")):
+        s = list(draw(st.sampled_from(good))) if good else [1] * k
+        kind = draw(st.sampled_from(["repeat", "unsorted", "size", "range", "type", "not a list"]))
+        if kind == "unsorted" and k >= 2:
+            s = s[::-1]
+        elif kind == "size":
+            s = s[1:] if s and draw(st.booleans()) else s + [draw(st.integers(1, n))]
+        elif kind == "range" and s:
+            s[draw(st.integers(0, k - 1))] = draw(st.sampled_from([0, -1, n + 1, 10**30]))
+        elif kind == "type" and s:
+            s[draw(st.integers(0, k - 1))] = draw(st.sampled_from([True, 1.0, "1", None, [1]]))
+        elif kind == "not a list":
+            s = draw(st.sampled_from([tuple(s), "x", 5, None, {}]))
+        sets.insert(draw(st.integers(0, len(sets))), s)
+    return {"n": n, "k": k, "sets": sets}
+
+
+@settings(max_examples=600, deadline=None)
+@given(family_files())
+@example({"n": 5, "k": 2, "sets": [[2, 3], [1, 2], [2, 3]]})  # a repeat after an out-of-order pair
+@example({"n": 5, "k": 0, "sets": [[]]})
+@example({"n": 5, "k": 0, "sets": [[], []]})
+@example({"n": 5, "k": 2, "sets": []})
+@example({"n": 5, "k": 2, "sets": [[1, 2], "x"]})
+@example({"n": 5, "k": 2, "sets": [[1, 2], [3, 1], [9, 9]]})  # two bad sets: the first is named
+def test_reader_matches_per_set_reader(data):
+    assert _outcome(family_from_dict, data) == _outcome(brute_family_from_dict, data)
+
+
+@st.composite
+def member_lists(draw):
+    """Masks of k-subsets of [n], n <= 12, in the order drawn, repeats kept."""
+    n = draw(st.integers(1, 12), label="n")
+    k = draw(st.integers(0, n), label="k")
+    return n, k, draw(st.lists(st.sampled_from(list(iter_ksets(n, k))), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_lists(), st.sampled_from(["as drawn", "sorted", "reversed", "generator"]))
+def test_member_order_matches_sorted_set(drawn, shape):
+    n, k, ms = drawn
+    want = tuple(sorted(set(ms), key=elements_of))
+    if shape == "sorted":
+        ms = list(want)
+    elif shape == "reversed":
+        ms = list(want)[::-1]
+    fam = Family(n, k, (m for m in ms) if shape == "generator" else ms)
+    assert fam.members == want
+

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -24,24 +25,36 @@ def test_roundtrip(tmp_path):
     assert data["sets"][0] == [1, 2, 4]  # 1-indexed, lex-sorted on disk
 
 
+class _Row(list):
+    """A list subclass, which the reader takes as a set."""
+
+
 def test_reader_rejections():
     good = {"n": 5, "k": 2, "sets": [[1, 2], [2, 3]]}
-    family_from_dict(good)
+    assert family_from_dict(good).sets() == [(1, 2), (2, 3)]
+    assert family_from_dict({"n": 5, "k": 2, "sets": [_Row([2, 3]), [1, 2]]}).sets() == [(1, 2), (2, 3)]
+    assert family_from_dict({"n": 5, "k": 0, "sets": [[]]}).sets() == [()]
+    assert len(family_from_dict({"n": 5, "k": 2, "sets": []})) == 0
     bad_cases = [
-        {"n": 5, "k": 2},  # missing sets
-        {"n": 5, "k": 2, "sets": [[1, 2], [1, 2]]},  # duplicate
-        {"n": 5, "k": 2, "sets": [[2, 1]]},  # not increasing
-        {"n": 5, "k": 2, "sets": [[1, 1]]},  # repeated element
-        {"n": 5, "k": 2, "sets": [[1, 2, 3]]},  # wrong cardinality
-        {"n": 5, "k": 2, "sets": [[0, 2]]},  # out of range
-        {"n": 5, "k": 2, "sets": [[4, 6]]},  # out of range
-        {"n": 5, "k": 2, "sets": [[True, 2]]},  # bool is not an element
-        {"n": "5", "k": 2, "sets": []},  # n must be an int
-        {"n": 5, "k": 7, "sets": []},  # k > n
-        [1, 2, 3],  # not an object
+        ({"n": 5, "k": 2}, "missing key 'sets'"),
+        ({"n": 5, "k": 2, "sets": [[1, 2], [1, 2]]}, "duplicate set [1, 2]"),
+        ({"n": 5, "k": 2, "sets": [[2, 3], [1, 2], [2, 3]]}, "duplicate set [2, 3]"),  # after an out-of-order pair
+        ({"n": 5, "k": 0, "sets": [[], []]}, "duplicate set []"),
+        ({"n": 5, "k": 2, "sets": [[2, 1]]}, "set [2, 1] is not strictly increasing"),
+        ({"n": 5, "k": 2, "sets": [[1, 1]]}, "set [1, 1] is not strictly increasing"),
+        ({"n": 5, "k": 2, "sets": [[1, 2, 3]]}, "set [1, 2, 3] has 3 elements, expected 2"),
+        ({"n": 5, "k": 2, "sets": [[0, 2]]}, "set [0, 2] has elements outside [1,5]"),
+        ({"n": 5, "k": 2, "sets": [[4, 6]]}, "set [4, 6] has elements outside [1,5]"),
+        ({"n": 5, "k": 2, "sets": [[True, 2]]}, "set [True, 2] must be a list of integers"),
+        ({"n": 5, "k": 2, "sets": ["x"]}, "set 'x' must be a list of integers"),
+        ({"n": 5, "k": 2, "sets": [1, 2]}, "set 1 must be a list of integers"),
+        ({"n": 5, "k": 2, "sets": {"a": 1}}, "sets must be a list of lists"),
+        ({"n": "5", "k": 2, "sets": []}, "n and k must be integers"),
+        ({"n": 5, "k": 7, "sets": []}, "invalid sizes n=5, k=7"),
+        ([1, 2, 3], "family file must be a JSON object"),
     ]
-    for data in bad_cases:
-        with pytest.raises(FamilyFormatError):
+    for data, message in bad_cases:
+        with pytest.raises(FamilyFormatError, match=f"^{re.escape(message)}$"):
             family_from_dict(data)
 
 

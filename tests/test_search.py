@@ -183,6 +183,19 @@ def test_node_budget_default():
     assert not cut.exact and cut.nodes <= 100
 
 
+def test_heuristic_budget_default(monkeypatch):
+    # a direct call with no budget runs the default move budget, read when
+    # the call is made
+    monkeypatch.setattr(search, "DEFAULT_MOVE_BUDGET", 300)
+    c = Fraction(5, 4)
+    default = search.max_c_diversity_heuristic(10, 3, c, budget=None, seed=4)
+    given = search.max_c_diversity_heuristic(10, 3, c, budget=300, seed=4)
+    assert default.nodes_explored == 300
+    assert (default.best_value, default.best_family, default.nodes_explored, default.stats) == (
+        given.best_value, given.best_family, given.nodes_explored, given.stats)
+    assert max_c_diversity(10, 3, c, "heuristic", seed=4).stats == given.stats
+
+
 def test_front_door_rejects_bad_budget_and_workers():
     for mode in ("exact", "heuristic"):
         for bad in (0, -5):
