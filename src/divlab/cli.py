@@ -7,6 +7,7 @@ reported as such); 2 = genuine violation or counterexample found;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -59,7 +60,11 @@ def _triple(text: str) -> tuple[int, int, int]:
     return tuple(parts)  # type: ignore[return-value]
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``divlab`` argument parser, built on the first call and returned
+    by every later one: callers in one process share it and must not mutate
+    it.  Each ``parse_args`` call makes a fresh namespace."""
     p = _Parser(prog="divlab", description=__doc__)
     p.add_argument("--version", action="version", version=f"divlab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -155,13 +160,19 @@ class Report:
 
 
 def _kernels(text: str) -> cons.KernelTriple:
-    parts = json.loads(text)
+    try:
+        parts = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--kernels is not JSON: {exc}") from exc
     if not (isinstance(parts, list) and len(parts) == 3 and all(
         isinstance(part, list)
         and all(isinstance(e, int) and not isinstance(e, bool) for e in part)
         for part in parts
     )):
         raise ValueError("--kernels must be a JSON list of three element lists")
+    for part in parts:
+        if len(set(part)) < len(part):
+            raise ValueError(f"--kernels: kernel {part} repeats an element")
     return cons.KernelTriple(*(frozenset(part) for part in parts))
 
 

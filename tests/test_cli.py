@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from divlab import cli, constructions
+from divlab import __version__, cli, constructions
 from divlab.formulas import BoundVerdict
 from divlab.constructions import MAX_SETS, family_triangle, fano_families
 from divlab.family import Family
@@ -210,11 +210,20 @@ def test_usage_and_input_errors(tmp_path, capsys):
 
 def test_construct_bad_kernels_and_missing_args(tmp_path, capsys):
     out = tmp_path / "x.json"
-    code, _, err = run(
-        capsys, "construct", "--family", "example-t", "--n", "10", "--k", "3",
-        "--kernels", "[[4,5]", "--out", str(out),
-    )
-    assert code == 1
+    # text that is not JSON, and a kernel that repeats an element, are refused
+    # as such, in one line that names --kernels
+    for kernels, message in (
+        ("[[4,5]", "--kernels is not JSON: Expecting ',' delimiter: line 1 column 7 (char 6)"),
+        ("not json", "--kernels is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[[4,5],[4,5],[4,4]]", "--kernels: kernel [4, 4] repeats an element"),
+        ("[[4,5,4],[4,5],[4,6]]", "--kernels: kernel [4, 5, 4] repeats an element"),
+    ):
+        code, text, err = run(
+            capsys, "construct", "--family", "example-t", "--n", "10", "--k", "4",
+            "--kernels", kernels, "--out", str(out),
+        )
+        assert (code, text, err) == (1, "", f"divlab: error: {message}\n"), kernels
+    assert not out.exists()
     for third in ("5", "null", "[[5]]"):
         code, text, err = run(
             capsys, "construct", "--family", "example-t", "--n", "12", "--k", "3",
@@ -517,3 +526,81 @@ def test_json_key_order(tmp_path, capsys, argv, top, values):
     data = json.loads(text)
     assert list(data) == [*top, "elapsed_ms"]
     assert list(data["values"]) == values
+
+
+def test_version_and_help(capsys):
+    assert run(capsys, "--version") == (0, f"divlab {__version__}\n", "")
+    for argv in (["--help"], ["search", "max-cdiv", "--help"], ["lemma", "fk", "--help"]):
+        code, text, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+        assert text.startswith(f"usage: divlab {' '.join(argv[:-1])}".rstrip()), argv
+
+
+def test_usage_error_leaves_later_runs_alone(capsys):
+    argv = ("search", "max-cdiv", "--n", "6", "--k", "2", "--c", "5/4", "--heuristic",
+            "--budget", "50")
+    cli.build_parser.cache_clear()
+    alone = run(capsys, *argv)
+    assert alone[0] == 0
+    for bad in (("search", "max-cdiv", "--n", "6", "--k", "2", "--c", "5/4", "--exact",
+                 "--heuristic"),
+                ("verify", "--theorem", "nope", "--family", "x.json"),
+                ("measure",)):
+        code, text, err = run(capsys, *bad)
+        assert code == 1 and text == "" and err.startswith("usage: divlab"), bad
+        assert run(capsys, *argv) == alone, bad
+
+
+PARSER_BATTERY = [
+    ["construct", "--family", "star", "--n", "8", "--k", "3", "--out", "s.json"],
+    ["construct", "--family", "star", "--n", "8", "--k", "3", "--center", "2", "--out", "s.json"],
+    ["construct", "--family", "uvw", "--n", "9", "--k", "3", "--t", "2,4,7", "--out", "u.json",
+     "--json", "--manifest", "m.json"],
+    ["construct", "--family", "example-t", "--n", "12", "--k", "3",
+     "--kernels", "[[4,5],[4,6],[5,6]]", "--out", "e.json"],
+    ["construct", "--family", "nope", "--n", "8", "--k", "3", "--out", "s.json"],
+    ["construct", "--family", "star", "--n", "8", "--out", "s.json"],
+    ["measure", "f.json"],
+    ["measure", "f.json", "--c", "5/4", "--json"],
+    ["verify", "--theorem", "main", "--c", "5/4", "--family", "f.json"],
+    ["verify", "--theorem", "frankl", "--i", "3", "--family", "f.json"],
+    ["verify", "--theorem", "nope", "--family", "f.json"],
+    ["verify", "--family", "f.json"],
+    ["search", "max-cdiv", "--n", "7", "--k", "3", "--c", "5/4"],
+    ["search", "max-cdiv", "--n", "7", "--k", "3", "--c", "5/4", "--exact", "--budget", "50"],
+    ["search", "max-cdiv", "--n", "7", "--k", "3", "--c", "-1/2", "--heuristic", "--seed", "3",
+     "--workers", "2", "--witness"],
+    ["search", "max-cdiv", "--n", "7", "--k", "3", "--c", "5/4", "--exact", "--heuristic"],
+    ["search", "max-cdiv", "--n", "7", "--k", "3"],
+    ["search"],
+    ["stability", "f.json"],
+    ["stability", "f.json", "--d", "40"],
+    ["lemma", "fk", "--m", "5", "--l", "2"],
+    ["lemma", "fk", "--m", "5", "--l", "2", "--method", "pruned"],
+    ["lemma", "fk", "--m", "5", "--l", "2", "--method", "nope"],
+    ["lemma", "hilton", "--n", "5", "--a", "2", "--b", "2"],
+    ["lemma", "hilton", "--n", "5", "--a", "2", "--b", "2", "--exhaustive", "--trials", "9",
+     "--seed", "4"],
+    ["sweep", "cfg.json"],
+    ["sweep", "cfg.json", "--out", "rows.csv", "--json"],
+    [],
+]
+
+
+def _parsed(parser, argv, capsys):
+    try:
+        result = ("parsed", vars(parser.parse_args(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out = capsys.readouterr()
+    return (*result, out.out, out.err)
+
+
+def test_shared_parser_parses_like_a_fresh_one(capsys):
+    fresh = [_parsed(cli.build_parser.__wrapped__(), argv, capsys) for argv in PARSER_BATTERY]
+    shared = cli.build_parser()
+    assert cli.build_parser() is shared
+    for order in (PARSER_BATTERY, PARSER_BATTERY[::-1]):
+        got = {tuple(argv): _parsed(shared, argv, capsys) for argv in order}
+        assert [got[tuple(argv)] for argv in PARSER_BATTERY] == fresh
+    assert sum(result[0] == "exit" for result in fresh) == 9
