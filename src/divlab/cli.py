@@ -162,7 +162,7 @@ class Report:
 def _kernels(text: str) -> cons.KernelTriple:
     try:
         parts = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the recursion limit
         raise ValueError(f"--kernels is not JSON: {exc}") from exc
     if not (isinstance(parts, list) and len(parts) == 3 and all(
         isinstance(part, list)
@@ -385,7 +385,7 @@ def _cmd_lemma(args) -> Report:
 def _cmd_sweep(args) -> Report:
     try:
         config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise FamilyFormatError(f"cannot read sweep config: {exc}") from exc
     items = config.get("sweeps") if isinstance(config, dict) else None
     if not isinstance(items, list) or not all(

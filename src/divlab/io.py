@@ -116,7 +116,7 @@ def write_family(fam: Family, path: str | Path) -> None:
 def read_family(path: str | Path) -> Family:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the recursion limit
         raise FamilyFormatError(f"{path}: not valid JSON ({exc})") from exc
     return family_from_dict(data)
 

@@ -9,20 +9,23 @@ cap that cannot beat the incumbent is skipped, and the others are searched
 only above the size that would beat it (`_cap_floor`).  Within a cap a
 subtree is cut when an upper bound on its sizes (the candidates, the
 degree capacity, and the room each picked set leaves) cannot reach what
-the node needs.  Heuristic mode is seeded local search and never claims
+the node needs, and a direct search branches only on the sets that are
+lex-first in their orbit under the relabelings fixing every picked set
+(`_orbit_rule`).  Heuristic mode is seeded local search and never claims
 exactness.  Every entry point makes one input check (`_check_input`:
 1 <= k <= n, budget >= 1), and both modes start from the empty family,
 whose gamma_C is 0, so neither reports a value below 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import MAX_SETS
-from .family import Family, check_element_bits, comb_capped, elements_of, iter_ksets, mask_of
+from .family import Family, check_element_bits, comb_capped, elements_of, iter_ksets, union
 from .formulas import fano_l_size, fano_lplus_size, fi_size, hm_size, star_size, triangle_size
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -87,9 +90,13 @@ def max_size_with_degree_cap(
 
     Branch-and-bound over the lex order; a nonempty optimum can always be
     relabeled to contain {1,...,k}, so that member is forced at the root.
-    Unless collecting, the root then branches only on the lex-first set of
-    each orbit of its stabilizer (`_root_orbit_reps`); the search returns
-    the same family as a full root, with fewer nodes.
+    Unless collecting, each node branches only on the sets that are
+    lex-first in their orbit under the relabelings fixing every picked set
+    (`_orbit_rule`).  Let F0 be the lex-first largest family holding the
+    root.  If g fixes the picked sets X_0..X_d of a node on F0's path and
+    g(X_{d+1}) < X_{d+1}, then g(F0) < F0; so every node on that path is
+    kept, the search returns F0 as a full search does, and it visits no
+    node a full search does not.
     Only sizes above `floor` count: the search starts with that incumbent
     and no other, since its first descent is the greedy leaf, and returns
     no family (size None) when nothing beats it.  A maximum
@@ -114,8 +121,10 @@ def max_size_with_degree_cap(
         return CapSearch(0, empty, True, 0, [empty] if collect_optima else None, floor)
 
     u = Family(n, k, iter_ksets(n, k))
-    disjoint, cols = u.disjoint, u.cols
-    missing = [u.full ^ col for col in cols]  # the sets without each element
+    cols, full = u.cols, u.full
+    missing = [full ^ col for col in cols]  # the sets without each element
+    later = [union(cols, m) >> (i + 1) << (i + 1)  # the sets after set i that meet it
+             for i, m in enumerate(u.members)]
     elems = [elements_of(m) for m in u.members]
     slack = [cap] * (n + 1)  # cap minus the degree, per element
     path: list[int] = []  # the picked sets, in order
@@ -123,7 +132,7 @@ def max_size_with_degree_cap(
     def take(i: int, rest: int) -> int:
         """Pick set i; the sets of `rest` that may still follow it."""
         path.append(i)
-        cands = rest & ~disjoint[i]
+        cands = rest & later[i]
         for e in elems[i]:
             slack[e] -= 1
             if not slack[e]:
@@ -140,7 +149,9 @@ def max_size_with_degree_cap(
     nodes = 0
     out_of_budget = False
 
-    def descend(picked: int, size: int, cands: int, capacity: int, branch: int = -1) -> None:
+    keep, firsts = _orbit_rule(u)
+
+    def descend(picked: int, size: int, cands: int, capacity: int, together: int) -> None:
         nonlocal best_size, best, nodes, out_of_budget
         nodes += 1
         if nodes > limit:
@@ -166,19 +177,20 @@ def max_size_with_degree_cap(
         for a in path:
             if sum(map(at, elems[a])) < need:
                 return
-        while cands:  # branch in lex order on the sets of `branch`
+        # a collecting search branches on every candidate, the others on the
+        # lex-first set of each orbit
+        todo = cands if collect_optima else cands & firsts(together)
+        while todo:  # branch in lex order
             if out_of_budget:
                 return
-            low = cands & -cands
-            cands ^= low
-            if low & branch:
-                i = low.bit_length() - 1
-                descend(picked | low, size + 1, take(i, cands), capacity - k)
-                drop(i)
+            low = todo & -todo
+            todo ^= low
+            i = low.bit_length() - 1
+            descend(picked | low, size + 1, take(i, cands), capacity - k, together & keep[i])
+            drop(i)
 
     # root forcing: set 0 is {1,...,k}
-    reps = -1 if collect_optima else _root_orbit_reps(u)
-    descend(1, 1, take(0, u.full ^ 1), n * cap - k, reps)
+    descend(1, 1, take(0, full), n * cap - k, keep[0])
 
     optima = None
     if collect_optima:
@@ -188,23 +200,43 @@ def max_size_with_degree_cap(
     return CapSearch(best_size, u.subfamily(best), not out_of_budget, nodes, optima, floor)
 
 
-def _root_orbit_reps(u: Family) -> int:
-    """Bitset of the sets rep_j = [j] + {k+1, ..., 2k-j}, 0 < j < k, that fit in [n].
+def _orbit_rule(u: Family):
+    """The orbit rule of a direct cap search over the sets of `u`.
 
-    The stabilizer S_k x S_{n-k} of the root [k] sorts the other k-sets into
-    orbits by j = |B & [k]|, and rep_j is the lex-first set of its orbit;
-    the sets before it all meet [k] in more than j elements.  An optimum
-    whose non-root members meet [k] in at most j elements, some in exactly
-    j, relabels to one holding rep_j and none of the sets before it, so
-    its branch suffices.  The first largest family in lex DFS order lies
-    under such a branch, and that subtree is searched as before.
+    The relabelings that fix every picked set permute each atom (a class of
+    elements in exactly the same picked sets) freely, so the orbit of a set
+    B holds every set with the same number of elements in each atom, and
+    its lex-first member takes the first elements of each atom.  B is that
+    member iff it holds no e of an atom without some earlier p of the same
+    atom: swapping p and e would give an earlier set.
+
+    Two elements share an atom iff no picked set holds exactly one of
+    them, so a node keeps its atoms as the bitset `together` of the pairs
+    p < e that no picked set splits (bit (p-1)n + e-1), and picking set i
+    ANDs in keep[i], the pairs that set i does not split.  firsts(together)
+    is the bitset of the sets that are lex-first in their orbit, memoized
+    for one cap search.  At the root {1,...,k} these are the sets
+    [j] + {k+1, ..., 2k-j}, 0 <= j <= k, that fit in [n].
     """
-    n, k = u.n, u.k
-    reps = 0
-    for j in range(k - 1, 0, -1):
-        if 2 * k - j <= n:
-            reps |= 1 << u.members.index(mask_of([*range(1, j + 1), *range(k + 1, 2 * k - j + 1)]))
-    return reps
+    n, full, cols = u.n, u.full, u.cols
+    every = (1 << n) - 1
+    keep = []
+    for m in u.members:
+        together = 0
+        for p in range(1, n + 1):
+            side = m if m >> (p - 1) & 1 else every ^ m  # the elements on p's side of m
+            together |= (side >> p) << (p + (p - 1) * n)  # the pairs (p, e > p) on it
+        keep.append(together)
+
+    @functools.cache
+    def firsts(together: int) -> int:
+        breaks = 0  # the sets holding some e but not an earlier p of its atom
+        for bit in elements_of(together):
+            p, e = divmod(bit - 1, n)
+            breaks |= cols[e + 1] & (full ^ cols[p + 1])
+        return full ^ breaks
+
+    return keep, firsts
 
 
 def unconstrained_max(n: int, k: int) -> int:

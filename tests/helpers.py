@@ -17,7 +17,7 @@ from divlab.family import (
 )
 from divlab.formulas import BoundVerdict, binom
 from divlab.io import FamilyFormatError, dump_json, family_to_dict
-from divlab.search import CapSearch, _cap_floor, _root_orbit_reps, unconstrained_max
+from divlab.search import CapSearch, _cap_floor, unconstrained_max
 from divlab.sweeps import Row
 
 
@@ -503,9 +503,12 @@ def reference_max_size_with_degree_cap(
     n: int, k: int, cap: int, *, collect_optima: bool = False, floor: int = -1
 ) -> CapSearch:
     """The cap search pruned by the candidate and capacity bounds only: no
-    room bound.  Same root forcing, root orbit branching, floor incumbent
-    and lex DFS order as `search.max_size_with_degree_cap`, without a node
-    budget."""
+    room bound and, below the root, no orbit pruning.  Same root forcing,
+    floor incumbent and lex DFS order as `search.max_size_with_degree_cap`,
+    without a node budget.  Unless collecting, the root branches only on
+    the lex-first set of each class of sets meeting the root [k] in the
+    same number of elements (the orbits of its stabilizer), found here by
+    a scan in lex order."""
     if cap <= 0 or k == 0:
         if floor >= 0:
             return CapSearch(None, None, True, 0, [] if collect_optima else None, floor)
@@ -551,7 +554,13 @@ def reference_max_size_with_degree_cap(
                 descend(picked | low, size + 1, take(i, cands), capacity - k)
                 drop(i)
 
-    descend(1, 1, take(0, u.full ^ 1), n * cap - k, -1 if collect_optima else _root_orbit_reps(u))
+    reps = -1
+    if not collect_optima:
+        firsts = {}
+        for i, m in enumerate(u.members):
+            firsts.setdefault((m & u.members[0]).bit_count(), i)
+        reps = sum(1 << i for i in firsts.values())
+    descend(1, 1, take(0, u.full ^ 1), n * cap - k, reps)
     optima = None
     if collect_optima:
         optima = sorted(

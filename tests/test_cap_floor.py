@@ -2,7 +2,10 @@
 bound against the bound-only reference search, and the cap loop against an
 exhaustive oracle."""
 import functools
+import itertools
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,7 @@ from divlab.family import Family, elements_of, iter_ksets, mask_of
 from divlab.formulas import hm_size
 from divlab.search import (
     _cap_floor,
-    _root_orbit_reps,
+    _orbit_rule,
     extremal_c_diversity_families,
     max_c_diversity,
     max_c_diversity_exact,
@@ -281,19 +284,46 @@ def test_exact_stats_are_deterministic():
     ]
 
 
-# -- root orbit pruning: a direct search branches the root only on orbit
-# representatives; a collecting search keeps the full root
+# -- orbit pruning: a direct search branches at every node only on the
+# lex-first set of each orbit of the relabelings that fix every picked set;
+# a collecting search branches on every candidate
 
 
 @pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (6, 3), (7, 3), (5, 4), (6, 4), (7, 4), (8, 4)])
 def test_root_orbit_reps_are_lex_first_of_each_orbit(n, k):
+    # at the root [k] the orbits are the classes of |B & [k]|
     root = mask_of(range(1, k + 1))
     firsts = {}
     for mask in iter_ksets(n, k):  # lex order
         firsts.setdefault((mask & root).bit_count(), mask)
-    want = [firsts[j] for j in range(1, k) if j in firsts]
     u = Family(n, k, iter_ksets(n, k))
-    assert sorted(u.members[i - 1] for i in elements_of(_root_orbit_reps(u))) == sorted(want)
+    keep, rule = _orbit_rule(u)
+    assert sorted(u.members[i - 1] for i in elements_of(rule(keep[0]))) == sorted(firsts.values())
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2), (5, 3), (6, 3), (6, 4)])
+def test_orbit_rule_matches_brute_force_orbits(n, k):
+    # along random paths of picked sets, the sets the rule keeps are the
+    # lex-first sets of the orbits under every permutation of [n] that maps
+    # each picked set to itself
+    rng = random.Random(n * 10 + k)
+    u = Family(n, k, iter_ksets(n, k))
+    index = {m: i for i, m in enumerate(u.members)}
+    keep, rule = _orbit_rule(u)
+    perms = [(0, *g) for g in itertools.permutations(range(1, n + 1))]  # g[e]: the image of e
+
+    def image(g, m):
+        return mask_of(g[e] for e in elements_of(m))
+
+    for _ in range(20):
+        path = rng.sample(range(len(u)), rng.randint(1, 4))
+        fixing = [g for g in perms if all(image(g, u.members[i]) == u.members[i] for i in path)]
+        want = 0
+        for i, m in enumerate(u.members):
+            if all(index[image(g, m)] >= i for g in fixing):
+                want |= 1 << i
+        together = functools.reduce(operator.and_, (keep[i] for i in path))
+        assert rule(together) == want, (n, k, path)
 
 
 @pytest.mark.parametrize("n,k", CASES + [(6, 4)])
@@ -390,3 +420,24 @@ def test_93_at_five_quarters_is_exact():
     res = max_c_diversity(9, 3, Fraction(5, 4), "exact", override_guard=True)
     assert res.best_value == Fraction(15, 4) and res.exact
     assert res.stats["truncated"] == []
+
+
+def _k3_chart(n, c):
+    """max{(3-2C)(n-3), 10-5C, 7-3C, 0}: F_123, the 2-(6,3,2) design and the
+    Fano plane (n >= 7 only), or the empty family."""
+    terms = [(3 - 2 * c) * (n - 3), 10 - 5 * c, Fraction(0)]
+    if n >= 7:
+        terms.append(7 - 3 * c)
+    return max(terms)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_k3_chart_matches_exact_search(n):
+    # a chart, not a verdict: the formula is an unproved prediction for
+    # k = 3, n >= 6, C >= 1, and no check_theorem row rests on it; this pins
+    # it against the exact search wherever the search finishes
+    for c in (Fraction(1), Fraction(11, 10), Fraction(5, 4), Fraction(7, 5),
+              Fraction(3, 2), Fraction(2)):
+        res = max_c_diversity(n, 3, c, "exact", override_guard=True)
+        assert res.exact and not res.stats["truncated"], (n, c)
+        assert res.best_value == _k3_chart(n, c) == res.best_family.c_diversity(c), (n, c)

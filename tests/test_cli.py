@@ -208,6 +208,24 @@ def test_usage_and_input_errors(tmp_path, capsys):
         assert err.startswith(f"divlab: error: theorem {theorem} takes no {word}"), err
 
 
+def test_json_nested_past_the_recursion_limit_is_refused(tmp_path, capsys):
+    # each JSON reader ends in one error line, not a RecursionError traceback
+    deep = "[" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    out = tmp_path / "x.json"
+    for argv, prefix in (
+        (("measure", str(path)), f"{path}: not valid JSON ("),
+        (("sweep", str(path)), "cannot read sweep config: "),
+        (("construct", "--family", "example-t", "--n", "10", "--k", "4",
+          "--kernels", deep, "--out", str(out)), "--kernels is not JSON: "),
+    ):
+        code, text, err = run(capsys, *argv)
+        assert (code, text) == (1, ""), argv[0]
+        assert err.startswith(f"divlab: error: {prefix}") and err.count("\n") == 1, err[:200]
+    assert not out.exists()
+
+
 def test_construct_bad_kernels_and_missing_args(tmp_path, capsys):
     out = tmp_path / "x.json"
     # text that is not JSON, and a kernel that repeats an element, are refused
@@ -304,7 +322,7 @@ def test_search_truncated_exact_label(capsys):
             "--exact", "--budget", "50")
     code, text, _ = run(capsys, *args)
     assert code == 0
-    assert "[exact search, budget hit: lower bound]: 9/4" in text
+    assert "[exact search, budget hit: lower bound]: 13/4" in text
     assert "[exact]" not in text
     code, text, _ = run(capsys, *args, "--json")
     assert json.loads(text)["values"]["exact"] is False
