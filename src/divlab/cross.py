@@ -36,8 +36,11 @@ def verify_lemma_fk(m: int, ell: int, method: str = "auto") -> FkReport:
 
     "exhaustive" enumerates every qualifying pair.  "pruned" checks, per A,
     only the maximal compatible B: the conclusion is antitone in B, so that
-    single pair decides all of them.
+    single pair decides all of them.  "auto" picks exhaustive up to 10
+    candidate sets and pruned above; any other method is refused.
     """
+    if method not in ("auto", "exhaustive", "pruned"):
+        raise ValueError(f"method must be 'auto', 'exhaustive' or 'pruned', got {method!r}")
     if m < 2 * ell or ell < 2:
         raise ValueError("requires m >= 2*ell and ell >= 2")
     size = comb_capped(m, ell, 16)
@@ -57,11 +60,8 @@ def verify_lemma_fk(m: int, ell: int, method: str = "auto") -> FkReport:
                 return True
         return False
 
-    for a_picked in range(1, u.full + 1):
-        if a_picked.bit_count() < threshold:
-            continue
-        compat = u.meeting(a_picked)
-        if compat.bit_count() < threshold:
+    for a_picked, compat in enumerate(u.meeting_each()):
+        if a_picked.bit_count() < threshold or compat.bit_count() < threshold:
             continue
         b_picked = compat
         while True:  # pruned: compat alone; exhaustive: every submask of it
@@ -148,15 +148,19 @@ def verify_hilton(
     again cross-intersecting, and that simultaneous shifting preserves the
     cross-intersecting property along the way.
 
-    Exhaustive mode enumerates every pair (A over all a-set families, B over
-    the subsets of the sets compatible with A); the shift route is run on
-    every pair when few, else on a deterministic stride sample.  A cross
+    Exhaustive mode enumerates every pair (A over all a-set families in
+    ascending bitset order, B over the subsets of the sets compatible with
+    A) and runs the shift route on the pairs whose place in that order is a
+    multiple of shift_sample_stride; trial mode runs it on every pair.  The
+    route is skipped where A or B is empty or the lex test failed.  A cross
     table of more than MAX_SETS entries, or an exhaustive run facing more
-    than HILTON_EXHAUSTIVE_PAIRS pairs, is refused before any table is built,
-    and so is a trial count below 1.
+    than HILTON_EXHAUSTIVE_PAIRS pairs, is refused before any table is
+    built, and so is a trial count or a stride below 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if shift_sample_stride < 1:
+        raise ValueError(f"shift_sample_stride must be >= 1, got {shift_sample_stride}")
     if n < a + b:
         raise ValueError("requires n >= a + b")
     if comb_capped(n, a, MAX_SETS) * comb_capped(n, b, MAX_SETS) > MAX_SETS:
@@ -177,8 +181,8 @@ def verify_hilton(
 
     def candidate_pairs():
         if exhaustive:
-            for a_picked in range(ua.full + 1):
-                compat = b_picked = ub.meeting(a_picked, cross)
+            for a_picked, compat in enumerate(ub.meeting_each(cross)):
+                b_picked = compat
                 while True:  # every submask of compat
                     yield a_picked, b_picked
                     if b_picked == 0:

@@ -310,6 +310,22 @@ class Family:
             picked ^= low
         return self.full & ~bad
 
+    def meeting_each(self, table: list[int] | None = None) -> Iterator[int]:
+        """Yield meeting(picked, table) for picked = 0, 1, ..., 2^len(table) - 1
+        in order, at one and per step.  For each subset of the low
+        len(table)//2 rows, the members in none of its rows are built once,
+        by doubling, and likewise for the other rows; the high half runs in
+        the outer loop, so picked ascends."""
+        table = self.disjoint if table is None else table
+        half = len(table) // 2
+        low, high = [self.full], [self.full]
+        for row in table[:half]:
+            low += [keep & ~row for keep in low]
+        for row in table[half:]:
+            high += [keep & ~row for keep in high]
+        for keep in high:
+            yield from map(keep.__and__, low)
+
     def subfamily(self, picked: int) -> "Family":
         """The picked members as a Family."""
         return Family(self.n, self.k, (self.members[i - 1] for i in elements_of(picked)))

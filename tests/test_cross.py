@@ -1,8 +1,10 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
+from divlab import cross
 from divlab.constructions import full_star, lex_family
 from divlab.cross import (
     HILTON_EXHAUSTIVE_PAIRS,
@@ -117,11 +119,13 @@ def test_lex_limits_match_the_prefix_table():
 
 
 def test_hilton_exhaustive_small():
-    rep = verify_hilton(5, 2, 2, exhaustive=True)
-    assert rep.ok and rep.exhaustive
-    assert rep.counterexample is None
-    assert rep.pairs_checked > 5000
-    assert rep.shifts_checked > 0
+    # every pair and every 64th route, pinned up to (7,2,1)
+    for args, counts in (((5, 2, 2), (6212, 62)), ((6, 2, 2), (89126, 318)),
+                         ((7, 2, 1), (2097741, 10))):
+        rep = verify_hilton(*args, exhaustive=True)
+        assert rep.ok and rep.exhaustive
+        assert rep.counterexample is None
+        assert (rep.pairs_checked, rep.shifts_checked) == counts, args
 
 
 def test_hilton_pair_bound_covers_every_exhaustive_run():
@@ -140,6 +144,59 @@ def test_hilton_refuses_trials_below_1():
     for trials in (0, -3):
         with pytest.raises(ValueError, match=rf"^trials must be >= 1, got {trials}$"):
             verify_hilton(6, 2, 2, trials=trials)
+
+
+def test_hilton_refuses_stride_below_1():
+    for stride in (0, -1):
+        for exhaustive in (True, False):
+            with pytest.raises(ValueError, match=rf"^shift_sample_stride must be >= 1, got {stride}$"):
+                verify_hilton(4, 2, 2, exhaustive=exhaustive, shift_sample_stride=stride)
+
+
+def test_fk_refuses_unknown_method():
+    with pytest.raises(ValueError, match=r"^method must be 'auto', 'exhaustive' or 'pruned', got 'bogus'$"):
+        verify_lemma_fk(4, 2, method="bogus")
+    for method in ("auto", "exhaustive", "pruned"):
+        assert verify_lemma_fk(4, 2, method=method).ok
+
+
+def _nth_route_pair(n, a, b, stride, nth):
+    """The pair on which exhaustive Hilton runs its nth shift route, and the
+    pairs counted up to it, by one meeting call per A (the lex test passes on
+    every pair, so it is left out)."""
+    ua, ub = Family(n, a, iter_ksets(n, a)), Family(n, b, iter_ksets(n, b))
+    table = ub.disjoint_from(ua.members)
+    pairs = routes = 0
+    for a_picked in range(ua.full + 1):
+        bits = [1 << i for i in range(len(ub)) if ub.meeting(a_picked, table) >> i & 1]
+        subsets = {sum(pick) for r in range(len(bits) + 1) for pick in combinations(bits, r)}
+        for b_picked in sorted(subsets, reverse=True):
+            pairs += 1
+            if a_picked and b_picked and pairs % stride == 0:
+                routes += 1
+                if routes == nth:
+                    return (ua.subfamily(a_picked), ub.subfamily(b_picked)), pairs
+    return None
+
+
+@pytest.mark.parametrize("n, a, b, stride, nth", [
+    (4, 2, 2, 1, 1), (4, 2, 2, 1, 40), (5, 2, 2, 1, 1000), (5, 2, 2, 64, 62),
+    (6, 2, 2, 64, 1), (6, 2, 2, 64, 200), (5, 1, 3, 7, 30),
+])
+def test_hilton_counterexample_is_the_first_failing_pair(monkeypatch, n, a, b, stride, nth):
+    # a route that fails at its nth call: the run stops on the same pair, with
+    # the same count, as the walk over ascending A and descending submasks B
+    calls = 0
+
+    def route(*args):
+        nonlocal calls
+        calls += 1
+        return calls != nth
+
+    monkeypatch.setattr(cross, "_shift_route_ok", route)
+    rep = verify_hilton(n, a, b, exhaustive=True, shift_sample_stride=stride)
+    assert not rep.ok and rep.shifts_checked == nth
+    assert (rep.counterexample, rep.pairs_checked) == _nth_route_pair(n, a, b, stride, nth)
 
 
 def test_hilton_randomized_deterministic():

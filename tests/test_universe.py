@@ -77,3 +77,35 @@ def test_iter_ksets_wide_masks_in_linear_time():
     first = list(itertools.islice(iter_ksets(n, k), 5))
     run = (1 << (k - 1)) - 1  # elements 1..k-1
     assert first == [(1 << k) - 1] + [run | 1 << (k - 1 + j) for j in range(1, 5)]
+
+
+def _check_meeting_each(u, table=None):
+    rows = len(u.disjoint if table is None else table)
+    assert list(u.meeting_each(table)) == [u.meeting(a, table) for a in range(1 << rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_meeting_each_walks_meeting_in_order(data):
+    # the same bitsets in the same order as one meeting call per picked set,
+    # on the family's own table and on a cross table to another family
+    n = data.draw(st.integers(1, 6), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    b = data.draw(st.integers(0, n), label="b")
+    ksets = list(iter_ksets(n, k))
+    u = Family(n, k, data.draw(st.sets(st.sampled_from(ksets), max_size=12), label="members"))
+    other = Family(n, b, data.draw(
+        st.sets(st.sampled_from(list(iter_ksets(n, b))), max_size=12), label="other"))
+    _check_meeting_each(u)
+    _check_meeting_each(u, u.disjoint_from(other.members))
+    _check_meeting_each(Family(n, k, ksets[:12]))
+
+
+def test_meeting_each_edge_tables():
+    point = Family(3, 0, [0])  # the one-member k = 0 universe
+    assert list(point.meeting_each()) == [1, 0]  # the empty set misses itself
+    u = Family(4, 2, iter_ksets(4, 2))
+    for masks in ([], [0b0011], [0b1100, 0b0011], [0b0001, 0b0010, 0b0100]):
+        _check_meeting_each(u, u.disjoint_from(masks))
+    assert list(u.meeting_each(u.disjoint_from([]))) == [u.full]
+    assert list(Family(4, 2).meeting_each()) == [0]
