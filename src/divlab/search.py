@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -382,11 +383,10 @@ def canonical_seeds(n: int, k: int) -> list[Family]:
     if k >= 2 and n >= 3:
         seeds.append(cons.family_fi(n, k, 3))
         seeds.append(cons.family_triangle(n, k))
-    if n >= 7 and k >= 3:
-        fl, flp = cons.fano_families(n, k)
-        seeds.append(fl)
-        if k >= 4:
-            seeds.append(flp)
+    if n >= 7 and k == 3:
+        seeds.append(cons.fano_l(n, k))  # F_L+ is F_L at k = 3, so it is not built
+    elif n >= 7 and k >= 4:
+        seeds += cons.fano_families(n, k)
     return [s for s in seeds if len(s)]
 
 
@@ -403,64 +403,115 @@ def _seed_sizes(n: int, k: int) -> list[int]:
     return [size for size in sizes if size]
 
 
+def _below(getrandbits, size: int) -> int:
+    """A uniform index in range(size), size >= 1: getrandbits(width) redrawn
+    while it is size or more, width being size.bit_length().  That is the draw
+    CPython's `randrange(size)` and `choice` make (3.10 on), one stream word
+    at a time, so a search that calls it reads the same stream as one that
+    calls them."""
+    width = size.bit_length()
+    r = getrandbits(width)
+    while r >= size:
+        r = getrandbits(width)
+    return r
+
+
 class _LocalState:
     """Mutable family with incremental size/degree/score bookkeeping.
 
     Members sit in a list with a position map, so a uniform pick, a
-    membership test and a (swap-)removal are O(1) and a move costs O(k)
-    beyond the compatibility scan.
+    membership test and a (swap-)removal are O(1).  Each live member's
+    sorted elements are decoded once, on first use, and dropped when it
+    leaves (`elems`); `count[d]` is the number of elements of degree d.
+    Each element an add or a removal touches moves by one degree, so Delta
+    moves by at most one, and a removal lowers it when `count[Delta]` falls
+    to 0: a move costs O(k) beyond the compatibility scan.
+
+    `members` is any iterable of masks, or, when the degrees are given
+    (`degrees[x-1]` for element x, as `Family.degrees` has them), a sorted
+    list that the state takes over: a seed's state decodes none of its
+    members up front and makes no copy of them.
     """
 
-    __slots__ = ("n", "k", "p", "q", "members", "pos", "deg", "delta")
+    __slots__ = ("n", "k", "p", "q", "members", "pos", "elems", "deg", "count", "delta")
 
-    def __init__(self, n: int, k: int, c: Fraction, members):
+    def __init__(self, n: int, k: int, c: Fraction, members, degrees=None):
         self.n, self.k = n, k
         self.p, self.q = c.numerator, c.denominator
-        self.members = sorted(members)
+        self.elems: dict[int, tuple[int, ...]] = {}
+        if degrees is None:
+            self.members = sorted(members)
+            deg = [0] * (n + 1)
+            for m in self.members:
+                self.elems[m] = elems = elements_of(m)
+                for e in elems:
+                    deg[e] += 1
+        else:
+            self.members = members
+            deg = [0, *degrees]
         self.pos = {m: i for i, m in enumerate(self.members)}
-        self.deg = [0] * (n + 1)
-        for m in self.members:
-            for e in elements_of(m):
-                self.deg[e] += 1
-        self.delta = max(self.deg) if self.members else 0
+        self.deg = deg
+        self.delta = max(deg)  # deg[0] is 0, the Delta of the empty family
+        self.count: defaultdict[int, int] = defaultdict(int)
+        for d in deg[1:]:
+            self.count[d] += 1
 
     def __contains__(self, mask: int) -> bool:
         return mask in self.pos
 
     def pick(self, rng: random.Random) -> int:
-        return self.members[rng.randrange(len(self.members))]
+        return self.members[_below(rng.getrandbits, len(self.members))]
+
+    def elements(self, mask: int) -> tuple[int, ...]:
+        """A live member's sorted elements, decoded on first use."""
+        elems = self.elems.get(mask)
+        if elems is None:
+            elems = self.elems[mask] = elements_of(mask)
+        return elems
 
     def score(self) -> int:
         """q|F| - p*Delta; exact integer proxy for gamma_C."""
         return self.q * len(self.members) - self.p * self.delta
 
-    def add(self, mask: int) -> None:
+    def add(self, mask: int, elems: tuple[int, ...]) -> None:
+        """Put in `mask`, a non-member whose sorted elements are `elems`."""
         self.pos[mask] = len(self.members)
         self.members.append(mask)
-        for e in elements_of(mask):
-            self.deg[e] += 1
-            if self.deg[e] > self.delta:
-                self.delta = self.deg[e]
+        self.elems[mask] = elems
+        deg, count, delta = self.deg, self.count, self.delta
+        for e in elems:
+            d = deg[e]
+            count[d] -= 1
+            deg[e] = d = d + 1
+            count[d] += 1
+            if d > delta:
+                delta = d
+        self.delta = delta
 
-    def remove(self, mask: int) -> None:
+    def remove(self, mask: int) -> tuple[int, ...]:
+        """Take out member `mask`; return its sorted elements."""
         slot = self.pos.pop(mask)
         last = self.members.pop()
         if last != mask:
             self.members[slot] = last
             self.pos[last] = slot
-        peak = False
-        for e in elements_of(mask):
-            if self.deg[e] == self.delta:
-                peak = True
-            self.deg[e] -= 1
-        if peak:
-            self.delta = max(self.deg) if self.members else 0
+        elems = self.elems.pop(mask, None) or elements_of(mask)
+        deg, count = self.deg, self.count
+        for e in elems:
+            d = deg[e]
+            count[d] -= 1
+            deg[e] = d = d - 1
+            count[d] += 1
+        if not count[self.delta]:  # the peak emptied: Delta falls by one
+            self.delta -= 1
+        return elems
 
-    def add_score(self, mask: int) -> int:
-        new_delta = self.delta
-        for e in elements_of(mask):
-            if self.deg[e] + 1 > new_delta:
-                new_delta = self.deg[e] + 1
+    def add_score(self, elems: tuple[int, ...]) -> int:
+        """The score after adding a non-member with sorted elements `elems`."""
+        deg, new_delta = self.deg, self.delta
+        for e in elems:
+            if deg[e] + 1 > new_delta:
+                new_delta = deg[e] + 1
         return self.q * (len(self.members) + 1) - self.p * new_delta
 
     def compatible(self, mask: int) -> bool:
@@ -470,18 +521,26 @@ class _LocalState:
         return True
 
 
-def _random_candidate(state: _LocalState, rng: random.Random) -> int | None:
-    """A random k-set through a random element of a random member."""
+def _random_candidate(state: _LocalState, rng: random.Random) -> tuple[int, tuple[int, ...]] | None:
+    """A random k-set through a random element of a random member, with its
+    sorted elements."""
     if not state.members:
         return None
-    x = rng.choice(elements_of(state.pick(rng)))
+    getrandbits, n = rng.getrandbits, state.n
+    anchor = state.elements(state.pick(rng))
+    x = anchor[_below(getrandbits, len(anchor))]
+    drawn = [x]
     mask = 1 << (x - 1)
+    width = n.bit_length()
     for _ in range(state.k - 1):
-        bit = 1 << rng.randrange(state.n)
-        while mask & bit:
-            bit = 1 << rng.randrange(state.n)
-        mask |= bit
-    return mask
+        # _below(getrandbits, n), redrawn while the element is taken
+        r = getrandbits(width)
+        while r >= n or mask >> r & 1:
+            r = getrandbits(width)
+        mask |= 1 << r
+        drawn.append(r + 1)
+    drawn.sort()
+    return mask, tuple(drawn)
 
 
 _GREEDY_TRIES = 60  # random k-sets a random start tries to add
@@ -552,7 +611,10 @@ def max_c_diversity_heuristic(
             break
         cap += 1
     else:
-        starts = [s.members for s in canonical_seeds(n, k)]
+        # each seed as its sorted member list, which its slot's state takes
+        # over, and its degrees, read off its columns; the seed families and
+        # their columns are freed here, so a slot holds one copy of the members
+        starts = [(sorted(s.members), s.degrees) for s in canonical_seeds(n, k)]
         starts += [None] * max(4, len(starts))  # the random slots
         slots = len(starts)
         per = max(1, budget // slots)
@@ -588,11 +650,16 @@ def _keep_best(best: tuple | None, state: _LocalState) -> tuple:
 
     Every accepted move strictly raises the score, so a state is at its best
     when it is abandoned, and snapshotting only then keeps the best score and
-    the first state to reach it.
+    the first state to reach it.  The state is not used after this, so a
+    snapshot empties its maps and sorts its own member list: a seed-sized
+    snapshot is made beside neither the maps nor a sorted copy.
     """
     score = state.score()
     if best is None or score > best[0]:
-        return score, tuple(sorted(state.members))
+        state.pos.clear()
+        state.elems.clear()
+        state.members.sort()
+        return score, tuple(state.members)
     return best
 
 
@@ -608,30 +675,34 @@ def _move(state: _LocalState, rng: random.Random) -> tuple[int, bool]:
     old = state.score()
     if move:
         victim = state.pick(rng)
-        state.remove(victim)
+        victim_elems = state.remove(victim)
     if move == 1:
         accepted = state.score() > old
     else:
-        cand = _random_candidate(state, rng)
+        drawn = _random_candidate(state, rng)
         accepted = (
-            cand is not None
-            and cand not in state
-            and state.compatible(cand)
-            and state.add_score(cand) > old
+            drawn is not None
+            and drawn[0] not in state
+            and state.compatible(drawn[0])
+            and state.add_score(drawn[1]) > old
         )
         if accepted:
-            state.add(cand)
+            state.add(*drawn)
     if move and not accepted:
-        state.add(victim)
+        state.add(victim, victim_elems)
     return move, accepted
 
 
 def _run_restart(n: int, k: int, c: Fraction, start, moves: int, rng_seed: int):
-    """One slot: local search from `start` (a random start when None) for
-    `moves` moves.  Returns the best (score, sorted members), the random
-    restarts, and the moves tried and accepted per kind."""
+    """One slot: local search from `start`, a seed's (sorted member list,
+    degrees), or from a random start when None, for `moves` moves.  Returns the best
+    (score, sorted members), the random restarts, and the moves tried and
+    accepted per kind."""
     rng = random.Random(rng_seed)
-    state = _LocalState(n, k, c, start if start is not None else _greedy_random(n, k, rng))
+    if start is None:
+        state = _LocalState(n, k, c, _greedy_random(n, k, rng))
+    else:
+        state = _LocalState(n, k, c, *start)
     best = None
     tried = [0, 0, 0]
     taken = [0, 0, 0]

@@ -582,3 +582,176 @@ def reference_every_cap_closed(n: int, k: int, c: Fraction) -> bool:
             return True
         cap += 1
     return False
+
+
+# -- reference local search ----------------------------------------------------
+# The heuristic's local search as it was before each move cost O(k): every
+# element tuple decoded from its mask when used, Delta rescanned over all n
+# elements when a peak element loses a set, and the draws made by randrange
+# and choice.  The classes and functions below are that code, renamed; the
+# differential tests check that the search reads the same random stream and
+# returns the same slots.
+
+_REFERENCE_GREEDY_TRIES = 60  # random k-sets a random start tries to add
+
+
+def reference_greedy_random(n: int, k: int, rng: random.Random) -> set[int]:
+    start = 1 << rng.randrange(n)
+    mask = start
+    for e in rng.sample([e for e in range(1, n + 1) if not mask >> (e - 1) & 1], k - 1):
+        mask |= 1 << (e - 1)
+    fam = {mask}
+    for _ in range(_REFERENCE_GREEDY_TRIES):
+        cand = 0
+        sample = rng.sample(range(1, n + 1), k)
+        for e in sample:
+            cand |= 1 << (e - 1)
+        if cand not in fam and all(cand & m for m in fam):
+            fam.add(cand)
+    return fam
+
+
+class ReferenceLocalState:
+    """Mutable family with incremental size/degree/score bookkeeping.
+
+    Members sit in a list with a position map, so a uniform pick, a
+    membership test and a (swap-)removal are O(1) and a move costs O(k)
+    beyond the compatibility scan.
+    """
+
+    __slots__ = ("n", "k", "p", "q", "members", "pos", "deg", "delta")
+
+    def __init__(self, n: int, k: int, c: Fraction, members):
+        self.n, self.k = n, k
+        self.p, self.q = c.numerator, c.denominator
+        self.members = sorted(members)
+        self.pos = {m: i for i, m in enumerate(self.members)}
+        self.deg = [0] * (n + 1)
+        for m in self.members:
+            for e in elements_of(m):
+                self.deg[e] += 1
+        self.delta = max(self.deg) if self.members else 0
+
+    def __contains__(self, mask: int) -> bool:
+        return mask in self.pos
+
+    def pick(self, rng: random.Random) -> int:
+        return self.members[rng.randrange(len(self.members))]
+
+    def score(self) -> int:
+        """q|F| - p*Delta; exact integer proxy for gamma_C."""
+        return self.q * len(self.members) - self.p * self.delta
+
+    def add(self, mask: int) -> None:
+        self.pos[mask] = len(self.members)
+        self.members.append(mask)
+        for e in elements_of(mask):
+            self.deg[e] += 1
+            if self.deg[e] > self.delta:
+                self.delta = self.deg[e]
+
+    def remove(self, mask: int) -> None:
+        slot = self.pos.pop(mask)
+        last = self.members.pop()
+        if last != mask:
+            self.members[slot] = last
+            self.pos[last] = slot
+        peak = False
+        for e in elements_of(mask):
+            if self.deg[e] == self.delta:
+                peak = True
+            self.deg[e] -= 1
+        if peak:
+            self.delta = max(self.deg) if self.members else 0
+
+    def add_score(self, mask: int) -> int:
+        new_delta = self.delta
+        for e in elements_of(mask):
+            if self.deg[e] + 1 > new_delta:
+                new_delta = self.deg[e] + 1
+        return self.q * (len(self.members) + 1) - self.p * new_delta
+
+    def compatible(self, mask: int) -> bool:
+        for m in self.members:
+            if not m & mask:
+                return False
+        return True
+
+
+def reference_random_candidate(state: ReferenceLocalState, rng: random.Random) -> int | None:
+    """A random k-set through a random element of a random member."""
+    if not state.members:
+        return None
+    x = rng.choice(elements_of(state.pick(rng)))
+    mask = 1 << (x - 1)
+    for _ in range(state.k - 1):
+        bit = 1 << rng.randrange(state.n)
+        while mask & bit:
+            bit = 1 << rng.randrange(state.n)
+        mask |= bit
+    return mask
+
+
+def reference_keep_best(best: tuple | None, state: ReferenceLocalState) -> tuple:
+    """Snapshot an abandoned state if it beats the best so far."""
+    score = state.score()
+    if best is None or score > best[0]:
+        return score, tuple(sorted(state.members))
+    return best
+
+
+def reference_move(state: ReferenceLocalState, rng: random.Random) -> tuple[int, bool]:
+    """Try one random move; return its index in _MOVE_KINDS and whether it was kept.
+
+    add and swap put in a random candidate, remove and swap first take out
+    a random victim; a move is kept only if it strictly raises the score,
+    and a rejected remove or swap puts the victim back (last in the list).
+    """
+    roll = rng.random()
+    move = 0 if roll < 0.5 or len(state.members) <= 1 else 1 if roll < 0.75 else 2
+    old = state.score()
+    if move:
+        victim = state.pick(rng)
+        state.remove(victim)
+    if move == 1:
+        accepted = state.score() > old
+    else:
+        cand = reference_random_candidate(state, rng)
+        accepted = (
+            cand is not None
+            and cand not in state
+            and state.compatible(cand)
+            and state.add_score(cand) > old
+        )
+        if accepted:
+            state.add(cand)
+    if move and not accepted:
+        state.add(victim)
+    return move, accepted
+
+
+def reference_run_restart(n: int, k: int, c: Fraction, start, moves: int, rng_seed: int):
+    """One slot: local search from `start` (a random start when None) for
+    `moves` moves.  Returns the best (score, sorted members), the random
+    restarts, and the moves tried and accepted per kind."""
+    rng = random.Random(rng_seed)
+    state = ReferenceLocalState(n, k, c, start if start is not None else reference_greedy_random(n, k, rng))
+    best = None
+    tried = [0, 0, 0]
+    taken = [0, 0, 0]
+    restarts = 0
+    since_accept = 0
+    for _ in range(moves):
+        move, accepted = reference_move(state, rng)
+        tried[move] += 1
+        if accepted:
+            taken[move] += 1
+            since_accept = 0
+        else:
+            since_accept += 1
+            if since_accept > 400:
+                best = reference_keep_best(best, state)
+                state = ReferenceLocalState(n, k, c, reference_greedy_random(n, k, rng))
+                restarts += 1
+                since_accept = 0
+    return reference_keep_best(best, state), restarts, tried, taken

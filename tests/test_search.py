@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from divlab import search
 from divlab.canonical import canonical_form
 from divlab.constructions import MAX_SETS, family_triangle, fano_families
-from divlab.family import Family, iter_ksets, mask_of
+from divlab.family import Family, elements_of, iter_ksets, mask_of
 from divlab.search import (
     canonical_seeds,
     extremal_c_diversity_families,
@@ -218,6 +219,11 @@ def _recount(state: search._LocalState) -> Family:
     delta = fam.max_degree()[0] if len(fam) else 0
     assert state.delta == delta
     assert state.score() == state.q * len(fam) - state.p * delta
+    # the degree histogram, where a zero count stands for a missing one, and
+    # the element cache of live members
+    assert {d: x for d, x in state.count.items() if x} == Counter(state.deg[1:])
+    assert all(m in state for m in state.elems)
+    assert all(state.elems[m] == elements_of(m) for m in state.elems)
     return fam
 
 
@@ -229,16 +235,19 @@ def test_local_state_matches_recount():
         start = rng.sample(universe, 5)
         state = search._LocalState(n, k, c, start)
         _recount(state)
+        # a seed's state takes its degrees from the seed family and decodes nothing
+        seeded = search._LocalState(n, k, c, sorted(start), Family(n, k, start).degrees)
+        assert not seeded.elems and _recount(seeded) == _recount(state)
         for _ in range(400):
             if state.members and (rng.random() < 0.5 or len(state.members) == len(universe)):
                 # the last slot, the only member, or a random one
                 victim = state.members[-1] if rng.random() < 0.3 else state.pick(rng)
-                state.remove(victim)
+                assert state.remove(victim) == elements_of(victim)
                 assert victim not in state
             else:
                 cand = rng.choice([m for m in universe if m not in state])
-                assert state.add_score(cand) == _score_with(state, cand)
-                state.add(cand)
+                assert state.add_score(elements_of(cand)) == _score_with(state, cand)
+                state.add(cand, elements_of(cand))
                 assert cand in state
             _recount(state)
         while state.members:
@@ -257,8 +266,9 @@ def test_restart_outcomes_are_sound():
     # q|F| - p*Delta of the returned members, which form an intersecting family
     for n, k, c in ((16, 3, Fraction(5, 4)), (20, 3, Fraction(1))):
         seeds = canonical_seeds(n, k)
-        starts = [s.members for s in seeds] + [None] * max(4, len(seeds))
         for seed in (0, 1, 5):
+            # a seed's state takes its member list over, so each run gets its own
+            starts = [(sorted(s.members), s.degrees) for s in seeds] + [None] * max(4, len(seeds))
             for idx, start in enumerate(starts):
                 (score, members), restarts, tried, taken = search._run_restart(
                     n, k, c, start, 250, seed * 7919 + idx)
@@ -268,7 +278,7 @@ def test_restart_outcomes_are_sound():
                 assert sum(tried) == 250
                 assert all(a <= t for a, t in zip(taken, tried)) and restarts >= 0
                 if start is not None:  # never worse than its seed
-                    first = Family(n, k, start)
+                    first = seeds[idx]
                     assert score >= c.denominator * len(first) - c.numerator * first.max_degree()[0]
 
 
@@ -278,11 +288,51 @@ def test_random_candidate_meets_anchor():
         anchor = mask_of(range(1, k + 1))
         state = search._LocalState(n, k, Fraction(1), [anchor])
         for _ in range(200):
-            cand = search._random_candidate(state, rng)
+            cand, elems = search._random_candidate(state, rng)
             assert cand.bit_count() == k and cand & anchor
             assert cand < 1 << n
+            assert elems == elements_of(cand)
     empty = search._LocalState(6, 2, Fraction(1), [])
     assert search._random_candidate(empty, random.Random(0)) is None
+
+
+def test_index_draws_match_randrange_and_choice():
+    # the search draws indices by rejection on getrandbits; that is the stream
+    # randrange(n) and choice read, draw for draw, so the rest of it is unchanged
+    for n in (1, 2, 3, 7, 64, 65, 252, 31375):
+        for seed in range(3):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            seq = tuple(range(10, 10 + n))
+            for _ in range(300):
+                assert search._below(ours.getrandbits, n) == theirs.randrange(n), n
+                assert seq[search._below(ours.getrandbits, n)] == theirs.choice(seq), n
+            assert ours.random() == theirs.random()
+    state = search._LocalState(9, 3, Fraction(1), list(iter_ksets(9, 3))[:65])
+    ours, theirs = random.Random(5), random.Random(5)
+    for _ in range(300):
+        assert state.pick(ours) == theirs.choice(state.members)
+
+
+def test_canonical_seeds_build_fano_lplus_only_from_k_4(monkeypatch):
+    # at k = 3 F_L+ is F_L, so only F_L is built; the seeds are unchanged
+    from divlab import constructions as cons
+
+    want = {(n, k): canonical_seeds(n, k) for n in (7, 9, 12) for k in (3, 4)}
+    assert [len(s) for s in want[12, 4]] == search._seed_sizes(12, 4)
+    for n in (7, 9, 12):
+        fl, flp = fano_families(n, 3)
+        assert fl == flp and want[n, 3][-1] == fl
+        # after the star, F_3 and the triangle; F_L is empty at (7, 4), so it is dropped
+        assert want[n, 4][3:] == [f for f in fano_families(n, 4) if len(f)]
+
+    def fail(*args):
+        raise AssertionError("F_L+ was built at k = 3")
+
+    monkeypatch.setattr(cons, "fano_families", fail)
+    for n in (7, 9, 12):
+        assert canonical_seeds(n, 3) == want[n, 3]
+        with pytest.raises(AssertionError):
+            canonical_seeds(n, 4)
 
 
 def test_heuristic_refuses_oversized_star(monkeypatch):
