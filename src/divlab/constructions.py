@@ -17,19 +17,28 @@ FANO_LINES: tuple[frozenset[int], ...] = tuple(
 )
 
 
-def _by_trace(n: int, k: int, parts):
-    """The k-subsets of [n] whose trace P on some part's core passes that
-    part's keep(P): P joined to every (k-|P|)-subset outside the core.
+def _by_trace(n: int, k: int, parts) -> Family:
+    """The family of the k-subsets of [n] whose trace P on some part's core
+    passes that part's keep(P): P joined to every (k-|P|)-subset outside the
+    core.  The parts' blocks must be disjoint.
 
     The size is summed first, by binomials capped just above the guard: a
     family of more than MAX_SETS sets, or one needing more than MAX_SETS
     core traces tested, is refused before any set is made, and so is one
-    above the element-bit guard (check_element_bits).  The sets come
-    from the returned iterator, each built from element indices as it is
-    yielded.
+    above the element-bit guard (check_element_bits).  Each set is built
+    from element indices as the Family takes it.
+
+    The degrees are read off the plan, not off the members: a block (trace
+    P, outside O, r = k - |P|) adds C(|O|, r) to each element of P and
+    C(|O|-1, r-1) = C(|O|, r) r / |O| to each element of O, so they cost
+    O(n) per part and O(|P|) per block.  A family that comes out with other
+    than the planned size had overlapping blocks, and is refused.
     """
     check_ground_set(n)
     plan, total, tested = [], 0, 0
+    # each element's degree is base + deg[e]: base sums what every part gives
+    # to each element outside its core, and deg[e] takes a core's share back
+    base, deg = 0, [0] * (n + 1)
     for core, keep in parts:
         bits = format(core, "b").zfill(n)[::-1]  # bits[e-1] is element e's bit
         inside = [e for e, bit in enumerate(bits, 1) if bit == "1"]
@@ -38,26 +47,39 @@ def _by_trace(n: int, k: int, parts):
         # C(N, r) falls as |2r - N| grows, so no binomial is computed to sort
         sizes = sorted(range(max(0, k - len(outside)), min(k, len(inside)) + 1),
                        key=lambda size: abs(2 * (k - size) - len(outside)))
+        spread = 0  # what this part's blocks add to each element outside its core
         for size in sizes:
             if tested + comb_capped(len(inside), size, MAX_SETS - tested) > MAX_SETS:
                 raise ValueError(
                     f"guard: the family on (n={n}, k={k}) needs {tested} + C({len(inside)}, "
                     f"{size}) core traces tested, above the {MAX_SETS}-set guard"
                 )
-            block = comb_capped(len(outside), k - size, MAX_SETS)
+            r = k - size
+            block = comb_capped(len(outside), r, MAX_SETS)
             for combo in itertools.combinations(inside, size):
                 trace, tested = mask_of(combo), tested + 1
                 if keep(trace):
                     total += block
-                    plan.append((trace, outside, k - size))
-                if total > MAX_SETS:
-                    raise ValueError(
-                        f"guard: the family on (n={n}, k={k}) has at least {total} sets "
-                        f"after {tested} traces tested, above the {MAX_SETS}-set guard"
-                    )
+                    if total > MAX_SETS:
+                        raise ValueError(
+                            f"guard: the family on (n={n}, k={k}) has at least {total} sets "
+                            f"after {tested} traces tested, above the {MAX_SETS}-set guard"
+                        )
+                    plan.append((trace, outside, r))
+                    spread += block * r // len(outside) if r else 0
+                    for e in combo:
+                        deg[e] += block
+        base += spread
+        for e in inside:
+            deg[e] -= spread
     check_element_bits(total, k, n)
-    return (trace | mask_of(rest) for trace, outside, r in plan
-            for rest in itertools.combinations(outside, r))
+    fam = Family(n, k, (trace | mask_of(rest) for trace, outside, r in plan
+                        for rest in itertools.combinations(outside, r)))
+    if len(fam) != total:
+        raise ValueError(f"the trace plan on (n={n}, k={k}) has overlapping blocks: "
+                         f"{len(fam)} distinct sets of {total} planned")
+    fam._set_degrees(base + d for d in deg[1:])
+    return fam
 
 
 def full_star(n: int, k: int, center: int = 1) -> Family:
@@ -66,7 +88,7 @@ def full_star(n: int, k: int, center: int = 1) -> Family:
         raise ValueError(f"center {center} outside [1,{n}]")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    return Family(n, k, _by_trace(n, k, [(1 << (center - 1), bool)]))
+    return _by_trace(n, k, [(1 << (center - 1), bool)])
 
 
 def family_fi(n: int, k: int, i: int) -> Family:
@@ -80,9 +102,9 @@ def family_fi(n: int, k: int, i: int) -> Family:
     if i > n:
         raise ValueError(f"i={i} exceeds the ground set")
     window = ((1 << i) - 1) ^ 1  # the elements 2..i
-    return Family(n, k, _by_trace(n, k, [
+    return _by_trace(n, k, [
         (1 | window, lambda p: p & window == window or p & 1 and p & window),
-    ]))
+    ])
 
 
 def _uvw(n: int, k: int, triple: tuple[int, int, int], keep) -> Family:
@@ -93,7 +115,7 @@ def _uvw(n: int, k: int, triple: tuple[int, int, int], keep) -> Family:
         raise ValueError(f"triple {triple} exceeds the ground set [1,{n}]")
     if k < 2:
         raise ValueError("uniformity must be at least 2")
-    return Family(n, k, _by_trace(n, k, [(t, keep)]))
+    return _by_trace(n, k, [(t, keep)])
 
 
 def family_uvw(n: int, k: int, triple: tuple[int, int, int]) -> Family:
@@ -177,7 +199,7 @@ def _fano(n: int, k: int, keep) -> Family:
         raise ValueError(f"Fano families need n >= 7, got {n}")
     if k < 3:
         raise ValueError(f"Fano families need k >= 3, got {k}")
-    return Family(n, k, _by_trace(n, k, [(_SEVEN, keep)]))
+    return _by_trace(n, k, [(_SEVEN, keep)])
 
 
 def fano_l(n: int, k: int) -> Family:
@@ -250,4 +272,4 @@ def example_t(n: int, k: int, kernels: KernelTriple) -> Family:
         pair = three ^ own
         return three | km, lambda p: p & three == pair and p & km or p == own | km
 
-    return Family(n, k, _by_trace(n, k, [block(i, a) for i, a in zip((1, 2, 3), kernels.parts())]))
+    return _by_trace(n, k, [block(i, a) for i, a in zip((1, 2, 3), kernels.parts())])

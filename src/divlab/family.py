@@ -332,10 +332,16 @@ class Family:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        """degrees[x-1] = number of members containing element x."""
+        """degrees[x-1] = number of members containing element x: the
+        columns' popcounts, unless a constructor filled them from its plan."""
         if self._degrees is None:
             self._degrees = tuple(map(int.bit_count, self.cols[1:]))
         return self._degrees
+
+    def _set_degrees(self, degrees: Iterable[int]) -> None:
+        """Fill the degree table from a source known to be exact (a
+        constructor's trace plan), so no column is built to count it."""
+        self._degrees = tuple(degrees)
 
     def degree(self, x: int) -> int:
         if not 1 <= x <= self.n:
@@ -370,9 +376,12 @@ class Family:
     def is_intersecting(self) -> bool:
         """True iff every two members share an element (empty family counts):
         each member's columns cover all members.  A k = 0 family has at most
-        one member, so no pair."""
+        one member, so no pair; on n < 2k any two k-sets meet in at least
+        2k - n elements, so no column is built."""
+        if not self.k or 2 * self.k > self.n:
+            return True
         cols, full = self.cols, self.full
-        return not self.k or all(union(cols, m) == full for m in self.members)
+        return all(union(cols, m) == full for m in self.members)
 
     def is_star(self) -> bool:
         """True iff some element lies in every member (empty family counts)."""
@@ -469,9 +478,13 @@ def trace_counter(fam: Family):
 
 
 def cross_intersecting(a: Family, b: Family, t: int = 1) -> bool:
-    """True iff every member of `a` meets every member of `b` in >= t elements."""
+    """True iff every member of `a` meets every member of `b` in >= t elements.
+    An a.k-set and a b.k-set of [n] meet in at least a.k + b.k - n elements,
+    so that many decide it at once."""
     if a.n != b.n:
         raise ValueError(f"families live on different ground sets ({a.n} vs {b.n})")
+    if a.k + b.k - a.n >= t:
+        return True
     if t == 1:  # each member of a meets all of b
         cols, full = b.cols, b.full
         return all(union(cols, m) == full for m in a.members)

@@ -173,7 +173,7 @@ def gamma_c_bound(c: Fraction, n: int, k: int) -> tuple[Fraction | None, bool, s
     """(bound, hypotheses_hold, kind): the published bound on gamma_C for
     the regime containing C, and whether its hypotheses hold at (n, k)."""
     if c == 1:
-        return Fraction(binom(n - 3, k - 2)), n > 36 * k, "diversity<=C(n-3,k-2)"
+        return Fraction(binom(n - 3, k - 2)), k >= 1 and n > 36 * k, "diversity<=C(n-3,k-2)"
     if 1 < c < Fraction(3, 2):
         threshold, bound = main_bound(c, n, k)
         return bound, k >= 3 and Fraction(n) >= threshold, "triangle-bound"

@@ -612,8 +612,8 @@ def max_c_diversity_heuristic(
         cap += 1
     else:
         # each seed as its sorted member list, which its slot's state takes
-        # over, and its degrees, read off its columns; the seed families and
-        # their columns are freed here, so a slot holds one copy of the members
+        # over, and its degrees, read off its trace plan; the seed families are
+        # freed here, so a slot holds one copy of the members
         starts = [(sorted(s.members), s.degrees) for s in canonical_seeds(n, k)]
         starts += [None] * max(4, len(starts))  # the random slots
         slots = len(starts)

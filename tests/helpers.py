@@ -267,7 +267,7 @@ def reference_gamma_c_bound(c: Fraction, n: int, k: int):
     """formulas.gamma_c_bound with each regime's bound and threshold written
     out: (bound or None, hypotheses_hold, kind)."""
     if c == 1:
-        return Fraction(binom(n - 3, k - 2)), n > 36 * k, "diversity<=C(n-3,k-2)"
+        return Fraction(binom(n - 3, k - 2)), k >= 1 and n > 36 * k, "diversity<=C(n-3,k-2)"
     if 1 < c < Fraction(3, 2):
         hyp = k >= 3 and Fraction(n) >= Fraction(42 * k) / (3 - 2 * c)
         return (3 - 2 * c) * binom(n - 3, k - 2), hyp, "triangle-bound"

@@ -94,6 +94,18 @@ def test_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+def test_fw2_on_a_k0_family_is_no_violation(tmp_path, capsys):
+    # the C = 1 row needs k >= 1: {emptyset} on [5] is no counterexample,
+    # so the exit code is 0, not the violation code 2
+    empty_set = tmp_path / "k0.json"
+    empty_set.write_text('{"n": 5, "k": 0, "sets": [[]]}')
+    code, text, _ = run(capsys, "verify", "--theorem", "fw2", "--family", str(empty_set), "--json")
+    assert code == 0
+    data = json.loads(text)
+    assert data["verdict"] == "hypotheses-not-applicable"
+    assert data["values"]["hypotheses_hold"] is False
+
+
 def test_usage_and_input_errors(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--theorem", "nope", "--family", "x.json")
     assert code == 1

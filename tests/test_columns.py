@@ -1,6 +1,7 @@
 """The incidence-column engine against the pair scans it replaced."""
 import itertools
 import math
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from helpers import (
     brute_disjointness,
     brute_is_intersecting,
     brute_is_star,
+    random_family,
 )
 
 pytest.importorskip("hypothesis")
@@ -150,3 +152,43 @@ def test_columns_across_join_chunks():
     for fam in (Family(16, 5, _first(16, 5, chunk + 1)), Family(16, 5, iter_ksets(16, 5))):
         assert len(fam) > chunk
         assert fam.cols == brute_columns(fam)
+
+
+def test_intersection_decided_by_shape_matches_pair_scans(monkeypatch):
+    # any a-set and b-set of [n] meet in at least a + b - n elements, so
+    # is_intersecting on n < 2k and cross_intersecting at a + b - n >= t
+    # answer without building a column; elsewhere the columns still decide
+    rng = random.Random(2811)
+    fams = []
+    for n in range(1, 9):
+        for k in range(n + 1):
+            fams.append(Family(n, k))
+            fams.append(random_family(rng, n, k, 0.5))
+            fams.append(Family(n, k, iter_ksets(n, k)))
+    assert any(f.n == 2 * f.k - 1 and len(f) > 1 for f in fams)
+    assert any(f.n == 2 * f.k and not brute_is_intersecting(f) for f in fams)
+    built = []
+    real = family_module.columns
+
+    def spy(n, masks, k):
+        built.append((n, k))
+        return real(n, masks, k)
+
+    monkeypatch.setattr(family_module, "columns", spy)
+
+    def fresh(fam: Family) -> Family:  # a copy with no cached columns
+        return Family(fam.n, fam.k, fam.members)
+
+    for fam in fams:
+        built.clear()
+        assert fresh(fam).is_intersecting() == brute_is_intersecting(fam), fam
+        assert (built == []) == (not fam.k or fam.n < 2 * fam.k), fam
+        for other in fams:
+            if other.n != fam.n:
+                continue
+            for t in (0, 1, 2, 3):
+                built.clear()
+                want = brute_cross_intersecting(fam, other, t)
+                assert cross_intersecting(fresh(fam), fresh(other), t) == want, (fam, other, t)
+                if fam.k + other.k - fam.n >= t:
+                    assert want and built == [], (fam, other, t)

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from divlab import constructions
+from divlab import family as family_module
 from divlab.constructions import (
     FANO_LINES,
     MAX_SETS,
@@ -35,7 +36,7 @@ from divlab.formulas import (
     fi_gamma,
     triangle_size,
 )
-from helpers import brute_named_family, random_cross_pair, random_intersecting
+from helpers import brute_degrees, brute_named_family, random_cross_pair, random_intersecting
 
 
 def test_full_star():
@@ -296,3 +297,57 @@ def test_size_guard_admits_families_up_to_the_limit(monkeypatch):
     assert len(lex_family(10, 3, 36)) == 36
     with pytest.raises(ValueError, match="guard"):
         lex_family(10, 3, 37)
+
+
+def _plan_grid(n_max: int):
+    """(name, n, k, params, built family) for every constructor built from a
+    trace plan, at every (n, k) with n <= n_max: stars at both ends of [n],
+    F_i at every i, one triple of each uvw shape, both Fano families, and
+    example-t with sample and unequal kernels."""
+    unequal = KernelTriple(frozenset({4, 5}), frozenset({5, 6, 7}), frozenset({4, 6}))
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            for center in sorted({1, n}):
+                yield "star", n, k, {"center": center}, full_star(n, k, center)
+            for i in range(3, min(k + 1, n) + 1):
+                yield "fi", n, k, {"i": i}, family_fi(n, k, i)
+            if k >= 2 and n >= 3:
+                yield "uvw", n, k, {"triple": (1, 2, 3)}, family_triangle(n, k)
+                triple = (1, n // 2 + 1, n)
+                yield "uvw", n, k, {"triple": triple}, family_uvw(n, k, triple)
+                yield "uvw-star", n, k, {"triple": triple}, family_uvw_star(n, k, triple)
+            if n >= 7 and k >= 3:
+                yield "fano-l", n, k, {}, fano_l(n, k)
+                yield "fano-lplus", n, k, {}, fano_lplus(n, k)
+            shapes = [sample_kernels(ell) for ell in range(2, k) if ell + 4 <= n]
+            if k >= 4 and n >= 7:
+                shapes.append(unequal)
+            for kernels in shapes:
+                yield "example-t", n, k, {"kernels": kernels}, example_t(n, k, kernels)
+
+
+def test_plan_degrees_match_brute_force(monkeypatch):
+    # a constructed family's degrees come from its trace plan, so neither the
+    # degrees nor Delta and its witness build a column
+    def fail(*args):
+        raise AssertionError("columns were built")
+
+    monkeypatch.setattr(family_module, "columns", fail)
+    seen, shapes = set(), set()
+    for name, n, k, params, fam in _plan_grid(15):
+        want = brute_degrees(brute_named_family(name, n, k, **params))
+        assert fam.degrees == want, (name, n, k, params)
+        top = max(want)
+        assert fam.max_degree() == ((top, want.index(top) + 1) if len(fam) else (0, None))
+        seen.add(name)
+        shapes |= {"k=1"} if k == 1 else set()
+        shapes |= {"k=n"} if k == n else set()
+        shapes |= {"n<2k"} if n < 2 * k else set()
+    assert seen == {"star", "fi", "uvw", "uvw-star", "fano-l", "fano-lplus", "example-t"}
+    assert shapes == {"k=1", "k=n", "n<2k"}
+
+
+def test_overlapping_trace_plan_is_refused():
+    # two stars on [5] share the sets holding both centers: 8 sets planned, 7 made
+    with pytest.raises(ValueError, match="overlapping blocks: 7 distinct sets of 8 planned"):
+        constructions._by_trace(5, 2, [(0b1, bool), (0b10, bool)])

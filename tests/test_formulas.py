@@ -112,6 +112,23 @@ def test_check_fw2():
     assert vs.satisfied and not vs.tight
 
 
+def test_fw2_needs_k_at_least_1():
+    # a k = 0 family holds at most the empty set, whose diversity 1 exceeds
+    # C(n-3, -2) = 0 at every n; the C = 1 row's hypotheses exclude k = 0,
+    # and keep k = 1 and 2, where the theorem holds trivially
+    for n in (1, 5, 36, 37, 200):
+        bound, hyp, _ = gamma_c_bound(Fraction(1), n, 0)
+        assert (bound, hyp) == (0, False)
+        v = check_theorem(Family(n, 0, [0]), "fw2")
+        assert not v.hypotheses_hold and not v.satisfied
+    for k in (1, 2):
+        assert gamma_c_bound(Fraction(1), 36 * k + 1, k)[1]
+        assert not gamma_c_bound(Fraction(1), 36 * k, k)[1]
+        star = full_star(36 * k + 1, k)
+        v = check_theorem(star, "fw2")
+        assert v.hypotheses_hold and v.satisfied
+
+
 def test_check_fw3():
     star = full_star(100, 4, 1)
     v = check_theorem(star, "fw3")
@@ -149,13 +166,13 @@ def test_gamma_c_bound_regimes_match_written_out_bounds():
     # bound 0 and hypotheses false elsewhere) read the same rows
     grid = [Fraction(-1), Fraction(0), Fraction(1), Fraction(11, 10), Fraction(5, 4),
             Fraction(7, 5), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(3)]
-    for k in range(2, 6):
-        ns = {36 * k, 36 * k + 1}
+    for k in range(0, 6):
+        ns = {36 * k, 36 * k + 1, 5}
         for c in grid:
             if 1 < c < Fraction(3, 2):
                 edge = -(-42 * k // (3 - 2 * c))
                 ns |= {edge - 1, edge}
-        for n in sorted(ns):
+        for n in sorted(n for n in ns if n >= max(k, 1)):
             one_set = Family.from_sets(n, k, [range(1, k + 1)])
             fw2 = check_theorem(one_set, "fw2")
             assert (fw2.rhs, fw2.hypotheses_hold) == gamma_c_bound(Fraction(1), n, k)[:2]
