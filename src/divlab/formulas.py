@@ -111,6 +111,9 @@ def fano_l_size(n: int, k: int) -> int:
 
 
 def fano_l_delta(n: int, k: int) -> int:
+    """The degree 3 C(n-7,k-3) of a point of [7] in F_L, which is not always
+    Delta: an element outside [7] has degree 7 C(n-8,k-4), the larger
+    exactly when 7(k-3) > 3(n-7)."""
     return 3 * binom(n - 7, k - 3)
 
 
@@ -119,6 +122,9 @@ def fano_lplus_size(n: int, k: int) -> int:
 
 
 def fano_lplus_delta(n: int, k: int) -> int:
+    """The degree 3 C(n-7,k-3) + 16 C(n-7,k-4) of a point of [7] in F_L+,
+    which is not always Delta: an element outside [7] has degree
+    7 C(n-8,k-4) + 28 C(n-8,k-5), which can be larger."""
     return 3 * binom(n - 7, k - 3) + 16 * binom(n - 7, k - 4)
 
 

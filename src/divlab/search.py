@@ -9,7 +9,7 @@ cap that cannot beat the incumbent is skipped, and the others are searched
 only above the size that would beat it (`_cap_floor`).  Within a cap a
 subtree is cut when an upper bound on its sizes (the candidates, the
 degree capacity, and the room each picked set leaves) cannot reach what
-the node needs, and a direct search branches only on the sets that are
+the node needs, and every search branches only on the sets that are
 lex-first in their orbit under the relabelings fixing every picked set
 (`_orbit_rule`).  Heuristic mode is seeded local search and never claims
 exactness.  Every entry point makes one input check (`_check_input`:
@@ -91,13 +91,14 @@ def max_size_with_degree_cap(
 
     Branch-and-bound over the lex order; a nonempty optimum can always be
     relabeled to contain {1,...,k}, so that member is forced at the root.
-    Unless collecting, each node branches only on the sets that are
-    lex-first in their orbit under the relabelings fixing every picked set
-    (`_orbit_rule`).  Let F0 be the lex-first largest family holding the
-    root.  If g fixes the picked sets X_0..X_d of a node on F0's path and
-    g(X_{d+1}) < X_{d+1}, then g(F0) < F0; so every node on that path is
-    kept, the search returns F0 as a full search does, and it visits no
-    node a full search does not.
+    Each node branches only on the sets that are lex-first in their orbit
+    under the relabelings fixing every picked set (`_orbit_rule`).  Let G
+    be the lex-first root-holding member of a class of isomorphic largest
+    families.  If g fixes the picked sets X_0..X_d of a node on G's path
+    and g(X_{d+1}) < X_{d+1}, then g(G) < G is in the class and holds the
+    root; so every node on that path is kept.  The search returns the
+    family a full search does, visits no node it does not, and (when
+    collecting) keeps a subsequence of its optima holding every class.
     Only sizes above `floor` count: the search starts with that incumbent
     and no other, since its first descent is the greedy leaf, and returns
     no family (size None) when nothing beats it.  A maximum
@@ -178,9 +179,7 @@ def max_size_with_degree_cap(
         for a in path:
             if sum(map(at, elems[a])) < need:
                 return
-        # a collecting search branches on every candidate, the others on the
-        # lex-first set of each orbit
-        todo = cands if collect_optima else cands & firsts(together)
+        todo = cands & firsts(together)  # the lex-first set of each orbit
         while todo:  # branch in lex order
             if out_of_budget:
                 return
@@ -358,13 +357,14 @@ def extremal_c_diversity_families(
     budget: int | None = None,
     override_guard: bool = False,
 ) -> tuple[Fraction, list[Family]]:
-    """Exact maximum C-diversity together with every family attaining it.
+    """Exact maximum C-diversity with each isomorphism class of the
+    families attaining it, at least once (a class may come back twice).
 
-    Every maximizer has maximal size at its own degree cap, so collecting
-    all size-optima per cap and re-measuring catches them all (up to the
-    root relabeling, which canonical forms absorb).  The floors keep ties
-    with the incumbent, and a maximizer first appears at the cap equal to
-    its max degree, so the winners come in the same order as without them.
+    Every maximizer has maximal size at its own degree cap, and each cap
+    search collects every class of size-optima, so re-measuring them
+    catches every class.  The winners are a subsequence, in order, of a
+    full search's: every maximizer holding {1,...,k}.  The floors keep
+    ties, so the winners come in the same order as without them.
     """
     best, winners, _, _ = _walk_caps(
         n, k, c, budget=budget, override_guard=override_guard, collect_optima=True

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from divlab import search
+from divlab.canonical import canonical_form
 from divlab.family import Family, elements_of, iter_ksets, mask_of
 from divlab.formulas import hm_size
 from divlab.search import (
@@ -37,6 +38,20 @@ C_GRID = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(11, 10), Fraction(5
 @functools.lru_cache(maxsize=None)
 def _families(n, k):
     return tuple(all_intersecting_families(n, k))
+
+
+def _forms(families):
+    return {canonical_form(f) for f in families}
+
+
+def _covers_every_class(got, ref):
+    """`got` is a collecting search with `ref`'s size, family and exact
+    flag, whose optima are an ordered subsequence of `ref`'s holding every
+    isomorphism class of them."""
+    assert (got.size, got.family, got.exact) == (ref.size, ref.family, ref.exact)
+    rest = iter(ref.optima)
+    assert all(f in rest for f in got.optima)
+    assert _forms(got.optima) == _forms(ref.optima)
 
 
 @pytest.mark.parametrize("n,k", CASES)
@@ -67,7 +82,6 @@ def test_floor_with_budget_hit_is_flagged():
 
 @pytest.mark.parametrize("n,k", CASES)
 def test_exact_search_matches_oracle(n, k):
-    root = mask_of(range(1, k + 1))
     caps = list(range(math.comb(n - 1, k - 1) + 1))
     for c in C_GRID:
         best, attaining = brute_c_diversity_optima(_families(n, k), c)
@@ -80,12 +94,21 @@ def test_exact_search_matches_oracle(n, k):
         assert sorted([run["cap"] for run in stats["caps"]] + stats["skipped"]) == caps
         assert sum(run["nodes"] for run in stats["caps"]) == res.nodes_explored
         assert stats["truncated"] == []
+
+
+@pytest.mark.parametrize("n,k", CASES)
+def test_extremal_winners_cover_every_class(n, k):
+    # the search forces {1..k} and branches on one set per orbit, so each
+    # winner is a maximizer containing {1..k} (or the empty family), once,
+    # and every isomorphism class of maximizers comes back
+    root = mask_of(range(1, k + 1))
+    for c in C_GRID:
+        best, attaining = brute_c_diversity_optima(_families(n, k), c)
         value, winners = extremal_c_diversity_families(n, k, c)
         assert value == best, (n, k, c)
-        # the search forces {1..k}, so exactly the maximizers containing it
-        # (and the empty family, when it wins) come back, each once
         assert len(winners) == len(set(winners))
-        assert set(winners) == {f for f in attaining if root in f or not len(f)}, (n, k, c)
+        assert all(f in attaining and (root in f or not len(f)) for f in winners), (n, k, c)
+        assert _forms(winners) == _forms(attaining), (n, k, c)
 
 
 def test_exact_result_is_independent_of_workers():
@@ -284,9 +307,9 @@ def test_exact_stats_are_deterministic():
     ]
 
 
-# -- orbit pruning: a direct search branches at every node only on the
-# lex-first set of each orbit of the relabelings that fix every picked set;
-# a collecting search branches on every candidate
+# -- orbit pruning: a cap search, collecting or not, branches at every node
+# only on the lex-first set of each orbit of the relabelings that fix every
+# picked set
 
 
 @pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (6, 3), (7, 3), (5, 4), (6, 4), (7, 4), (8, 4)])
@@ -328,14 +351,19 @@ def test_orbit_rule_matches_brute_force_orbits(n, k):
 
 @pytest.mark.parametrize("n,k", CASES + [(6, 4)])
 def test_pruned_root_matches_full_root(n, k):
+    # against the reference search, which when collecting branches on
+    # every candidate below the root
     for cap in range(math.comb(n - 1, k - 1) + 1):
         top = max_size_with_degree_cap(n, k, cap).size
         for floor in sorted({-1, 0, 1, top - 2, top - 1, top, top + 1, top + 3} - {-2, -3}):
+            full = reference_max_size_with_degree_cap(n, k, cap, collect_optima=True, floor=floor)
             direct = max_size_with_degree_cap(n, k, cap, floor=floor)
-            full = max_size_with_degree_cap(n, k, cap, collect_optima=True, floor=floor)
             assert (direct.size, direct.family, direct.exact) == (
                 full.size, full.family, full.exact), (n, k, cap, floor)
             assert direct.nodes <= full.nodes, (n, k, cap, floor)
+            got = max_size_with_degree_cap(n, k, cap, collect_optima=True, floor=floor)
+            _covers_every_class(got, full)
+            assert got.nodes <= full.nodes, (n, k, cap, floor)
 
 
 # -- the room bound and the degree and Hilton-Milner cap bounds: the same
@@ -347,8 +375,11 @@ def _same_as_reference(n, k, cap, collect, floor):
     got = max_size_with_degree_cap(
         n, k, cap, collect_optima=collect, floor=floor, override_guard=True)
     assert got.exact and got.floor == floor
-    assert (got.size, got.family, got.optima) == (ref.size, ref.family, ref.optima), (
-        n, k, cap, collect, floor)
+    if collect:
+        _covers_every_class(got, ref)
+    else:
+        assert (got.size, got.family, got.optima) == (ref.size, ref.family, ref.optima), (
+            n, k, cap, floor)
     assert got.nodes <= ref.nodes, (n, k, cap, collect, floor)
     return got, ref
 

@@ -158,6 +158,26 @@ def test_fano_families():
         fano_families(6, 3)
 
 
+def test_fano_deltas_are_the_degrees_of_the_points_of_the_plane():
+    # fano_l_delta and fano_lplus_delta are the degree of each point of [7];
+    # each element outside [7] has the degree below, and Delta is the larger
+    off_plane = 0
+    for n in range(7, 17):
+        for k in range(3, n + 1):
+            for build, point, outside in (
+                (fano_l, fano_l_delta(n, k), 7 * binom(n - 8, k - 4)),
+                (fano_lplus, fano_lplus_delta(n, k),
+                 7 * binom(n - 8, k - 4) + 28 * binom(n - 8, k - 5)),
+            ):
+                degrees = brute_degrees(build(n, k))
+                assert degrees == (point,) * 7 + (outside,) * (n - 7), (build, n, k)
+                off_plane += outside > point
+            if fano_l_size(n, k):  # F_L is empty when k - 3 > n - 7
+                larger = 7 * binom(n - 8, k - 4) > fano_l_delta(n, k)
+                assert larger == (7 * (k - 3) > 3 * (n - 7)), (n, k)
+    assert off_plane == 55
+
+
 def test_fano_constructors_match_the_pair_and_their_definitions():
     for n in range(7, 13):
         for k in range(3, 7):

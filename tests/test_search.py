@@ -36,22 +36,24 @@ def test_degree_cap_against_brute_force():
             assert got.size == brute_max_size_with_cap(n, k, cap), (n, k, cap)
 
 
-def test_collect_optima_are_all_rooted_maxima():
+def test_collect_optima_cover_every_class_of_maxima():
     # independent oracle: every intersecting family, filtered by the cap;
-    # the search forces {1..k}, so exactly the maxima containing it come back
+    # the search forces {1..k} and branches on one set per orbit, so the
+    # optima are maxima containing it, each once and sorted by members, and
+    # they hold every isomorphism class of maxima
     for n, k in ((5, 2), (6, 2), (5, 3)):
         families = list(all_intersecting_families(n, k))
         root = mask_of(range(1, k + 1))
         for cap in range(0, math.comb(n - 1, k - 1) + 1):
             under = [f for f in families if f.max_degree()[0] <= cap]
             top = max(len(f) for f in under)
-            want = sorted(
-                {f for f in under if len(f) == top and (root in f or top == 0)},
-                key=lambda f: f.members,
-            )
+            maxima = [f for f in under if len(f) == top]
             got = max_size_with_degree_cap(n, k, cap, collect_optima=True)
             assert got.size == top, (n, k, cap)
-            assert got.optima == want, (n, k, cap)
+            assert all(f in maxima and (root in f or top == 0) for f in got.optima), (n, k, cap)
+            assert sorted(set(got.optima), key=lambda f: f.members) == got.optima, (n, k, cap)
+            assert {canonical_form(f) for f in got.optima} == {
+                canonical_form(f) for f in maxima}, (n, k, cap)
 
 
 def test_degree_cap_reaches_ekr_maximum():
