@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .family import (MAX_SETS, Family, check_element_bits, check_ground_set, comb_capped,
                      iter_ksets, mask_of)
@@ -166,27 +165,23 @@ def shift(fam: Family, i: int, j: int) -> Family:
     return Family(fam.n, fam.k, shift_masks(set(fam.members), i, j))
 
 
-def shift_states(n: int, states: tuple[set[int], ...]) -> Iterator[tuple[set[int], ...]]:
-    """Sweep the shifts S_ij (i < j) over all the mask sets of `states` at
-    once until none changes; yield the states after each shift that changes
-    one of them."""
+def shift_closure(fam: Family) -> Family:
+    """Apply all shifts S_ij (i < j) until the family stops changing.  One
+    mask set is edited in place; a shift that moves no member leaves it
+    untouched."""
+    current = set(fam.members)
     changed = True
     while changed:
         changed = False
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                nxt = tuple([shift_masks(s, i, j) for s in states])
-                if nxt != states:
-                    states = nxt
+        for i in range(1, fam.n):
+            for j in range(i + 1, fam.n + 1):
+                bi, bj = 1 << (i - 1), 1 << (j - 1)
+                moving = [m for m in current
+                          if m & bj and not m & bi and m ^ bj | bi not in current]
+                if moving:
+                    current.difference_update(moving)
+                    current.update(m ^ bj | bi for m in moving)
                     changed = True
-                    yield states
-
-
-def shift_closure(fam: Family) -> Family:
-    """Apply all shifts S_ij (i < j) until the family stops changing."""
-    current = set(fam.members)
-    for (current,) in shift_states(fam.n, (current,)):
-        pass
     return Family(fam.n, fam.k, current)
 
 

@@ -10,8 +10,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .family import Family, comb_capped, iter_ksets, union
-from .constructions import MAX_SETS, lex_family, shift_states
+from .family import Family, comb_capped, elements_of, iter_ksets, union
+from .constructions import MAX_SETS, lex_family
 from .formulas import binom
 
 # The most (A, B) pairs exhaustive Hilton mode may face, by `_pair_bound`.
@@ -128,10 +128,78 @@ def _pair_bound(n: int, a: int, b: int) -> int:
     return min(one(a, b), one(b, a))
 
 
-def _shift_route_ok(n: int, a_masks: tuple[int, ...], b_masks: tuple[int, ...]) -> bool:
-    """Iterated simultaneous shifts must preserve cross-intersection throughout."""
-    return all(all(x & y for x in am for y in bm)
-               for am, bm in shift_states(n, (set(a_masks), set(b_masks))))
+def _shift_tables(ua: Family, ub: Family) -> list[tuple[int, dict[int, int]]]:
+    """For each shift S_ij (i < j), in sweep order, on the members of the
+    complete families ua and ub joined into one index space (ub's member x
+    at index len(ua) + x): the bitset of the members that hold j but not i,
+    and each one's index after the shift (j replaced by i)."""
+    members = ua.members + ub.members
+    index = {(x < len(ua), m): x for x, m in enumerate(members)}
+    cols = [a_col | b_col << len(ua) for a_col, b_col in zip(ua.cols, ub.cols)]
+    tables = []
+    for i in range(1, ua.n):
+        for j in range(i + 1, ua.n + 1):
+            swap, src = 1 << (i - 1) | 1 << (j - 1), cols[j] & ~cols[i]
+            tables.append((src, {x - 1: index[x <= len(ua), members[x - 1] ^ swap]
+                                 for x in elements_of(src)}))
+    return tables
+
+
+def _shifted(picked: int, moving: int, image: dict[int, int]) -> int:
+    """One shift on a bitset of member indices: each moving member goes to
+    its image unless the image is already picked."""
+    out = picked
+    while moving:
+        low = moving & -moving
+        moving ^= low
+        to = 1 << image[low.bit_length() - 1]
+        if not picked & to:
+            out ^= low | to
+    return out
+
+
+def _shift_route_ok(route: tuple[list, list[int]], a_picked: int, b_picked: int) -> bool:
+    """Iterated simultaneous shifts must preserve cross-intersection throughout.
+    route = (the _shift_tables of the a-sets and b-sets, the cross table),
+    and A, B are bitsets of member indices, joined as in the tables.  The
+    shifts S_ij sweep in order until a whole sweep changes neither side;
+    after each shift that changes one, no row cross[x] with x in A may meet
+    B."""
+    tables, cross = route
+    width = len(cross)
+    picked = a_picked | b_picked << width
+    changed = True
+    while changed:
+        changed = False
+        for src, image in tables:
+            moving = picked & src
+            if not moving:
+                continue
+            nxt = _shifted(picked, moving, image)
+            if nxt == picked:
+                continue
+            picked, changed = nxt, True
+            rest, b_picked = picked & ((1 << width) - 1), picked >> width
+            while rest:
+                low = rest & -rest
+                if cross[low.bit_length() - 1] & b_picked:
+                    return False
+                rest ^= low
+    return True
+
+
+def _submask(compat: int, value: int) -> int:
+    """The bits of `value` deposited, low to high, into the set bits of
+    `compat`: for value = 2^p - 1 - j, with p = popcount(compat), the jth
+    submask of compat in descending order (j = 0 is compat itself)."""
+    out = 0
+    while value:
+        low = compat & -compat
+        if value & 1:
+            out |= low
+        compat ^= low
+        value >>= 1
+    return out
 
 
 def verify_hilton(
@@ -148,9 +216,10 @@ def verify_hilton(
     again cross-intersecting, and that simultaneous shifting preserves the
     cross-intersecting property along the way.
 
-    Exhaustive mode enumerates every pair (A over all a-set families in
+    Exhaustive mode checks every pair (A over all a-set families in
     ascending bitset order, B over the subsets of the sets compatible with
-    A) and runs the shift route on the pairs whose place in that order is a
+    A, from the largest down), counting each A's pairs in closed form, and
+    runs the shift route on the pairs whose place in that order is a
     multiple of shift_sample_stride; trial mode runs it on every pair.  The
     route is skipped where A or B is empty or the lex test failed.  A cross
     table of more than MAX_SETS entries, or an exhaustive run facing more
@@ -177,32 +246,70 @@ def verify_hilton(
     ua, ub = Family(n, a, iter_ksets(n, a)), Family(n, b, iter_ksets(n, b))
     cross = ub.disjoint_from(ua.members)
     lex_limit = _lex_limits(cross, len(ub))
-    rng = random.Random(seed)
-
-    def candidate_pairs():
-        if exhaustive:
-            for a_picked, compat in enumerate(ub.meeting_each(cross)):
-                b_picked = compat
-                while True:  # every submask of compat
-                    yield a_picked, b_picked
-                    if b_picked == 0:
-                        break
-                    b_picked = (b_picked - 1) & compat
-        else:
-            for _ in range(trials):
-                a_picked = rng.getrandbits(len(ua))
-                yield a_picked, ub.meeting(a_picked, cross) & rng.getrandbits(len(ub))
-
+    route = None  # the shift tables, built at the first route
     pairs = shifts = 0
-    for a_picked, b_picked in candidate_pairs():
-        pairs += 1
-        ok = b_picked.bit_count() <= lex_limit[a_picked.bit_count()]
-        if ok and a_picked and b_picked and (not exhaustive or pairs % shift_sample_stride == 0):
-            shifts += 1
-            ok = _shift_route_ok(n, ua.subfamily(a_picked).members, ub.subfamily(b_picked).members)
-        if not ok:
-            return HiltonReport(
-                n, a, b, exhaustive, pairs, shifts, False,
-                (ua.subfamily(a_picked), ub.subfamily(b_picked)),
-            )
+
+    def routed(a_picked: int, b_picked: int) -> bool:
+        nonlocal route, shifts
+        if route is None:
+            route = (_shift_tables(ua, ub), cross)
+        shifts += 1
+        return _shift_route_ok(route, a_picked, b_picked)
+
+    def report(a_picked: int, b_picked: int) -> HiltonReport:
+        return HiltonReport(
+            n, a, b, exhaustive, pairs, shifts, False,
+            (ua.subfamily(a_picked), ub.subfamily(b_picked)),
+        )
+
+    if not exhaustive:
+        rng = random.Random(seed)
+        for pairs in range(1, trials + 1):
+            a_picked = rng.getrandbits(len(ua))
+            b_picked = ub.meeting(a_picked, cross) & rng.getrandbits(len(ub))
+            if b_picked.bit_count() > lex_limit[a_picked.bit_count()] or (
+                    a_picked and b_picked and not routed(a_picked, b_picked)):
+                return report(a_picked, b_picked)
+        return HiltonReport(n, a, b, exhaustive, pairs, shifts, True)
+
+    # Each A pairs with the 2^p submasks B of compat (p = popcount(compat)),
+    # walked in descending order from compat itself, and the lex test is
+    # monotone in |B|: compat alone decides it.  The pair at place `place`
+    # of the walk (counted from 1) is routed when place is a multiple of the
+    # stride, unless A or B is empty; B = {} comes last in each A's run.
+    # compat = high[A's high bits] & low[A's low bits] (meeting_halves), and
+    # an A with compat = {} has that one pair alone: only the A with a
+    # nonempty compat are visited, each high keep's from the low keeps that
+    # meet it, and the others are counted in bulk.
+    low, high = ub.meeting_halves(cross)
+    half = len(ua) // 2
+    lows_with = [0] * len(ub)  # lows_with[y]: the low keeps that hold b-set y
+    for i, keep in enumerate(low):
+        for y in elements_of(keep):
+            lows_with[y - 1] |= 1 << i
+    stride = shift_sample_stride
+    due = stride  # no multiple of the stride lies in (pairs, due)
+    last = -1  # the last A visited
+    for h, keep in enumerate(high):
+        meets = 0
+        for y in elements_of(keep):
+            meets |= lows_with[y - 1]
+        for i in elements_of(meets):
+            a_picked, compat = h << half | i - 1, keep & low[i - 1]
+            pairs += a_picked - last - 1
+            last = a_picked
+            p = compat.bit_count()
+            if p > lex_limit[a_picked.bit_count()]:
+                pairs += 1
+                return report(a_picked, compat)
+            start, pairs = pairs, pairs + (1 << p)
+            if due <= pairs:
+                if a_picked:
+                    for place in range(start - start % stride + stride, pairs, stride):
+                        b_picked = _submask(compat, pairs - place)
+                        if not routed(a_picked, b_picked):
+                            pairs = place
+                            return report(a_picked, b_picked)
+                due = pairs - pairs % stride + stride
+    pairs += ua.full - last
     return HiltonReport(n, a, b, exhaustive, pairs, shifts, True)

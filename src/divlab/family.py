@@ -310,12 +310,11 @@ class Family:
             picked ^= low
         return self.full & ~bad
 
-    def meeting_each(self, table: list[int] | None = None) -> Iterator[int]:
-        """Yield meeting(picked, table) for picked = 0, 1, ..., 2^len(table) - 1
-        in order, at one and per step.  For each subset of the low
-        len(table)//2 rows, the members in none of its rows are built once,
-        by doubling, and likewise for the other rows; the high half runs in
-        the outer loop, so picked ascends."""
+    def meeting_halves(self, table: list[int] | None = None) -> tuple[list[int], list[int]]:
+        """(low, high) with meeting(picked, table) = high[picked >> half] &
+        low[picked & (2^half - 1)], half = len(table)//2: for each subset of
+        the low `half` rows, and of the other rows, the members in none of
+        its rows, built once by doubling."""
         table = self.disjoint if table is None else table
         half = len(table) // 2
         low, high = [self.full], [self.full]
@@ -323,6 +322,13 @@ class Family:
             low += [keep & ~row for keep in low]
         for row in table[half:]:
             high += [keep & ~row for keep in high]
+        return low, high
+
+    def meeting_each(self, table: list[int] | None = None) -> Iterator[int]:
+        """Yield meeting(picked, table) for picked = 0, 1, ..., 2^len(table) - 1
+        in order, at one and per step, off meeting_halves; the high half
+        runs in the outer loop, so picked ascends."""
+        low, high = self.meeting_halves(table)
         for keep in high:
             yield from map(keep.__and__, low)
 

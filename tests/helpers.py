@@ -6,7 +6,7 @@ import operator
 import random
 from fractions import Fraction
 
-from divlab.constructions import FANO_LINES, family_triangle, family_uvw, lex_family
+from divlab.constructions import FANO_LINES, family_triangle, family_uvw, lex_family, shift_masks
 from divlab.family import (
     Family,
     check_element_bits,
@@ -251,6 +251,55 @@ def brute_cross_max_compatible(n: int, a: int, b: int, size_a: int) -> int:
     by testing every candidate against every prefix member."""
     prefix = list(itertools.islice(iter_ksets(n, a), size_a))
     return sum(1 for cand in iter_ksets(n, b) if all(cand & m for m in prefix))
+
+
+def reference_shift_states(n: int, states: tuple[set[int], ...]):
+    """Sweep the shifts S_ij (i < j) over all the mask sets of `states` at
+    once until none changes, rebuilding every set with shift_masks at each
+    shift; yield the states after each shift that changes one of them."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                nxt = tuple([shift_masks(s, i, j) for s in states])
+                if nxt != states:
+                    states = nxt
+                    changed = True
+                    yield states
+
+
+def reference_shift_route_ok(n: int, a_masks, b_masks) -> bool:
+    """Every state of the simultaneous shift route from (A, B) after a
+    change is cross-intersecting, by the pairwise scan of the mask sets."""
+    return all(all(x & y for x in am for y in bm)
+               for am, bm in reference_shift_states(n, (set(a_masks), set(b_masks))))
+
+
+def reference_shift_closure(fam: Family) -> Family:
+    """The fixed point of the shift sweeps, one rebuilt mask set per shift."""
+    current = set(fam.members)
+    for (current,) in reference_shift_states(fam.n, (current,)):
+        pass
+    return Family(fam.n, fam.k, current)
+
+
+def reference_hilton_walk(n: int, a: int, b: int):
+    """Yield (a_picked, b_picked, place) for exhaustive Hilton's pairs: A
+    ascending over the a-set bitsets, B over the submasks of the b-sets
+    meeting every member of A in descending order, by one meeting call per A
+    and sorting every submask; place counts the pairs from 1."""
+    ua, ub = Family(n, a, iter_ksets(n, a)), Family(n, b, iter_ksets(n, b))
+    table = ub.disjoint_from(ua.members)
+    place = 0
+    for a_picked in range(ua.full + 1):
+        compat = ub.meeting(a_picked, table)
+        bits = [1 << i for i in range(len(ub)) if compat >> i & 1]
+        subsets = {sum(pick) for r in range(len(bits) + 1)
+                   for pick in itertools.combinations(bits, r)}
+        for b_picked in sorted(subsets, reverse=True):
+            place += 1
+            yield a_picked, b_picked, place
 
 
 def reference_check_main(fam: Family, c: Fraction) -> BoundVerdict:

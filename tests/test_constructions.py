@@ -36,7 +36,14 @@ from divlab.formulas import (
     fi_gamma,
     triangle_size,
 )
-from helpers import brute_degrees, brute_named_family, random_cross_pair, random_intersecting
+from helpers import (
+    brute_degrees,
+    brute_named_family,
+    random_cross_pair,
+    random_family,
+    random_intersecting,
+    reference_shift_closure,
+)
 
 
 def test_full_star():
@@ -134,6 +141,17 @@ def test_shift_closure_reaches_fixed_point():
         for i in range(1, 7):
             for j in range(i + 1, 8):
                 assert shift(stable, i, j) == stable
+
+
+def test_shift_closure_matches_naive_closure():
+    # the in-place closure against rebuilding the whole mask set at every
+    # shift, on random (not necessarily intersecting) families, empty ones too
+    rng = random.Random(31)
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        k = rng.randint(0, n)
+        fam = random_family(rng, n, k, rng.choice((0.0, 0.2, 0.5, 0.9)))
+        assert shift_closure(fam) == reference_shift_closure(fam), fam
 
 
 def test_fano_lines_invariants():

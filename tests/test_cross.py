@@ -5,18 +5,28 @@ from itertools import combinations
 import pytest
 
 from divlab import cross
-from divlab.constructions import full_star, lex_family
+from divlab.constructions import MAX_SETS, full_star, lex_family, shift_masks
 from divlab.cross import (
     HILTON_EXHAUSTIVE_PAIRS,
     _lex_limits,
     _pair_bound,
+    _shift_route_ok,
+    _shift_tables,
+    _shifted,
+    _submask,
     cross_max_compatible,
     verify_hilton,
     verify_lemma_fk,
 )
-from divlab.family import Family, cross_intersecting, iter_ksets
+from divlab.family import Family, comb_capped, cross_intersecting, iter_ksets
 from divlab.formulas import binom, cross_lemma_bounds
-from helpers import brute_cross_max_compatible, brute_lex_pair_ok, random_cross_pair
+from helpers import (
+    brute_cross_max_compatible,
+    brute_lex_pair_ok,
+    random_cross_pair,
+    reference_hilton_walk,
+    reference_shift_route_ok,
+)
 
 
 def test_fk_small_vacuous():
@@ -162,21 +172,20 @@ def test_fk_refuses_unknown_method():
 
 def _nth_route_pair(n, a, b, stride, nth):
     """The pair on which exhaustive Hilton runs its nth shift route, and the
-    pairs counted up to it, by one meeting call per A (the lex test passes on
-    every pair, so it is left out)."""
-    ua, ub = Family(n, a, iter_ksets(n, a)), Family(n, b, iter_ksets(n, b))
-    table = ub.disjoint_from(ua.members)
-    pairs = routes = 0
-    for a_picked in range(ua.full + 1):
-        bits = [1 << i for i in range(len(ub)) if ub.meeting(a_picked, table) >> i & 1]
-        subsets = {sum(pick) for r in range(len(bits) + 1) for pick in combinations(bits, r)}
-        for b_picked in sorted(subsets, reverse=True):
-            pairs += 1
-            if a_picked and b_picked and pairs % stride == 0:
-                routes += 1
-                if routes == nth:
-                    return (ua.subfamily(a_picked), ub.subfamily(b_picked)), pairs
+    pairs counted up to it (the lex test passes on every pair, so it is left
+    out)."""
+    routes = 0
+    for a_picked, b_picked, place in reference_hilton_walk(n, a, b):
+        if a_picked and b_picked and place % stride == 0:
+            routes += 1
+            if routes == nth:
+                return _families(n, a, b, a_picked, b_picked), place
     return None
+
+
+def _families(n, a, b, a_picked, b_picked):
+    ua, ub = Family(n, a, iter_ksets(n, a)), Family(n, b, iter_ksets(n, b))
+    return ua.subfamily(a_picked), ub.subfamily(b_picked)
 
 
 @pytest.mark.parametrize("n, a, b, stride, nth", [
@@ -197,6 +206,91 @@ def test_hilton_counterexample_is_the_first_failing_pair(monkeypatch, n, a, b, s
     rep = verify_hilton(n, a, b, exhaustive=True, shift_sample_stride=stride)
     assert not rep.ok and rep.shifts_checked == nth
     assert (rep.counterexample, rep.pairs_checked) == _nth_route_pair(n, a, b, stride, nth)
+
+
+@pytest.mark.parametrize("n, a, b, size_a, stride", [
+    (4, 2, 2, 0, 64), (4, 2, 2, 1, 1), (5, 2, 2, 3, 7), (6, 2, 2, 2, 64),
+    (6, 2, 2, 5, 7), (5, 1, 3, 1, 1), (7, 2, 1, 3, 64),
+])
+def test_hilton_lex_failure_is_the_first_failing_pair(monkeypatch, n, a, b, size_a, stride):
+    # with the lex limit for |A| = size_a lowered by one, the run stops on the
+    # first pair of the ascending-A, descending-B walk that breaks it, with
+    # the same pair count and the routes run before it
+    def lowered(table, size_b):
+        limits = _lex_limits(table, size_b)
+        limits[size_a] -= 1
+        return limits
+
+    monkeypatch.setattr(cross, "_lex_limits", lowered)
+    limits = lowered(Family(n, b, iter_ksets(n, b)).disjoint_from(list(iter_ksets(n, a))),
+                     math.comb(n, b))
+    routes, want = 0, None
+    for a_picked, b_picked, place in reference_hilton_walk(n, a, b):
+        if b_picked.bit_count() > limits[a_picked.bit_count()]:
+            want = (_families(n, a, b, a_picked, b_picked), place, routes)
+            break
+        routes += bool(a_picked and b_picked and place % stride == 0)
+    rep = verify_hilton(n, a, b, exhaustive=True, shift_sample_stride=stride)
+    assert not rep.ok
+    assert (rep.counterexample, rep.pairs_checked, rep.shifts_checked) == want
+
+
+def test_submask_is_the_jth_in_descending_order():
+    # against every submask of every compat below 2^10, sorted
+    for compat in range(1 << 10):
+        bits = [1 << i for i in range(10) if compat >> i & 1]
+        subs = sorted((sum(pick) for r in range(len(bits) + 1)
+                       for pick in combinations(bits, r)), reverse=True)
+        top = (1 << len(bits)) - 1
+        assert [_submask(compat, top - j) for j in range(len(subs))] == subs, compat
+
+
+def _guarded(n_max):
+    """Every (n, a, b) that verify_hilton's guards admit in trial mode, n <= n_max."""
+    for n in range(1, n_max + 1):
+        for a in range(n + 1):
+            for b in range(n - a + 1):
+                if comb_capped(n, a, MAX_SETS) * comb_capped(n, b, MAX_SETS) <= MAX_SETS:
+                    yield n, a, b
+
+
+def test_shift_tables_move_like_shift_masks():
+    # each table's moves, on single sets and on random subfamilies of both
+    # sides, against shift_masks on each side's mask set
+    rng = random.Random(41)
+    for n, a, b in _guarded(7):
+        ua, ub = Family(n, a, iter_ksets(n, a)), Family(n, b, iter_ksets(n, b))
+        shifts = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        tables = _shift_tables(ua, ub)
+        assert len(tables) == len(shifts)
+        width = len(ua) + len(ub)
+        picks = [1 << x for x in range(width)] + [rng.getrandbits(width) for _ in range(8)]
+        for (i, j), (src, image) in zip(shifts, tables):
+            for picked in picks:
+                got = _shifted(picked, picked & src, image)
+                for u, side, moved in ((ua, picked, got), (ub, picked >> len(ua), got >> len(ua))):
+                    want = shift_masks({m for x, m in enumerate(u.members) if side >> x & 1}, i, j)
+                    assert set(u.subfamily(moved & u.full).members) == want, (n, a, b, i, j, picked)
+
+
+def test_shift_route_matches_mask_set_route():
+    # the index-bitset route against the mask-set route on random (A, B):
+    # cross-intersecting pairs, arbitrary pairs and pairs with an empty side
+    rng = random.Random(43)
+    for n, a, b in _guarded(7):
+        ua, ub = Family(n, a, iter_ksets(n, a)), Family(n, b, iter_ksets(n, b))
+        table = ub.disjoint_from(ua.members)
+        route = (_shift_tables(ua, ub), table)
+        for trial in range(24):
+            a_picked = rng.getrandbits(len(ua)) & rng.getrandbits(len(ua))
+            b_picked = rng.getrandbits(len(ub))
+            if trial % 2:
+                b_picked &= ub.meeting(a_picked, table)
+            if trial % 8 == 0:
+                a_picked, b_picked = (0, b_picked) if trial % 16 else (a_picked, 0)
+            want = reference_shift_route_ok(n, ua.subfamily(a_picked).members,
+                                            ub.subfamily(b_picked).members)
+            assert _shift_route_ok(route, a_picked, b_picked) == want, (n, a, b, a_picked, b_picked)
 
 
 def test_hilton_randomized_deterministic():

@@ -81,7 +81,12 @@ def test_iter_ksets_wide_masks_in_linear_time():
 
 def _check_meeting_each(u, table=None):
     rows = len(u.disjoint if table is None else table)
-    assert list(u.meeting_each(table)) == [u.meeting(a, table) for a in range(1 << rows)]
+    want = [u.meeting(a, table) for a in range(1 << rows)]
+    assert list(u.meeting_each(table)) == want
+    low, high = u.meeting_halves(table)
+    half = rows // 2
+    assert (len(low), len(high)) == (1 << half, 1 << (rows - half))
+    assert [high[a >> half] & low[a & ((1 << half) - 1)] for a in range(1 << rows)] == want
 
 
 @settings(max_examples=150, deadline=None)
