@@ -30,6 +30,15 @@ class FkReport:
     counterexample: tuple[Family, Family] | None = None
 
 
+def _good_j_exists(missing: list[int], cap: int, a_picked: int, b_picked: int) -> bool:
+    """Some j has at most `cap` members of A and of B in missing[j], the
+    bitset of the sets without element j + 1."""
+    for w in missing:
+        if (a_picked & w).bit_count() <= cap and (b_picked & w).bit_count() <= cap:
+            return True
+    return False
+
+
 def verify_lemma_fk(m: int, ell: int, method: str = "auto") -> FkReport:
     """Exhaustively test: cross-intersecting A,B over [m] with
     |A|,|B| >= 5 C(m-2,l-2) admit a j with |A(j-bar)|,|B(j-bar)| <= C(m-2,l-2).
@@ -37,7 +46,11 @@ def verify_lemma_fk(m: int, ell: int, method: str = "auto") -> FkReport:
     "exhaustive" enumerates every qualifying pair.  "pruned" checks, per A,
     only the maximal compatible B: the conclusion is antitone in B, so that
     single pair decides all of them.  "auto" picks exhaustive up to 10
-    candidate sets and pruned above; any other method is refused.
+    candidate sets and pruned above; any other method is refused.  A walks
+    in ascending order over the A whose compatible set is nonempty
+    (`Family.meeting_nonempty`): the threshold is at least 5, since
+    C(m-2,l-2) >= 1 for l >= 2, so an A with no compatible set has no
+    qualifying B.
     """
     if method not in ("auto", "exhaustive", "pruned"):
         raise ValueError(f"method must be 'auto', 'exhaustive' or 'pruned', got {method!r}")
@@ -53,21 +66,14 @@ def verify_lemma_fk(m: int, ell: int, method: str = "auto") -> FkReport:
     threshold = 5 * binom(m - 2, ell - 2)
     cap = binom(m - 2, ell - 2)
     pairs = 0
-
-    def good_j_exists(a_picked: int, b_picked: int) -> bool:
-        for w in missing:
-            if (a_picked & w).bit_count() <= cap and (b_picked & w).bit_count() <= cap:
-                return True
-        return False
-
-    for a_picked, compat in enumerate(u.meeting_each()):
+    for a_picked, compat in u.meeting_nonempty(u.disjoint_from(u.members)):
         if a_picked.bit_count() < threshold or compat.bit_count() < threshold:
             continue
         b_picked = compat
         while True:  # pruned: compat alone; exhaustive: every submask of it
             if b_picked.bit_count() >= threshold:
                 pairs += 1
-                if not good_j_exists(a_picked, b_picked):
+                if not _good_j_exists(missing, cap, a_picked, b_picked):
                     return FkReport(
                         m, ell, threshold, cap, False, pairs, method,
                         (u.subfamily(a_picked), u.subfamily(b_picked)),
@@ -277,39 +283,27 @@ def verify_hilton(
     # monotone in |B|: compat alone decides it.  The pair at place `place`
     # of the walk (counted from 1) is routed when place is a multiple of the
     # stride, unless A or B is empty; B = {} comes last in each A's run.
-    # compat = high[A's high bits] & low[A's low bits] (meeting_halves), and
-    # an A with compat = {} has that one pair alone: only the A with a
-    # nonempty compat are visited, each high keep's from the low keeps that
-    # meet it, and the others are counted in bulk.
-    low, high = ub.meeting_halves(cross)
-    half = len(ua) // 2
-    lows_with = [0] * len(ub)  # lows_with[y]: the low keeps that hold b-set y
-    for i, keep in enumerate(low):
-        for y in elements_of(keep):
-            lows_with[y - 1] |= 1 << i
+    # An A with compat = {} has that one pair alone: only the A with a
+    # nonempty compat are visited (meeting_nonempty), and the others are
+    # counted in bulk.
     stride = shift_sample_stride
     due = stride  # no multiple of the stride lies in (pairs, due)
     last = -1  # the last A visited
-    for h, keep in enumerate(high):
-        meets = 0
-        for y in elements_of(keep):
-            meets |= lows_with[y - 1]
-        for i in elements_of(meets):
-            a_picked, compat = h << half | i - 1, keep & low[i - 1]
-            pairs += a_picked - last - 1
-            last = a_picked
-            p = compat.bit_count()
-            if p > lex_limit[a_picked.bit_count()]:
-                pairs += 1
-                return report(a_picked, compat)
-            start, pairs = pairs, pairs + (1 << p)
-            if due <= pairs:
-                if a_picked:
-                    for place in range(start - start % stride + stride, pairs, stride):
-                        b_picked = _submask(compat, pairs - place)
-                        if not routed(a_picked, b_picked):
-                            pairs = place
-                            return report(a_picked, b_picked)
-                due = pairs - pairs % stride + stride
+    for a_picked, compat in ub.meeting_nonempty(cross):
+        pairs += a_picked - last - 1
+        last = a_picked
+        p = compat.bit_count()
+        if p > lex_limit[a_picked.bit_count()]:
+            pairs += 1
+            return report(a_picked, compat)
+        start, pairs = pairs, pairs + (1 << p)
+        if due <= pairs:
+            if a_picked:
+                for place in range(start - start % stride + stride, pairs, stride):
+                    b_picked = _submask(compat, pairs - place)
+                    if not routed(a_picked, b_picked):
+                        pairs = place
+                        return report(a_picked, b_picked)
+            due = pairs - pairs % stride + stride
     pairs += ua.full - last
     return HiltonReport(n, a, b, exhaustive, pairs, shifts, True)

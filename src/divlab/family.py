@@ -203,7 +203,7 @@ class Family:
     lex order or repeated; members already in strict lex order, as
     iter_ksets and the family reader give them, are kept as they come."""
 
-    __slots__ = ("n", "k", "members", "full", "_cols", "_degrees", "_disjoint")
+    __slots__ = ("n", "k", "members", "full", "_cols", "_degrees")
 
     def __init__(self, n: int, k: int, members: Iterable[int] = ()):
         if n < 1:
@@ -227,7 +227,6 @@ class Family:
         self.full = (1 << len(self.members)) - 1  # the bitset of every member
         self._cols: list[int] | None = None
         self._degrees: tuple[int, ...] | None = None
-        self._disjoint: list[int] | None = None
 
     @classmethod
     def from_sets(cls, n: int, k: int, sets: Iterable[Iterable[int]]) -> "Family":
@@ -291,18 +290,10 @@ class Family:
         cols, full = self.cols, self.full
         return [full ^ union(cols, m) for m in masks]
 
-    @property
-    def disjoint(self) -> list[int]:
-        """disjoint[i] = bitset of the members disjoint from member i, built on first use."""
-        if self._disjoint is None:
-            self._disjoint = self.disjoint_from(self.members)
-        return self._disjoint
-
-    def meeting(self, picked: int, table: list[int] | None = None) -> int:
+    def meeting(self, picked: int, table: list[int]) -> int:
         """Bitset of the members meeting every picked one.  table[i] lists the
-        members disjoint from picked set i: `disjoint` by default, and the
-        cross table disjoint_from(other.members) lets `picked` index `other`."""
-        table = self.disjoint if table is None else table
+        members disjoint from picked set i: disjoint_from(self.members) lets
+        `picked` index this family, disjoint_from(other.members) `other`."""
         bad = 0
         while picked:
             low = picked & -picked
@@ -310,27 +301,30 @@ class Family:
             picked ^= low
         return self.full & ~bad
 
-    def meeting_halves(self, table: list[int] | None = None) -> tuple[list[int], list[int]]:
-        """(low, high) with meeting(picked, table) = high[picked >> half] &
-        low[picked & (2^half - 1)], half = len(table)//2: for each subset of
-        the low `half` rows, and of the other rows, the members in none of
-        its rows, built once by doubling."""
-        table = self.disjoint if table is None else table
+    def meeting_nonempty(self, table: list[int]) -> Iterator[tuple[int, int]]:
+        """Yield (picked, meeting(picked, table)) in ascending order of picked,
+        for each picked whose meeting set is nonempty.  The members in none
+        of the rows of each subset of the table's low half of rows, and of
+        its high half, are built once by doubling, and meeting(picked) =
+        high[picked >> half] & low[picked's low half bits]; each high keep
+        visits only the low keeps that meet it, read off the transposed
+        table lows_with[y], the low keeps that hold member y."""
         half = len(table) // 2
         low, high = [self.full], [self.full]
         for row in table[:half]:
             low += [keep & ~row for keep in low]
         for row in table[half:]:
             high += [keep & ~row for keep in high]
-        return low, high
-
-    def meeting_each(self, table: list[int] | None = None) -> Iterator[int]:
-        """Yield meeting(picked, table) for picked = 0, 1, ..., 2^len(table) - 1
-        in order, at one and per step, off meeting_halves; the high half
-        runs in the outer loop, so picked ascends."""
-        low, high = self.meeting_halves(table)
-        for keep in high:
-            yield from map(keep.__and__, low)
+        lows_with = [0] * len(self)
+        for i, keep in enumerate(low):
+            for y in elements_of(keep):
+                lows_with[y - 1] |= 1 << i
+        for h, keep in enumerate(high):
+            meets = 0
+            for y in elements_of(keep):
+                meets |= lows_with[y - 1]
+            for i in elements_of(meets):
+                yield h << half | i - 1, keep & low[i - 1]
 
     def subfamily(self, picked: int) -> "Family":
         """The picked members as a Family."""

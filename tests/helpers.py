@@ -302,6 +302,27 @@ def reference_hilton_walk(n: int, a: int, b: int):
             yield a_picked, b_picked, place
 
 
+def reference_fk_walk(m: int, ell: int, method: str):
+    """Yield (a_picked, b_picked) for the pairs verify_lemma_fk checks under
+    `method` ("exhaustive" or "pruned"), in its order: A ascending over the
+    l-set bitsets of [m], by one meeting call per A, then B = compat alone
+    (pruned) or every submask of compat in descending order, by sorting
+    them (exhaustive), keeping the pairs with |A|, |B| >= 5 C(m-2,l-2)."""
+    u = Family(m, ell, iter_ksets(m, ell))
+    table = u.disjoint_from(u.members)
+    threshold = 5 * binom(m - 2, ell - 2)
+    for a_picked in range(u.full + 1):
+        if a_picked.bit_count() < threshold:
+            continue
+        compat = u.meeting(a_picked, table)
+        bits = [1 << i for i in range(len(u)) if compat >> i & 1]
+        subsets = {sum(pick) for r in range(len(bits) + 1)
+                   for pick in itertools.combinations(bits, r)}
+        for b_picked in sorted(subsets, reverse=True)[:1 if method == "pruned" else None]:
+            if b_picked.bit_count() >= threshold:
+                yield a_picked, b_picked
+
+
 def reference_check_main(fam: Family, c: Fraction) -> BoundVerdict:
     """check_theorem(fam, "main", c=c) with the threshold 42k/(3-2C) and the
     bound (3-2C) C(n-3,k-2) written out; bound 0 outside 1 < C < 3/2."""
@@ -565,10 +586,11 @@ def reference_max_size_with_degree_cap(
         return CapSearch(0, empty, True, 0, [empty] if collect_optima else None, floor)
     u = Family(n, k, iter_ksets(n, k))
     elems = [elements_of(m) for m in u.members]
+    disjoint = u.disjoint_from(u.members)
     deg = [0] * (n + 1)
 
     def take(i: int, rest: int) -> int:
-        cands = rest & ~u.disjoint[i]
+        cands = rest & ~disjoint[i]
         for e in elems[i]:
             deg[e] += 1
             if deg[e] == cap:

@@ -44,7 +44,7 @@ def _check_queries(fam: Family, other: Family, addable: bool = True) -> None:
         assert cross_intersecting(fam, other, t) == brute_cross_intersecting(fam, other, t)
     xs, ys = list(fam.members), list(other.members)
     assert other.disjoint_from(xs) == brute_disjointness(xs, ys)
-    assert fam.disjoint == brute_disjointness(xs, xs)
+    assert fam.disjoint_from(fam.members) == brute_disjointness(xs, xs)
     if addable and fam.is_intersecting():
         members = set(fam.members)
         assert addable_sets(fam) == [

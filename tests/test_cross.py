@@ -24,6 +24,7 @@ from helpers import (
     brute_cross_max_compatible,
     brute_lex_pair_ok,
     random_cross_pair,
+    reference_fk_walk,
     reference_hilton_walk,
     reference_shift_route_ok,
 )
@@ -67,6 +68,33 @@ def test_fk_guards():
         verify_lemma_fk(3, 2)
     with pytest.raises(ValueError):
         verify_lemma_fk(8, 2)  # C(8,2) = 28 candidate sets is over the guard
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "pruned"])
+@pytest.mark.parametrize("nth", [1, 2, 3, 5, 6, 7])
+def test_fk_counterexample_is_the_nth_checked_pair(monkeypatch, method, nth):
+    # no accepted input fails the lemma, so the hook is made to fail at the
+    # nth pair it checks: the report names the nth pair of the reference
+    # walk, which pins the ascending A order of the walk over meeting_nonempty
+    want = list(reference_fk_walk(6, 2, method))
+    assert len(want) == 6
+    real, checked = cross._good_j_exists, []
+
+    def hook(missing, cap, a_picked, b_picked):
+        checked.append((a_picked, b_picked))
+        return len(checked) != nth and real(missing, cap, a_picked, b_picked)
+
+    monkeypatch.setattr(cross, "_good_j_exists", hook)
+    rep = verify_lemma_fk(6, 2, method=method)
+    assert checked == want[:nth]
+    assert rep.pairs_checked == len(checked)
+    if nth > len(want):
+        assert rep.ok and rep.counterexample is None
+    else:
+        u = Family(6, 2, iter_ksets(6, 2))
+        a_picked, b_picked = want[nth - 1]
+        assert not rep.ok
+        assert rep.counterexample == (u.subfamily(a_picked), u.subfamily(b_picked))
 
 
 def test_cross_max_compatible():

@@ -29,14 +29,14 @@ def test_universe_matches_pairwise_scans(data):
     assert list(ua.members) == [mask_of(s) for s in sets_a]
     assert ua.full == (1 << len(sets_a)) - 1
 
-    cross = ub.disjoint_from(ua.members)
+    cross, own = ub.disjoint_from(ua.members), ua.disjoint_from(ua.members)
     for i, x in enumerate(sets_a):
         assert _bits(cross[i]) == [j for j, y in enumerate(sets_b) if not x & y]
-        assert _bits(ua.disjoint[i]) == [j for j, y in enumerate(sets_a) if not x & y]
+        assert _bits(own[i]) == [j for j, y in enumerate(sets_a) if not x & y]
 
     picked = data.draw(st.integers(0, ua.full), label="picked")
     chosen = [sets_a[i] for i in _bits(picked)]
-    assert _bits(ua.meeting(picked)) == [
+    assert _bits(ua.meeting(picked, own)) == [
         j for j, y in enumerate(sets_a) if all(x & y for x in chosen)
     ]
     assert _bits(ub.meeting(picked, cross)) == [
@@ -79,20 +79,15 @@ def test_iter_ksets_wide_masks_in_linear_time():
     assert first == [(1 << k) - 1] + [run | 1 << (k - 1 + j) for j in range(1, 5)]
 
 
-def _check_meeting_each(u, table=None):
-    rows = len(u.disjoint if table is None else table)
-    want = [u.meeting(a, table) for a in range(1 << rows)]
-    assert list(u.meeting_each(table)) == want
-    low, high = u.meeting_halves(table)
-    half = rows // 2
-    assert (len(low), len(high)) == (1 << half, 1 << (rows - half))
-    assert [high[a >> half] & low[a & ((1 << half) - 1)] for a in range(1 << rows)] == want
+def _check_meeting_nonempty(u, table):
+    want = [(a, u.meeting(a, table)) for a in range(2 ** len(table)) if u.meeting(a, table)]
+    assert list(u.meeting_nonempty(table)) == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_meeting_each_walks_meeting_in_order(data):
-    # the same bitsets in the same order as one meeting call per picked set,
+def test_meeting_nonempty_walks_meeting_in_order(data):
+    # the same pairs in the same order as one meeting call per picked set,
     # on the family's own table and on a cross table to another family
     n = data.draw(st.integers(1, 6), label="n")
     k = data.draw(st.integers(0, n), label="k")
@@ -101,16 +96,20 @@ def test_meeting_each_walks_meeting_in_order(data):
     u = Family(n, k, data.draw(st.sets(st.sampled_from(ksets), max_size=12), label="members"))
     other = Family(n, b, data.draw(
         st.sets(st.sampled_from(list(iter_ksets(n, b))), max_size=12), label="other"))
-    _check_meeting_each(u)
-    _check_meeting_each(u, u.disjoint_from(other.members))
-    _check_meeting_each(Family(n, k, ksets[:12]))
+    _check_meeting_nonempty(u, u.disjoint_from(u.members))
+    _check_meeting_nonempty(u, u.disjoint_from(other.members))
+    first = Family(n, k, ksets[:12])
+    _check_meeting_nonempty(first, first.disjoint_from(first.members))
 
 
-def test_meeting_each_edge_tables():
+def test_meeting_nonempty_edge_tables():
     point = Family(3, 0, [0])  # the one-member k = 0 universe
-    assert list(point.meeting_each()) == [1, 0]  # the empty set misses itself
+    # the empty set misses itself, so only picked = 0 has a meeting set
+    assert list(point.meeting_nonempty(point.disjoint_from(point.members))) == [(0, 1)]
     u = Family(4, 2, iter_ksets(4, 2))
-    for masks in ([], [0b0011], [0b1100, 0b0011], [0b0001, 0b0010, 0b0100]):
-        _check_meeting_each(u, u.disjoint_from(masks))
-    assert list(u.meeting_each(u.disjoint_from([]))) == [u.full]
-    assert list(Family(4, 2).meeting_each()) == [0]
+    for masks in ([], [0b0011], [0b1100, 0b0011], [0b0001, 0b0010, 0b0100], u.members):
+        _check_meeting_nonempty(u, u.disjoint_from(masks))
+    assert list(u.meeting_nonempty(u.disjoint_from([]))) == [(0, u.full)]
+    empty = Family(4, 2)
+    assert list(empty.meeting_nonempty(empty.disjoint_from(empty.members))) == []
+    assert list(empty.meeting_nonempty(empty.disjoint_from(u.members))) == []
