@@ -11,20 +11,21 @@ subtree is cut when an upper bound on its sizes (the candidates, the
 degree capacity, and the room each picked set leaves) cannot reach what
 the node needs, and every search branches only on the sets that are
 lex-first in their orbit under the relabelings fixing every picked set
-(`_orbit_rule`).  Heuristic mode is seeded local search and never claims
+(`_cap_tables`).  Heuristic mode is seeded local search and never claims
 exactness.  Every entry point makes one input check (`_check_input`:
 1 <= k <= n, budget >= 1), and both modes start from the empty family,
 whose gamma_C is 0, so neither reports a value below 0.
 """
 from __future__ import annotations
 
-import functools
 import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache, partial
 
+from . import constructions as cons
 from .constructions import MAX_SETS
 from .family import Family, check_element_bits, comb_capped, elements_of, iter_ksets, union
 from .formulas import fano_l_size, fano_lplus_size, fi_size, hm_size, star_size, triangle_size
@@ -92,7 +93,7 @@ def max_size_with_degree_cap(
     Branch-and-bound over the lex order; a nonempty optimum can always be
     relabeled to contain {1,...,k}, so that member is forced at the root.
     Each node branches only on the sets that are lex-first in their orbit
-    under the relabelings fixing every picked set (`_orbit_rule`).  Let G
+    under the relabelings fixing every picked set (`_cap_tables`).  Let G
     be the lex-first root-holding member of a class of isomorphic largest
     families.  If g fixes the picked sets X_0..X_d of a node on G's path
     and g(X_{d+1}) < X_{d+1}, then g(G) < G is in the class and holds the
@@ -122,12 +123,8 @@ def max_size_with_degree_cap(
         empty = Family(n, k)
         return CapSearch(0, empty, True, 0, [empty] if collect_optima else None, floor)
 
-    u = Family(n, k, iter_ksets(n, k))
+    u, missing, later, elems, keep, firsts = _cap_tables(n, k)
     cols, full = u.cols, u.full
-    missing = [full ^ col for col in cols]  # the sets without each element
-    later = [union(cols, m) >> (i + 1) << (i + 1)  # the sets after set i that meet it
-             for i, m in enumerate(u.members)]
-    elems = [elements_of(m) for m in u.members]
     slack = [cap] * (n + 1)  # cap minus the degree, per element
     path: list[int] = []  # the picked sets, in order
 
@@ -150,8 +147,6 @@ def max_size_with_degree_cap(
     all_best: list[int] = []  # the picked sets of each node at best_size, in DFS order
     nodes = 0
     out_of_budget = False
-
-    keep, firsts = _orbit_rule(u)
 
     def descend(picked: int, size: int, cands: int, capacity: int, together: int) -> None:
         nonlocal best_size, best, nodes, out_of_budget
@@ -200,8 +195,16 @@ def max_size_with_degree_cap(
     return CapSearch(best_size, u.subfamily(best), not out_of_budget, nodes, optima, floor)
 
 
-def _orbit_rule(u: Family):
-    """The orbit rule of a direct cap search over the sets of `u`.
+@lru_cache(maxsize=1)
+def _cap_tables(n: int, k: int):
+    """The tables of every cap search over the k-sets of [n], built once:
+    the universe `u` in lex order, `missing` (the sets without each
+    element), `later` (the sets after set i that meet it), `elems` (each
+    set's elements) and the orbit rule's `keep` and `firsts`.  None depends
+    on the cap and none is written after the build, so every cap of a walk,
+    the extremal walk and back-to-back searches at one (n, k) share one
+    build and one `firsts` memo.  The tables of the last (n, k) live until
+    a search at another (n, k) replaces them.
 
     The relabelings that fix every picked set permute each atom (a class of
     elements in exactly the same picked sets) freely, so the orbit of a set
@@ -215,10 +218,15 @@ def _orbit_rule(u: Family):
     p < e that no picked set splits (bit (p-1)n + e-1), and picking set i
     ANDs in keep[i], the pairs that set i does not split.  firsts(together)
     is the bitset of the sets that are lex-first in their orbit, memoized
-    for one cap search.  At the root {1,...,k} these are the sets
-    [j] + {k+1, ..., 2k-j}, 0 <= j <= k, that fit in [n].
+    by the atom partition, so it holds at most Bell(n) entries.  At the
+    root {1,...,k} these are the sets [j] + {k+1, ..., 2k-j}, 0 <= j <= k,
+    that fit in [n].
     """
-    n, full, cols = u.n, u.full, u.cols
+    u = Family(n, k, iter_ksets(n, k))
+    cols, full = u.cols, u.full
+    missing = [full ^ col for col in cols]
+    later = [union(cols, m) >> (i + 1) << (i + 1) for i, m in enumerate(u.members)]
+    elems = [elements_of(m) for m in u.members]
     every = (1 << n) - 1
     keep = []
     for m in u.members:
@@ -228,7 +236,7 @@ def _orbit_rule(u: Family):
             together |= (side >> p) << (p + (p - 1) * n)  # the pairs (p, e > p) on it
         keep.append(together)
 
-    @functools.cache
+    @cache
     def firsts(together: int) -> int:
         breaks = 0  # the sets holding some e but not an earlier p of its atom
         for bit in elements_of(together):
@@ -236,7 +244,7 @@ def _orbit_rule(u: Family):
             breaks |= cols[e + 1] & (full ^ cols[p + 1])
         return full ^ breaks
 
-    return keep, firsts
+    return u, missing, later, elems, keep, firsts
 
 
 def unconstrained_max(n: int, k: int) -> int:
@@ -375,32 +383,23 @@ def extremal_c_diversity_families(
 # -- heuristic local search ----------------------------------------------------
 
 
+def _seed_plan(n: int, k: int) -> list:
+    """The known extremal candidates nonempty at (n, k), in seed order, as
+    (size by closed form, builder) pairs; nothing is built."""
+    plan = [(star_size(n, k), partial(cons.full_star, n, k))]
+    if k >= 2 and n >= 3:
+        plan += [(fi_size(n, k, 3), partial(cons.family_fi, n, k, 3)),
+                 (triangle_size(n, k), partial(cons.family_triangle, n, k))]
+    if n >= 7 and k >= 3:
+        plan.append((fano_l_size(n, k), partial(cons.fano_l, n, k)))
+        if k >= 4:  # F_L+ is F_L at k = 3, so it is not built
+            plan.append((fano_lplus_size(n, k), partial(cons.fano_lplus, n, k)))
+    return [(size, build) for size, build in plan if size]
+
+
 def canonical_seeds(n: int, k: int) -> list[Family]:
     """The known extremal candidates, whenever constructible at (n, k)."""
-    from . import constructions as cons
-
-    seeds: list[Family] = [cons.full_star(n, k)]
-    if k >= 2 and n >= 3:
-        seeds.append(cons.family_fi(n, k, 3))
-        seeds.append(cons.family_triangle(n, k))
-    if n >= 7 and k == 3:
-        seeds.append(cons.fano_l(n, k))  # F_L+ is F_L at k = 3, so it is not built
-    elif n >= 7 and k >= 4:
-        seeds += cons.fano_families(n, k)
-    return [s for s in seeds if len(s)]
-
-
-def _seed_sizes(n: int, k: int) -> list[int]:
-    """The sizes of canonical_seeds(n, k), in order, by their closed forms;
-    no set is built."""
-    sizes = [star_size(n, k)]
-    if k >= 2 and n >= 3:
-        sizes += [fi_size(n, k, 3), triangle_size(n, k)]
-    if n >= 7 and k >= 3:
-        sizes.append(fano_l_size(n, k))
-        if k >= 4:
-            sizes.append(fano_lplus_size(n, k))
-    return [size for size in sizes if size]
+    return [build() for _, build in _seed_plan(n, k)]
 
 
 def _below(getrandbits, size: int) -> int:
@@ -580,7 +579,7 @@ def max_c_diversity_heuristic(
     moves in a row) and the moves tried and accepted per kind.  An (n, k)
     whose star seed has more than MAX_SETS sets is refused before any set is
     built, and so is one where building a seed would be refused (the seed
-    guards are checked on `_seed_sizes` before the caps are walked).
+    guards are checked on `_seed_plan`'s sizes before the caps are walked).
     """
     c = Fraction(c)
     _check_input(n, k, budget)
@@ -593,7 +592,7 @@ def max_c_diversity_heuristic(
     # the seeds' own guards, read off their sizes before the cap walk, so a
     # search whose seeds would be refused is refused even where no seed is
     # built; every binomial in those sizes is at most the star's, capped above
-    largest = max(_seed_sizes(n, k))
+    largest = max(size for size, _ in _seed_plan(n, k))
     if largest > MAX_SETS:
         raise ValueError(
             f"guard: heuristic search refused: a seed has {largest} sets, "

@@ -152,7 +152,7 @@ def chain_rows(n_max: int = 40, k_max: int = 8, enum_n_max: int = 14) -> list[Ro
     """The size chain |F_3| = |F_4| < |F_5| < ... < |F_{k+1}| < C(n-1,k-1)
     for n > 2k, by formula, confirmed by enumeration at small n."""
     rows: list[Row] = []
-    for k in range(2, k_max + 1):
+    for k in range(2, min(k_max, (n_max - 1) // 2) + 1):
         for n in range(2 * k + 1, n_max + 1):
             sizes = [fx.fi_size(n, k, i) for i in range(3, k + 2)]
             ok = sizes[-1] < fx.binom(n - 1, k - 1)
@@ -177,7 +177,7 @@ def chain_rows(n_max: int = 40, k_max: int = 8, enum_n_max: int = 14) -> list[Ro
 def prop28_rows(n_max: int = 200, k_max: int = 12) -> list[Row]:
     """C(n-i,k) >= (n-ik)/n C(n,k) over the whole valid grid."""
     rows: list[Row] = []
-    for k in range(1, k_max + 1):
+    for k in range(1, min(k_max, n_max) + 1):
         for n in range(k, n_max + 1):
             i = 0
             while n > i * k:
@@ -218,7 +218,10 @@ def example_t_gamma_rows(n_max: int = 14, k_max: int = 5) -> list[Row]:
 
 
 def stability_rhs_rows(n: int = 200, k: int = 5, d_values: tuple[int, ...] = (36, 40, 44)) -> list[Row]:
-    """Right sides of the two stability bounds: nonnegative and monotone in alpha."""
+    """Right sides of the two stability bounds: nonnegative and monotone in
+    alpha.  A d below 0 is refused: it makes both right sides negative."""
+    if any(d < 0 for d in d_values):
+        raise ValueError(f"sweep 'stability-rhs' needs every d >= 0, got {list(d_values)}")
     rows: list[Row] = []
     alphas = [Fraction(t, 10) for t in range(0, 11)]
     for d in d_values:
@@ -244,6 +247,62 @@ SWEEPS = {
 }
 
 
+def _bits(n: int, r: int) -> int:
+    """A bound on the bits of C(n, r): min(r, n - r) factors of at most n."""
+    return min(r, n - r) * n.bit_length() if 0 <= r <= n else 0
+
+
+def _formula_matrix_work(n_max: int, k_max: int):
+    for n in range(2, n_max + 1):
+        yield 1
+        for k in range(1, min(k_max, n) + 1):
+            sets = fx.star_size(n, k)
+            if k >= 2 and n >= 3:
+                sets += sum(fx.fi_size(n, k, i) for i in range(3, min(k + 1, n) + 1))
+                sets += (2 if n >= 7 else 1) * fx.triangle_size(n, k) + fx.uvw_star_size(n, k)
+            if n >= 7 and k >= 3:
+                sets += fx.fano_l_size(n, k) + fx.fano_lplus_size(n, k)
+            sets += sum(fx.example_t_size(n, k, ell) for ell in range(2, k) if ell + 4 <= n)
+            total = math.comb(n, k)
+            yield sets + sum({0, 1, total // 2, total})
+
+
+def _chain12_work(n_max: int, k_max: int, enum_n_max: int):
+    for k in range(2, min(k_max, (n_max - 1) // 2) + 1):
+        yield (n_max - 2 * k) * k  # per n: a row and k - 1 closed-form sizes
+        for n in range(2 * k + 1, min(n_max, enum_n_max) + 1):
+            yield 1 + sum(fx.fi_size(n, k, i) for i in range(3, k + 2))
+
+
+def _prop28_work(n_max: int, k_max: int):
+    for k in range(1, min(k_max, n_max) + 1):
+        q, r = divmod(n_max, k)  # ceil(n/k) rows per n: sum them over [1, n_max], less [1, k)
+        yield k * q * (q + 1) // 2 + r * (q + 1) - (k - 1)
+
+
+def _example_t_gamma_work(n_max: int, k_max: int):
+    for n in range(6, n_max + 1):
+        yield 1 + sum(fx.example_t_size(n, k, ell) for k in range(3, min(k_max, n) + 1)
+                      for ell in range(2, k) if 3 + ell <= n)
+
+
+def _stability_rhs_work(n: int, k: int, d_values: tuple[int, ...]):
+    for d in d_values:  # a row, and 11 values of alpha of two binomials each
+        yield 1 + 11 * (_bits(n - 3, k - 2) + _bits(n - d + 3, k - d + 3))
+
+
+# Each sweep's work, from its parameters alone: a unit per grid point, row,
+# closed form evaluated, set built and bit of a binomial, in the order the
+# sweep meets them, so that summing stops soon after passing any limit.
+_WORK = {
+    "formula-matrix": _formula_matrix_work,
+    "chain12": _chain12_work,
+    "prop28": _prop28_work,
+    "example-t-gamma": _example_t_gamma_work,
+    "stability-rhs": _stability_rhs_work,
+}
+
+
 def _fits(value, default) -> bool:
     """Whether a config value has the type of a parameter's default.
 
@@ -258,6 +317,8 @@ def _fits(value, default) -> bool:
 
 
 def run_sweep(name: str, **kwargs) -> list[Row]:
+    """The rows of sweep `name`.  Unknown or mistyped parameters are refused,
+    and so is a grid of more than MAX_SETS steps (`_WORK`), before any row."""
     if name not in SWEEPS:
         raise ValueError(f"unknown sweep {name!r}; choose from {sorted(SWEEPS)}")
     known = inspect.signature(SWEEPS[name]).parameters
@@ -270,5 +331,13 @@ def run_sweep(name: str, **kwargs) -> list[Row]:
             raise ValueError(
                 f"sweep {name!r} parameter {key!r} must have the type of its "
                 f"default {default!r}, got {value!r}"
+            )
+    work = 0
+    for step in _WORK[name](**{key: p.default for key, p in known.items()} | kwargs):
+        work += step
+        if work > cons.MAX_SETS:
+            raise ValueError(
+                f"guard: sweep {name!r} refused: it takes more than {cons.MAX_SETS} steps "
+                f"(grid points, rows, closed forms, sets built and binomial bits)"
             )
     return SWEEPS[name](**kwargs)

@@ -16,7 +16,7 @@ from divlab.family import Family, elements_of, iter_ksets, mask_of
 from divlab.formulas import hm_size
 from divlab.search import (
     _cap_floor,
-    _orbit_rule,
+    _cap_tables,
     extremal_c_diversity_families,
     max_c_diversity,
     max_c_diversity_exact,
@@ -319,8 +319,7 @@ def test_root_orbit_reps_are_lex_first_of_each_orbit(n, k):
     firsts = {}
     for mask in iter_ksets(n, k):  # lex order
         firsts.setdefault((mask & root).bit_count(), mask)
-    u = Family(n, k, iter_ksets(n, k))
-    keep, rule = _orbit_rule(u)
+    u, *_, keep, rule = _cap_tables(n, k)
     assert sorted(u.members[i - 1] for i in elements_of(rule(keep[0]))) == sorted(firsts.values())
 
 
@@ -330,9 +329,8 @@ def test_orbit_rule_matches_brute_force_orbits(n, k):
     # lex-first sets of the orbits under every permutation of [n] that maps
     # each picked set to itself
     rng = random.Random(n * 10 + k)
-    u = Family(n, k, iter_ksets(n, k))
+    u, *_, keep, rule = _cap_tables(n, k)
     index = {m: i for i, m in enumerate(u.members)}
-    keep, rule = _orbit_rule(u)
     perms = [(0, *g) for g in itertools.permutations(range(1, n + 1))]  # g[e]: the image of e
 
     def image(g, m):
@@ -472,3 +470,44 @@ def test_k3_chart_matches_exact_search(n):
         res = max_c_diversity(n, 3, c, "exact", override_guard=True)
         assert res.exact and not res.stats["truncated"], (n, c)
         assert res.best_value == _k3_chart(n, c) == res.best_family.c_diversity(c), (n, c)
+
+
+# -- the cap search's tables: one build per (n, k), shared by every search there
+
+
+def _cap_runs(n, k):
+    return [(n, k, cap, collect) for cap in range(math.comb(n - 1, k - 1) + 1)
+            for collect in (False, True)]
+
+
+def _cap_search(n, k, cap, collect):
+    return max_size_with_degree_cap(n, k, cap, collect_optima=collect, override_guard=True)
+
+
+def test_cap_search_does_not_depend_on_the_searches_before_it():
+    # every search at one (n, k) shares the tables and the firsts memo, so
+    # each is compared with a search that built them afresh
+    runs = _cap_runs(6, 3) + _cap_runs(7, 3)
+    want = {}
+    for run in runs:
+        _cap_tables.cache_clear()
+        want[run] = _cap_search(*run)
+    others = itertools.cycle([(5, 2, 2), (8, 3, 3), (6, 4, 4)])
+    interleaved = []
+    for pair in itertools.zip_longest(_cap_runs(6, 3), _cap_runs(7, 3)):
+        interleaved += [run for run in pair if run]
+    for order in (runs, runs[::-1], interleaved):
+        _cap_tables.cache_clear()
+        for run in order:
+            if order is interleaved:
+                n, k, cap = next(others)
+                _cap_search(n, k, cap, False)
+            assert _cap_search(*run) == want[run], run
+
+
+def test_one_exact_walk_builds_the_tables_once():
+    for walk in (lambda: max_c_diversity(7, 3, Fraction(5, 4), "exact"),
+                 lambda: extremal_c_diversity_families(7, 3, Fraction(5, 4))):
+        _cap_tables.cache_clear()
+        walk()
+        assert _cap_tables.cache_info().misses == 1

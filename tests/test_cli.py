@@ -469,9 +469,19 @@ def test_sweep_cli(tmp_path, capsys):
         ({"sweeps": [{"name": "chain12", "n_max": "x"}]}, "n_max"),
         ({"sweeps": [{"name": "chain12", "n_max": True}]}, "n_max"),
         ({"sweeps": [{"name": "stability-rhs", "d_values": [36, "40"]}]}, "d_values"),
+        ({"sweeps": [{"name": "prop28", "n_max": 10**8}]}, "guard: sweep 'prop28'"),
+        ({"sweeps": [{"name": "formula-matrix", "n_max": 60, "k_max": 30}]},
+         "guard: sweep 'formula-matrix'"),
+        ({"sweeps": [{"name": "chain12", "n_max": 10**7}]}, "guard: sweep 'chain12'"),
+        ({"sweeps": [{"name": "example-t-gamma", "n_max": 10**6}]},
+         "guard: sweep 'example-t-gamma'"),
+        ({"sweeps": [{"name": "stability-rhs", "n": 10**9, "k": 10**6}]},
+         "guard: sweep 'stability-rhs'"),
+        ({"sweeps": [{"name": "stability-rhs", "d_values": [36, -5]}]}, "d >= 0"),
     ],
     ids=["missing-name", "unknown-key", "sweeps-not-a-list", "bad-type", "bool-for-int",
-         "bad-item-type"],
+         "bad-item-type", "prop28-grid", "formula-matrix-grid", "chain12-grid",
+         "example-t-gamma-grid", "stability-rhs-binomials", "negative-d"],
 )
 def test_sweep_config_errors(tmp_path, capsys, config, named):
     path = tmp_path / "bad_sweep.json"

@@ -119,10 +119,13 @@ def test_extremal_families_are_triangles():
 
 
 def test_seed_sizes_match_the_built_seeds():
-    # the heuristic checks the seed guards on these sizes before it builds any seed
+    # the heuristic checks the seed guards on the plan's sizes before it builds
+    # any seed, and the plan leaves out the seeds whose size is 0
     for n in range(1, 13):
         for k in range(1, n + 1):
-            assert search._seed_sizes(n, k) == [len(s) for s in canonical_seeds(n, k)], (n, k)
+            plan = search._seed_plan(n, k)
+            assert [size for size, _ in plan] == [len(build()) for _, build in plan], (n, k)
+            assert [len(s) for s in canonical_seeds(n, k)] == [size for size, _ in plan]
 
 
 def test_canonical_seeds():
@@ -320,7 +323,7 @@ def test_canonical_seeds_build_fano_lplus_only_from_k_4(monkeypatch):
     from divlab import constructions as cons
 
     want = {(n, k): canonical_seeds(n, k) for n in (7, 9, 12) for k in (3, 4)}
-    assert [len(s) for s in want[12, 4]] == search._seed_sizes(12, 4)
+    assert [len(s) for s in want[12, 4]] == [size for size, _ in search._seed_plan(12, 4)]
     for n in (7, 9, 12):
         fl, flp = fano_families(n, 3)
         assert fl == flp and want[n, 3][-1] == fl
@@ -330,7 +333,7 @@ def test_canonical_seeds_build_fano_lplus_only_from_k_4(monkeypatch):
     def fail(*args):
         raise AssertionError("F_L+ was built at k = 3")
 
-    monkeypatch.setattr(cons, "fano_families", fail)
+    monkeypatch.setattr(cons, "fano_lplus", fail)
     for n in (7, 9, 12):
         assert canonical_seeds(n, 3) == want[n, 3]
         with pytest.raises(AssertionError):
