@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .family import Family, comb_capped, elements_of, iter_ksets, union
+from .family import Family, comb_capped, compatible_sets, elements_of, iter_ksets
 from .constructions import MAX_SETS, lex_family
 from .formulas import binom
 
@@ -88,14 +88,7 @@ def cross_max_compatible(n: int, a: int, b: int, size_a: int) -> int:
     """Number of b-sets of [n] meeting every member of the lex prefix L(n,a,size_a)."""
     if n < a + b:
         raise ValueError("requires n >= a + b")
-    if comb_capped(n, b, 2_000_000) > 2_000_000:
-        raise ValueError(f"guard: C({n},{b}) too large to enumerate")
-    prefix = lex_family(n, a, size_a).members
-    u = Family(n, b, iter_ksets(n, b))
-    compatible = u.full
-    for m in prefix:  # the b-sets meeting m, off the incidence columns
-        compatible &= union(u.cols, m)
-    return compatible.bit_count()
+    return sum(1 for _ in compatible_sets(lex_family(n, a, size_a), b))
 
 
 @dataclass
@@ -228,9 +221,11 @@ def verify_hilton(
     runs the shift route on the pairs whose place in that order is a
     multiple of shift_sample_stride; trial mode runs it on every pair.  The
     route is skipped where A or B is empty or the lex test failed.  A cross
-    table of more than MAX_SETS entries, or an exhaustive run facing more
-    than HILTON_EXHAUSTIVE_PAIRS pairs, is refused before any table is
-    built, and so is a trial count or a stride below 1.
+    table of more than MAX_SETS entries, a side of more than MAX_SETS/n
+    sets (a trial peels a random A one member at a time, each step on an
+    int as wide as that side), or an exhaustive run facing more than
+    HILTON_EXHAUSTIVE_PAIRS pairs, is refused before any table is built,
+    and so is a trial count or a stride below 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -238,11 +233,15 @@ def verify_hilton(
         raise ValueError(f"shift_sample_stride must be >= 1, got {shift_sample_stride}")
     if n < a + b:
         raise ValueError("requires n >= a + b")
-    if comb_capped(n, a, MAX_SETS) * comb_capped(n, b, MAX_SETS) > MAX_SETS:
+    size_a, size_b = comb_capped(n, a, MAX_SETS), comb_capped(n, b, MAX_SETS)
+    if size_a * size_b > MAX_SETS:
         raise ValueError(
             f"guard: the cross table has C({n},{a})*C({n},{b}) entries, "
             f"more than the {MAX_SETS}-set guard"
         )
+    if max(size_a, size_b) * n > MAX_SETS:
+        raise ValueError(f"guard: one side has {max(size_a, size_b)} sets, more than "
+                         f"MAX_SETS/n = {MAX_SETS // n} at n={n}")
     bound = _pair_bound(n, a, b) if exhaustive else 0
     if bound > HILTON_EXHAUSTIVE_PAIRS:
         raise ValueError(

@@ -11,6 +11,7 @@ nothing here ever touches floating point.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -374,14 +375,9 @@ class Family:
     # -- structural predicates ----------------------------------------------
 
     def is_intersecting(self) -> bool:
-        """True iff every two members share an element (empty family counts):
-        each member's columns cover all members.  A k = 0 family has at most
-        one member, so no pair; on n < 2k any two k-sets meet in at least
-        2k - n elements, so no column is built."""
-        if not self.k or 2 * self.k > self.n:
-            return True
-        cols, full = self.cols, self.full
-        return all(union(cols, m) == full for m in self.members)
+        """True iff every two members share an element (empty family counts).
+        A k = 0 family has no pair; any other must cross-intersect itself."""
+        return not self.k or cross_intersecting(self, self)
 
     def is_star(self) -> bool:
         """True iff some element lies in every member (empty family counts)."""
@@ -477,6 +473,44 @@ def trace_counter(fam: Family):
     return cells
 
 
+def stability_key(fam: Family) -> tuple[int, int, tuple[int, int, int]]:
+    """The least (|F \\ F*_T|, |F_T \\ F|, T) over the triples T of [n], for
+    a nonempty family on n >= 3 elements: F*_T holds the k-sets meeting T
+    in two or more elements, F_T those meeting it in exactly two.
+
+    The scan is exhaustive: a member meeting T = {u,v,w} twice or more counts
+    at least twice in du+dv+dw, so |F \\ F*_T| >= |F| - floor((du+dv+dw)/2).
+    Walking the elements by falling degree, each loop stops once that bound
+    strictly exceeds the best |F \\ F*_T| so far: no later triple can tie.
+    For k <= 1 every triple ties and (1,2,3) is taken without a scan.
+    """
+    n, k, size = fam.n, fam.k, len(fam)
+    if k <= 1:
+        # no member meets a triple twice: every triple ties at (|F|, 0), and
+        # the bound below never exceeds |F|, so a scan would never stop
+        return size, 0, (1, 2, 3)
+    cells = trace_counter(fam)
+    order = sorted(range(1, n + 1), key=lambda x: (-fam.degrees[x - 1], x))
+    deg = sorted(fam.degrees, reverse=True)  # deg[i] is the degree of order[i]
+    full = 3 * math.comb(n - 3, k - 2)
+    best_key = (size + 1,)  # outside <= |F|, so any triple beats it
+    for a in range(n - 2):
+        if size - (deg[a] + deg[a + 1] + deg[a + 2]) // 2 > best_key[0]:
+            break
+        for b in range(a + 1, n - 1):
+            if size - (deg[a] + deg[b] + deg[b + 1]) // 2 > best_key[0]:
+                break
+            for c in range(b + 1, n):
+                if size - (deg[a] + deg[b] + deg[c]) // 2 > best_key[0]:
+                    break
+                t = tuple(sorted((order[a], order[b], order[c])))
+                h, g_u, g_v, g_w, m_uv, m_uw, m_vw, _ = cells(t)
+                key = (h + g_u + g_v + g_w, full - m_uv - m_uw - m_vw, t)
+                if key < best_key:
+                    best_key = key
+    return best_key
+
+
 def cross_intersecting(a: Family, b: Family, t: int = 1) -> bool:
     """True iff every member of `a` meets every member of `b` in >= t elements.
     An a.k-set and a b.k-set of [n] meet in at least a.k + b.k - n elements,
@@ -491,13 +525,25 @@ def cross_intersecting(a: Family, b: Family, t: int = 1) -> bool:
     return all((am & bm).bit_count() >= t for am in a.members for bm in b.members)
 
 
+def compatible_sets(fam: Family, k: int) -> Iterator[int]:
+    """The k-subsets of [n] whose columns cover every member of `fam`, in
+    lex order.  More than MAX_SETS candidates, or more element-bits than
+    check_element_bits allows, are refused when called, before any is made."""
+    n = fam.n
+    sets = comb_capped(n, k, MAX_SETS)
+    if sets > MAX_SETS:
+        raise ValueError(f"guard: C({n},{k}) too large to enumerate")
+    check_element_bits(sets, k, n)
+    cols, full = fam.cols, fam.full
+    return (cand for cand in iter_ksets(n, k) if union(cols, cand) == full)
+
+
 def addable_sets(fam: Family) -> list[int]:
     """k-sets outside the family that meet every member, in lex order."""
+    compatible = compatible_sets(fam, fam.k)  # guarded before the intersection scan
     if not fam.is_intersecting():
         raise ValueError("saturation is only defined for intersecting families")
-    cols, full = fam.cols, fam.full
-    return [cand for cand in iter_ksets(fam.n, fam.k)
-            if union(cols, cand) == full and cand not in fam]
+    return [cand for cand in compatible if cand not in fam]
 
 
 def is_saturated(fam: Family) -> bool:

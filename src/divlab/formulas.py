@@ -7,13 +7,12 @@ chart where hypotheses fail.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .family import Family, elements_of, trace_counter
+from .family import Family, stability_key
 
 _RATIO_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -272,11 +271,8 @@ def check_theorem(
         v = BoundVerdict.compare("fw2", size - delta, bound, hypotheses_hold=hyp)
         if v.tight:
             t = sandwich_triple(fam)
-            note = (
-                f"extremal: triangle-sandwich at triple {t}" if t else "tight but not a triangle sandwich"
-            )
-            return BoundVerdict(v.name, v.hypotheses_hold, v.lhs, v.rhs, v.satisfied,
-                                v.tight, v.direction, note)
+            return replace(v, note=f"extremal: triangle-sandwich at triple {t}" if t
+                           else "tight but not a triangle sandwich")
         return v
     if which == "fw3":
         hyp = size >= 36 * binom(n - 3, k - 3) and n >= 24 * k and size > 0
@@ -296,27 +292,13 @@ def check_theorem(
 
 
 def sandwich_triple(fam: Family) -> tuple[int, int, int] | None:
-    """A triple T with F_uvw <= F <= F*_uvw, if one exists.
-
-    A valid T shares >= 2 elements with the first member, so candidates are
-    pairs inside it extended by an arbitrary third element.  T is valid iff
-    no member meets it in fewer than two elements (F <= F*_uvw) and all
-    3 C(n-3,k-2) sets meeting it in exactly two are members (F_uvw <= F).
-    """
-    if not fam.members:
+    """A triple T with F_uvw <= F <= F*_uvw, if one exists: the triple of
+    family.stability_key when both its counts are 0.  For k >= 2 and
+    n >= k + 3 at most one T qualifies; on smaller n the least is taken."""
+    if not fam.members or fam.n < 3:
         return None
-    cells = trace_counter(fam)
-    full = 3 * binom(fam.n - 3, fam.k - 2)
-    first = elements_of(fam.members[0])
-    for pair in itertools.combinations(first, 2):
-        for w in range(1, fam.n + 1):
-            if w in pair:
-                continue
-            t = tuple(sorted((*pair, w)))
-            h, g_u, g_v, g_w, m_uv, m_uw, m_vw, _ = cells(t)
-            if h + g_u + g_v + g_w == 0 and m_uv + m_uw + m_vw == full:
-                return t
-    return None
+    outside, missing, t = stability_key(fam)
+    return t if outside == missing == 0 else None
 
 
 # -- cross-intersecting lemma bounds ------------------------------------------

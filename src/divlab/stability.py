@@ -2,14 +2,14 @@
 
 Every |F(P,T)| comes from family.trace_counter, popcounts of the family's
 incidence columns; Family.trace is the slow reference it is tested against.
-The stability scan is exhaustive at every n, pruned by a degree-sum bound.
+The stability scan is family.stability_key, exhaustive at every n.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .family import Family, trace_counter
+from .family import Family, stability_key, trace_counter
 from .formulas import binom, stability_rhs
 
 
@@ -97,14 +97,8 @@ class StabilityReport:
 
 
 def find_stability_triple(fam: Family, d: int = 36) -> StabilityReport:
-    """Find the triple T minimizing (|F \\ F*_T|, |F_T \\ F|, T) and fill in
-    the stability bounds for the given d.
-
-    The scan is exhaustive: a member meeting T = {u,v,w} twice or more counts
-    at least twice in du+dv+dw, so |F \\ F*_T| >= |F| - floor((du+dv+dw)/2).
-    Walking the elements by falling degree, each loop stops once that bound
-    strictly exceeds the best |F \\ F*_T| so far: no later triple can tie.
-    For k <= 1 every triple ties and (1,2,3) is taken without a scan.
+    """Take the triple T of family.stability_key, the least (|F \\ F*_T|,
+    |F_T \\ F|, T), and fill in the stability bounds for the given d.
     triples_scanned counts the triples decided, C(n,3).  The theorem
     assumes F intersecting, so its hypotheses fail on any other family.
     """
@@ -116,34 +110,7 @@ def find_stability_triple(fam: Family, d: int = 36) -> StabilityReport:
     base = binom(n - 3, k - 2)
     gamma = fam.diversity()
     alpha = 1 - Fraction(gamma, base) if base else Fraction(1)
-
-    size = len(fam)
-    if k <= 1:
-        # no member meets a triple twice: every triple ties at (|F|, 0), and
-        # the bound below never exceeds |F|, so a scan would never stop
-        best_key = (size, 0, (1, 2, 3))
-    else:
-        cells = trace_counter(fam)
-        order = sorted(range(1, n + 1), key=lambda x: (-fam.degrees[x - 1], x))
-        deg = sorted(fam.degrees, reverse=True)  # deg[i] is the degree of order[i]
-        full = 3 * base
-        best_key = (size + 1,)  # outside <= |F|, so any triple beats it
-        for a in range(n - 2):
-            if size - (deg[a] + deg[a + 1] + deg[a + 2]) // 2 > best_key[0]:
-                break
-            for b in range(a + 1, n - 1):
-                if size - (deg[a] + deg[b] + deg[b + 1]) // 2 > best_key[0]:
-                    break
-                for c in range(b + 1, n):
-                    if size - (deg[a] + deg[b] + deg[c]) // 2 > best_key[0]:
-                        break
-                    t = tuple(sorted((order[a], order[b], order[c])))
-                    h, g_u, g_v, g_w, m_uv, m_uw, m_vw, _ = cells(t)
-                    key = (h + g_u + g_v + g_w, full - m_uv - m_uw - m_vw, t)
-                    if key < best_key:
-                        best_key = key
-    outside, missing, best = best_key
-
+    outside, missing, best = stability_key(fam)
     hyp = (
         d >= 36
         and 0 <= alpha < 1

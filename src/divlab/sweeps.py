@@ -29,6 +29,15 @@ class Row(NamedTuple):
     note: str = ""
 
 
+def _flagged(fam: Family, delta_formula: int, support: tuple[int, ...]) -> bool:
+    """The attainment rule for a closed form that disagrees with its
+    measurement: flagged when the formula's Delta is right on the assumed
+    support and the maximum degree sits higher, off it; else a failure."""
+    delta, witness = fam.max_degree()
+    support_deg = max(fam.degree(x) for x in support)
+    return support_deg == delta_formula and witness not in support and delta > support_deg
+
+
 def _measure_rows(
     check: str,
     fam: Family,
@@ -65,19 +74,12 @@ def _measure_rows(
         ("gamma", gamma_formula, len(fam) - delta),
     ):
         if formula == measured:
-            rows.append(Row(check, n, k, params, quantity, formula, measured, "pass"))
-            continue
-        support_deg = max(fam.degree(x) for x in support)
-        off_support = witness not in support and delta > support_deg
-        if support_deg == delta_formula and off_support:
-            rows.append(
-                Row(
-                    check, n, k, params, quantity, formula, measured, "flagged",
-                    note=f"max degree attained at {witness}, off the assumed support",
-                )
-            )
+            status, note = "pass", ""
+        elif _flagged(fam, delta_formula, support):
+            status, note = "flagged", f"max degree attained at {witness}, off the assumed support"
         else:
-            rows.append(Row(check, n, k, params, quantity, formula, measured, "fail"))
+            status, note = "fail", ""
+        rows.append(Row(check, n, k, params, quantity, formula, measured, status, note))
     return rows
 
 
@@ -190,7 +192,8 @@ def prop28_rows(n_max: int = 200, k_max: int = 12) -> list[Row]:
 
 def example_t_gamma_rows(n_max: int = 14, k_max: int = 5) -> list[Row]:
     """The displayed gamma formula of the three-block example vs measurement;
-    disagreements where the maximum degree sits off [3] are flagged.
+    a disagreement is flagged by _measure_rows' rule, with Delta's formula
+    |F| - gamma on the support [3].
 
     Deliberately uses three equal kernels (the degenerate shape): for
     ell = 2 the shared kernel elements outdegree [3] at every n, so this
@@ -208,9 +211,9 @@ def example_t_gamma_rows(n_max: int = 14, k_max: int = 5) -> list[Row]:
                 if formula == measured:
                     status, note = "pass", ""
                 else:
-                    _, witness = fam.max_degree()
-                    status = "flagged" if witness not in (1, 2, 3) else "fail"
-                    note = f"max degree attained at {witness}"
+                    delta_formula = fx.example_t_size(n, k, ell) - formula
+                    status = "flagged" if _flagged(fam, delta_formula, (1, 2, 3)) else "fail"
+                    note = f"max degree attained at {fam.max_degree()[1]}"
                 rows.append(
                     Row("example-t-gamma", n, k, f"ell={ell}", "gamma", formula, measured, status, note)
                 )

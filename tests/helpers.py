@@ -190,7 +190,7 @@ def brute_c_diversity_optima(families: list[Family], c: Fraction) -> tuple[Fract
 def brute_sandwich_triple(fam: Family) -> tuple[int, int, int] | None:
     """A triple T with F_uvw <= F <= F*_uvw, by scanning every member and
     building F_uvw for each candidate T (pairs of the first member plus a
-    third element, in the same order as formulas.sandwich_triple)."""
+    third element), with no trace count or stability scan."""
     if not fam.members:
         return None
     first = elements_of(fam.members[0])

@@ -162,6 +162,8 @@ def test_usage_and_input_errors(tmp_path, capsys):
     for extra in (("hilton", "--n", "40", "--a", "3", "--b", "3"),
                   ("hilton", "--n", "8", "--a", "2", "--b", "1", "--exhaustive"),
                   ("hilton", "--n", "20000", "--a", "10000", "--b", "10000"),
+                  ("hilton", "--n", "100000", "--a", "1", "--b", "0"),
+                  ("hilton", "--n", "1000", "--a", "2", "--b", "0"),
                   ("fk", "--m", "20000", "--l", "10000")):
         code, text, err = run(capsys, "lemma", *extra)
         assert code == 1, extra

@@ -104,6 +104,10 @@ def test_cross_max_compatible():
     # the guard never computes C(10^6, 500000): it stops at C(10^6, 2)
     with pytest.raises(ValueError, match="^guard: C"):
         cross_max_compatible(10**6, 2, 500000, 1)
+    # 10^6 candidate 1-sets on 10^6 elements pass the set guard but not the
+    # element-bit guard: refused before any candidate is made
+    with pytest.raises(ValueError, match="^guard:"):
+        cross_max_compatible(10**6, 1, 1, 1)
 
 
 def test_cross_max_compatible_matches_pairwise_scan():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,14 @@ def test_saturation():
     )
     with pytest.raises(ValueError):
         saturate(Family.from_sets(6, 3, [[1, 2, 3], [4, 5, 6]]))
+    # C(600,3) candidates are refused before any is made, and before the
+    # intersection test, which alone takes over a second on this star
+    big = full_star(600, 3)
+    for query in (is_saturated, saturate):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^guard: C"):
+            query(big)
+        assert time.perf_counter() - start < 2
 
 
 def test_fact_degree_exchange():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from divlab.constructions import (
     family_fi,
     family_triangle,
     family_uvw,
+    family_uvw_star,
     fano_families,
     full_star,
     sample_kernels,
@@ -311,6 +313,17 @@ def test_sandwich_triple():
     for _ in range(200):
         n = rng.randint(3, 9)
         fams.append(random_intersecting(rng, n, rng.randint(1, min(4, n))))
+    # every family sandwiched by two triples T, T' at n <= 8: the lower bound
+    # F_T | F_T' and the upper bound F*_T & F*_T', where the one holds the other
+    for n in range(3, 9):
+        for k in range(2, n + 1):
+            triples = list(combinations(range(1, n + 1), 3))
+            lower = {t: set(family_uvw(n, k, t).members) for t in triples}
+            upper = {t: set(family_uvw_star(n, k, t).members) for t in triples}
+            for t, t2 in combinations(triples, 2):
+                low, high = lower[t] | lower[t2], upper[t] & upper[t2]
+                if low <= high:
+                    fams += [Family(n, k, low), Family(n, k, high)]
     for fam in fams:
         assert sandwich_triple(fam) == brute_sandwich_triple(fam), fam
 
