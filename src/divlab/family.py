@@ -46,6 +46,9 @@ _LANE_BIT = [bytes(b"01"[b >> i & 1] for b in range(256)) for i in range(8)]
 # _REVERSED_BITS[b] is the byte b with its bit order reversed.
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
+# _BYTE_BITS[b] lists the set bits of the byte b, lowest first.
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+
 
 def check_ground_set(n: int) -> None:
     """Refuse a ground set [n] above the guard, before anything n-sized is built."""
@@ -294,12 +297,14 @@ class Family:
     def meeting(self, picked: int, table: list[int]) -> int:
         """Bitset of the members meeting every picked one.  table[i] lists the
         members disjoint from picked set i: disjoint_from(self.members) lets
-        `picked` index this family, disjoint_from(other.members) `other`."""
+        `picked` index this family, disjoint_from(other.members) `other`.
+        picked's set bits are read in one pass over its bytes, so a wide
+        picked costs time linear in its width, not in width times bits."""
         bad = 0
-        while picked:
-            low = picked & -picked
-            bad |= table[low.bit_length() - 1]
-            picked ^= low
+        for j, byte in enumerate(picked.to_bytes((picked.bit_length() + 7) // 8, "little")):
+            if byte:
+                for i in _BYTE_BITS[byte]:
+                    bad |= table[8 * j + i]
         return self.full & ~bad
 
     def meeting_nonempty(self, table: list[int]) -> Iterator[tuple[int, int]]:
@@ -554,13 +559,21 @@ def is_saturated(fam: Family) -> bool:
 def saturate(fam: Family) -> Family:
     """Repeatedly add the lex-first addable k-set until saturated.
 
-    Adding a member only shrinks the addable pool, so a single filtered
-    pass over the initial pool realizes the closure.
+    Adding a member only shrinks the addable pool: after each added set the
+    pool holds exactly the later candidates that meet every set added so
+    far.  So one pass over the initial pool, in lex order, keeping each
+    candidate that meets every set kept before it, realizes the closure.
+    A candidate is tested on the kept sets' columns: cols[e] has bit j set
+    when kept set j holds e, so the columns of its elements cover all the
+    kept sets exactly when it meets each of them.
     """
     chosen = list(fam.members)
-    pool = addable_sets(fam)
-    while pool:
-        new = pool.pop(0)
-        chosen.append(new)
-        pool = [c for c in pool if c & new]
+    cols, kept, bit = [0] * (fam.n + 1), 0, 1
+    for cand in addable_sets(fam):
+        if union(cols, cand) == kept:
+            for e in elements_of(cand):
+                cols[e] |= bit
+            kept |= bit
+            bit <<= 1
+            chosen.append(cand)
     return Family(fam.n, fam.k, chosen)

@@ -402,144 +402,30 @@ def canonical_seeds(n: int, k: int) -> list[Family]:
     return [build() for _, build in _seed_plan(n, k)]
 
 
-def _below(getrandbits, size: int) -> int:
-    """A uniform index in range(size), size >= 1: getrandbits(width) redrawn
-    while it is size or more, width being size.bit_length().  That is the draw
-    CPython's `randrange(size)` and `choice` make (3.10 on), one stream word
-    at a time, so a search that calls it reads the same stream as one that
-    calls them."""
-    width = size.bit_length()
-    r = getrandbits(width)
-    while r >= size:
-        r = getrandbits(width)
-    return r
+def _start_state(n: int, members, degrees=None) -> tuple:
+    """A slot's starting state: (members, live, deg, count, delta).
 
-
-class _LocalState:
-    """Mutable family with incremental size/degree/score bookkeeping.
-
-    Members sit in a list with a position map, so a uniform pick, a
-    membership test and a (swap-)removal are O(1).  Each live member's
-    sorted elements are decoded once, on first use, and dropped when it
-    leaves (`elems`); `count[d]` is the number of elements of degree d.
-    Each element an add or a removal touches moves by one degree, so Delta
-    moves by at most one, and a removal lowers it when `count[Delta]` falls
-    to 0: a move costs O(k) beyond the compatibility scan.
-
-    `members` is any iterable of masks, or, when the degrees are given
-    (`degrees[x-1]` for element x, as `Family.degrees` has them), a sorted
-    list that the state takes over: a seed's state decodes none of its
-    members up front and makes no copy of them.
+    `members` is a list, so a uniform pick and a swap-removal are O(1), and
+    `live` the set of its masks, for an O(1) membership test.  `deg[x]` is
+    the degree of element x (deg[0] is 0) and `count[d]` the number of
+    elements of degree d, so a removal lowers Delta by one exactly when
+    `count[Delta]` falls to 0.  `members` is any iterable of masks, or,
+    when the degrees are given (`degrees[x-1]` for element x, as
+    `Family.degrees` has them), a sorted list that the state takes over: a
+    seed's state decodes none of its members and makes no copy of them.
     """
-
-    __slots__ = ("n", "k", "p", "q", "members", "pos", "elems", "deg", "count", "delta")
-
-    def __init__(self, n: int, k: int, c: Fraction, members, degrees=None):
-        self.n, self.k = n, k
-        self.p, self.q = c.numerator, c.denominator
-        self.elems: dict[int, tuple[int, ...]] = {}
-        if degrees is None:
-            self.members = sorted(members)
-            deg = [0] * (n + 1)
-            for m in self.members:
-                self.elems[m] = elems = elements_of(m)
-                for e in elems:
-                    deg[e] += 1
-        else:
-            self.members = members
-            deg = [0, *degrees]
-        self.pos = {m: i for i, m in enumerate(self.members)}
-        self.deg = deg
-        self.delta = max(deg)  # deg[0] is 0, the Delta of the empty family
-        self.count: defaultdict[int, int] = defaultdict(int)
-        for d in deg[1:]:
-            self.count[d] += 1
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.pos
-
-    def pick(self, rng: random.Random) -> int:
-        return self.members[_below(rng.getrandbits, len(self.members))]
-
-    def elements(self, mask: int) -> tuple[int, ...]:
-        """A live member's sorted elements, decoded on first use."""
-        elems = self.elems.get(mask)
-        if elems is None:
-            elems = self.elems[mask] = elements_of(mask)
-        return elems
-
-    def score(self) -> int:
-        """q|F| - p*Delta; exact integer proxy for gamma_C."""
-        return self.q * len(self.members) - self.p * self.delta
-
-    def add(self, mask: int, elems: tuple[int, ...]) -> None:
-        """Put in `mask`, a non-member whose sorted elements are `elems`."""
-        self.pos[mask] = len(self.members)
-        self.members.append(mask)
-        self.elems[mask] = elems
-        deg, count, delta = self.deg, self.count, self.delta
-        for e in elems:
-            d = deg[e]
-            count[d] -= 1
-            deg[e] = d = d + 1
-            count[d] += 1
-            if d > delta:
-                delta = d
-        self.delta = delta
-
-    def remove(self, mask: int) -> tuple[int, ...]:
-        """Take out member `mask`; return its sorted elements."""
-        slot = self.pos.pop(mask)
-        last = self.members.pop()
-        if last != mask:
-            self.members[slot] = last
-            self.pos[last] = slot
-        elems = self.elems.pop(mask, None) or elements_of(mask)
-        deg, count = self.deg, self.count
-        for e in elems:
-            d = deg[e]
-            count[d] -= 1
-            deg[e] = d = d - 1
-            count[d] += 1
-        if not count[self.delta]:  # the peak emptied: Delta falls by one
-            self.delta -= 1
-        return elems
-
-    def add_score(self, elems: tuple[int, ...]) -> int:
-        """The score after adding a non-member with sorted elements `elems`."""
-        deg, new_delta = self.deg, self.delta
-        for e in elems:
-            if deg[e] + 1 > new_delta:
-                new_delta = deg[e] + 1
-        return self.q * (len(self.members) + 1) - self.p * new_delta
-
-    def compatible(self, mask: int) -> bool:
-        for m in self.members:
-            if not m & mask:
-                return False
-        return True
-
-
-def _random_candidate(state: _LocalState, rng: random.Random) -> tuple[int, tuple[int, ...]] | None:
-    """A random k-set through a random element of a random member, with its
-    sorted elements."""
-    if not state.members:
-        return None
-    getrandbits, n = rng.getrandbits, state.n
-    anchor = state.elements(state.pick(rng))
-    x = anchor[_below(getrandbits, len(anchor))]
-    drawn = [x]
-    mask = 1 << (x - 1)
-    width = n.bit_length()
-    for _ in range(state.k - 1):
-        # _below(getrandbits, n), redrawn while the element is taken
-        r = getrandbits(width)
-        while r >= n or mask >> r & 1:
-            r = getrandbits(width)
-        mask |= 1 << r
-        drawn.append(r + 1)
-    drawn.sort()
-    return mask, tuple(drawn)
+    if degrees is None:
+        members = sorted(members)
+        deg = [0] * (n + 1)
+        for m in members:
+            for e in elements_of(m):
+                deg[e] += 1
+    else:
+        deg = [0, *degrees]
+    count: defaultdict[int, int] = defaultdict(int)
+    for d in deg[1:]:
+        count[d] += 1
+    return members, set(members), deg, count, max(deg)
 
 
 _GREEDY_TRIES = 60  # random k-sets a random start tries to add
@@ -641,74 +527,143 @@ def max_c_diversity_heuristic(
     return SearchResult(fam, fam.c_diversity(c), False, sum(budgets), stats=stats)
 
 
-_MOVE_KINDS = ("add", "remove", "swap")  # the move indices of _move
+_MOVE_KINDS = ("add", "remove", "swap")  # the move indices of _run_restart
 
 
-def _keep_best(best: tuple | None, state: _LocalState) -> tuple:
-    """Snapshot an abandoned state if it beats the best so far.
+def _keep_best(best: tuple | None, score: int, members: list[int], live: set[int]) -> tuple:
+    """Snapshot an abandoned state, at `score`, if it beats the best so far.
 
     Every accepted move strictly raises the score, so a state is at its best
     when it is abandoned, and snapshotting only then keeps the best score and
     the first state to reach it.  The state is not used after this, so a
-    snapshot empties its maps and sorts its own member list: a seed-sized
-    snapshot is made beside neither the maps nor a sorted copy.
+    snapshot empties its member set and sorts its own member list: a
+    seed-sized snapshot is made beside neither the set nor a sorted copy.
     """
-    score = state.score()
     if best is None or score > best[0]:
-        state.pos.clear()
-        state.elems.clear()
-        state.members.sort()
-        return score, tuple(state.members)
+        live.clear()
+        members.sort()
+        return score, tuple(members)
     return best
-
-
-def _move(state: _LocalState, rng: random.Random) -> tuple[int, bool]:
-    """Try one random move; return its index in _MOVE_KINDS and whether it was kept.
-
-    add and swap put in a random candidate, remove and swap first take out
-    a random victim; a move is kept only if it strictly raises the score,
-    and a rejected remove or swap puts the victim back (last in the list).
-    """
-    roll = rng.random()
-    move = 0 if roll < 0.5 or len(state.members) <= 1 else 1 if roll < 0.75 else 2
-    old = state.score()
-    if move:
-        victim = state.pick(rng)
-        victim_elems = state.remove(victim)
-    if move == 1:
-        accepted = state.score() > old
-    else:
-        drawn = _random_candidate(state, rng)
-        accepted = (
-            drawn is not None
-            and drawn[0] not in state
-            and state.compatible(drawn[0])
-            and state.add_score(drawn[1]) > old
-        )
-        if accepted:
-            state.add(*drawn)
-    if move and not accepted:
-        state.add(victim, victim_elems)
-    return move, accepted
 
 
 def _run_restart(n: int, k: int, c: Fraction, start, moves: int, rng_seed: int):
     """One slot: local search from `start`, a seed's (sorted member list,
-    degrees), or from a random start when None, for `moves` moves.  Returns the best
-    (score, sorted members), the random restarts, and the moves tried and
-    accepted per kind."""
+    degrees), or from a random start when None, for `moves` moves.  Returns
+    the best (score, sorted members), the random restarts, and the moves
+    tried and accepted per kind.  Every start is nonempty, and no move
+    empties a family: only a family of two or more members loses one.
+
+    The score is q|F| - p*Delta for C = p/q, an exact integer proxy for
+    gamma_C.  Each move rolls its kind: add (always when |F| <= 1), remove
+    or swap.  remove and swap first take out a random victim; add and swap
+    then draw a random k-set through a random element of a random member
+    and put it in if it is new, meets every member and strictly raises the
+    score.  A remove is kept if it strictly raises the score; a rejected
+    remove or swap puts the victim back, last in the list.  After 400
+    rejected moves in a row the state is snapshotted (`_keep_best`) and
+    replaced by a random start.
+
+    The whole move runs in this one frame on local state, and each element
+    an add or a removal touches moves by one degree, so a move costs O(k)
+    beyond the compatibility scan.  Every index is drawn as CPython's
+    `randrange(size)` and `choice` draw it (3.10 on): getrandbits(width),
+    redrawn while it is size or more, width being size.bit_length().  So
+    the search reads the same random stream as one that calls them, and a
+    candidate's elements are drawn as randrange(n), redrawn while taken.
+    """
     rng = random.Random(rng_seed)
+    rand, getrandbits = rng.random, rng.getrandbits
+    p, q = c.numerator, c.denominator
+    n_width, k_width = n.bit_length(), k.bit_length()
     if start is None:
-        state = _LocalState(n, k, c, _greedy_random(n, k, rng))
-    else:
-        state = _LocalState(n, k, c, *start)
+        start = (_greedy_random(n, k, rng),)
+    members, live, deg, count, delta = _start_state(n, *start)
+    size = len(members)
     best = None
     tried = [0, 0, 0]
     taken = [0, 0, 0]
     restarts = 0
     since_accept = 0
     for _ in range(moves):
-        move, accepted = _move(state, rng)
+        roll = rand()
+        old = q * size - p * delta
+        if roll < 0.5 or size <= 1:
+            move = 0
+        else:
+            move = 1 if roll < 0.75 else 2
+            # take out members[i], the last member filling its slot
+            width = size.bit_length()
+            i = getrandbits(width)
+            while i >= size:
+                i = getrandbits(width)
+            victim = members[i]
+            live.remove(victim)
+            last = members.pop()
+            size -= 1
+            if last != victim:
+                members[i] = last
+            victim_elems = elements_of(victim)
+            for e in victim_elems:
+                d = deg[e]
+                count[d] -= 1
+                deg[e] = d = d - 1
+                count[d] += 1
+            if not count[delta]:  # the peak emptied: Delta falls by one
+                delta -= 1
+        if move == 1:
+            accepted = q * size - p * delta > old
+        else:
+            # the anchor x: element j of a random member, found by clearing
+            # the member's j lowest bits
+            width = size.bit_length()
+            i = getrandbits(width)
+            while i >= size:
+                i = getrandbits(width)
+            anchor = members[i]
+            j = getrandbits(k_width)
+            while j >= k:
+                j = getrandbits(k_width)
+            for _ in range(j):
+                anchor &= anchor - 1
+            mask = anchor & -anchor
+            drawn = [mask.bit_length()]
+            for _ in range(k - 1):
+                r = getrandbits(n_width)
+                while r >= n or mask >> r & 1:
+                    r = getrandbits(n_width)
+                mask |= 1 << r
+                drawn.append(r + 1)
+            # Delta after the add; the O(k) score test before the O(|F|) scan
+            top = delta
+            for e in drawn:
+                if deg[e] >= top:
+                    top = deg[e] + 1
+            accepted = (
+                q * (size + 1) - p * top > old
+                and mask not in live
+                and all(map(mask.__and__, members))
+            )
+            if accepted:
+                live.add(mask)
+                members.append(mask)
+                size += 1
+                for e in drawn:
+                    d = deg[e]
+                    count[d] -= 1
+                    deg[e] = d = d + 1
+                    count[d] += 1
+                delta = top
+        if move and not accepted:
+            live.add(victim)
+            members.append(victim)
+            size += 1
+            for e in victim_elems:
+                d = deg[e]
+                count[d] -= 1
+                deg[e] = d = d + 1
+                count[d] += 1
+                if d > delta:
+                    delta = d
         tried[move] += 1
         if accepted:
             taken[move] += 1
@@ -716,11 +671,12 @@ def _run_restart(n: int, k: int, c: Fraction, start, moves: int, rng_seed: int):
         else:
             since_accept += 1
             if since_accept > 400:
-                best = _keep_best(best, state)
-                state = _LocalState(n, k, c, _greedy_random(n, k, rng))
+                best = _keep_best(best, q * size - p * delta, members, live)
+                members, live, deg, count, delta = _start_state(n, _greedy_random(n, k, rng))
+                size = len(members)
                 restarts += 1
                 since_accept = 0
-    return _keep_best(best, state), restarts, tried, taken
+    return _keep_best(best, q * size - p * delta, members, live), restarts, tried, taken
 
 
 def max_c_diversity(

@@ -9,6 +9,7 @@ from fractions import Fraction
 from divlab.constructions import FANO_LINES, family_triangle, family_uvw, lex_family, shift_masks
 from divlab.family import (
     Family,
+    addable_sets,
     check_element_bits,
     check_ground_set,
     elements_of,
@@ -274,6 +275,28 @@ def reference_shift_route_ok(n: int, a_masks, b_masks) -> bool:
     change is cross-intersecting, by the pairwise scan of the mask sets."""
     return all(all(x & y for x in am for y in bm)
                for am, bm in reference_shift_states(n, (set(a_masks), set(b_masks))))
+
+
+def reference_meeting(fam: Family, picked: int, table: list[int]) -> int:
+    """Family.meeting peeling picked one bit at a time."""
+    bad = 0
+    while picked:
+        low = picked & -picked
+        bad |= table[low.bit_length() - 1]
+        picked ^= low
+    return fam.full & ~bad
+
+
+def reference_saturate(fam: Family) -> Family:
+    """saturate by popping the lex-first addable set and filtering the whole
+    remaining pool after each one."""
+    chosen = list(fam.members)
+    pool = addable_sets(fam)
+    while pool:
+        new = pool.pop(0)
+        chosen.append(new)
+        pool = [c for c in pool if c & new]
+    return Family(fam.n, fam.k, chosen)
 
 
 def reference_shift_closure(fam: Family) -> Family:

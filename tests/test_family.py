@@ -11,12 +11,20 @@ from divlab.family import (
     cross_intersecting,
     elements_of,
     is_saturated,
+    iter_ksets,
     mask_of,
     saturate,
 )
 from divlab.constructions import family_triangle, family_uvw, family_uvw_star, full_star
 from divlab.formulas import binom
-from helpers import brute_matching, brute_shadow, random_family
+from helpers import (
+    brute_matching,
+    brute_shadow,
+    random_family,
+    random_intersecting,
+    reference_meeting,
+    reference_saturate,
+)
 
 
 def test_mask_roundtrip():
@@ -199,6 +207,39 @@ def test_saturation():
         with pytest.raises(ValueError, match="^guard: C"):
             query(big)
         assert time.perf_counter() - start < 2
+
+
+def test_saturate_matches_pop_and_filter():
+    # the one-pass closure against the pop-first pool it replaces, on random
+    # intersecting starts (the empty family included) and a one-set start
+    rng = random.Random(29)
+    starts = [Family.from_sets(9, 3, [[1, 2, 3]]), Family(7, 2)]
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        k = rng.randint(1, n)
+        starts.append(random_intersecting(rng, n, k, rng.randint(0, 12)))
+    for fam in starts:
+        closed = saturate(fam)
+        assert closed == reference_saturate(fam), fam
+        assert closed.is_intersecting() and is_saturated(closed)
+
+
+def test_meeting_reads_wide_pickeds():
+    # picked indexes a table wider than the C(30,4) = 27,405 a-sets of
+    # `lemma hilton --n 30 --a 4 --b 1`; the table's rows are 28-bit, one
+    # bit per member of the pair universe, and so sparse that the meeting
+    # set depends on every picked bit that meets a nonzero row
+    rng = random.Random(31)
+    pairs = Family(8, 2, iter_ksets(8, 2))
+    width = 27_405 + rng.randint(0, 200)
+    table = [1 << rng.randrange(len(pairs)) if rng.random() < 0.002 else 0
+             for _ in range(width)]
+    pickeds = [0, 1, 1 << (width - 1), (1 << width) - 1]
+    pickeds += [rng.getrandbits(width) for _ in range(3)]
+    pickeds += [rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+                for _ in range(3)]
+    for picked in pickeds:
+        assert pairs.meeting(picked, table) == reference_meeting(pairs, picked, table)
 
 
 def test_fact_degree_exchange():

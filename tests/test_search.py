@@ -8,7 +8,7 @@ import pytest
 from divlab import search
 from divlab.canonical import canonical_form
 from divlab.constructions import MAX_SETS, family_triangle, fano_families
-from divlab.family import Family, elements_of, iter_ksets, mask_of
+from divlab.family import Family, iter_ksets, mask_of
 from divlab.search import (
     canonical_seeds,
     extremal_c_diversity_families,
@@ -16,7 +16,7 @@ from divlab.search import (
     max_size_with_degree_cap,
     unconstrained_max,
 )
-from helpers import all_intersecting_families, brute_max_size_with_cap
+from helpers import all_intersecting_families, brute_max_size_with_cap, reference_run_restart
 
 
 def test_degree_cap_tiny():
@@ -214,56 +214,34 @@ def test_front_door_rejects_bad_budget_and_workers():
     assert max_c_diversity(8, 2, Fraction(1), "heuristic", budget=1).nodes_explored == 7
 
 
-def _recount(state: search._LocalState) -> Family:
-    """Check the state's bookkeeping against a fresh Family; return that Family."""
-    fam = Family(state.n, state.k, state.members)
-    assert len(fam) == len(state.members)  # no duplicates
-    assert sorted(state.pos) == sorted(state.members)
-    assert all(state.members[i] == m for m, i in state.pos.items())
-    assert state.deg[1:] == list(fam.degrees)
-    delta = fam.max_degree()[0] if len(fam) else 0
-    assert state.delta == delta
-    assert state.score() == state.q * len(fam) - state.p * delta
-    # the degree histogram, where a zero count stands for a missing one, and
-    # the element cache of live members
-    assert {d: x for d, x in state.count.items() if x} == Counter(state.deg[1:])
-    assert all(m in state for m in state.elems)
-    assert all(state.elems[m] == elements_of(m) for m in state.elems)
-    return fam
+def _score(n: int, k: int, c: Fraction, members) -> int:
+    """q|F| - p*Delta of the members, recounted from a fresh Family."""
+    fam = Family(n, k, members)
+    assert len(fam) == len(members)  # no duplicates
+    return c.denominator * len(fam) - c.numerator * fam.max_degree()[0]
 
 
 def test_local_state_matches_recount():
-    # seeded random add/remove sequences, down to the empty family and back
+    # a slot's starting state, from masks and from a seed's degrees
     for n, k, c, seed in ((7, 3, Fraction(5, 4), 1), (9, 2, Fraction(1), 2), (6, 3, Fraction(3, 2), 3)):
         rng = random.Random(seed)
-        universe = list(iter_ksets(n, k))
-        start = rng.sample(universe, 5)
-        state = search._LocalState(n, k, c, start)
-        _recount(state)
-        # a seed's state takes its degrees from the seed family and decodes nothing
-        seeded = search._LocalState(n, k, c, sorted(start), Family(n, k, start).degrees)
-        assert not seeded.elems and _recount(seeded) == _recount(state)
-        for _ in range(400):
-            if state.members and (rng.random() < 0.5 or len(state.members) == len(universe)):
-                # the last slot, the only member, or a random one
-                victim = state.members[-1] if rng.random() < 0.3 else state.pick(rng)
-                assert state.remove(victim) == elements_of(victim)
-                assert victim not in state
-            else:
-                cand = rng.choice([m for m in universe if m not in state])
-                assert state.add_score(elements_of(cand)) == _score_with(state, cand)
-                state.add(cand, elements_of(cand))
-                assert cand in state
-            _recount(state)
-        while state.members:
-            state.remove(state.members[0])
-            _recount(state)
-        assert state.delta == 0 and state.score() == 0
-
-
-def _score_with(state: search._LocalState, cand: int) -> int:
-    fam = Family(state.n, state.k, [*state.members, cand])
-    return state.q * len(fam) - state.p * fam.max_degree()[0]
+        start = rng.sample(list(iter_ksets(n, k)), 5)
+        fam = Family(n, k, start)
+        taken = sorted(start)
+        for members, live, deg, count, delta in (search._start_state(n, start),
+                                                 search._start_state(n, taken, fam.degrees)):
+            assert members == taken and live == set(taken)
+            assert deg == [0, *fam.degrees] and delta == fam.max_degree()[0]
+            assert {d: x for d, x in count.items() if x} == Counter(deg[1:])
+        # a seed's state takes its member list over, copying nothing
+        assert search._start_state(n, taken, fam.degrees)[0] is taken
+        # the state after each number of moves: the degrees, Delta and the
+        # score kept move by move equal a recount of the members returned
+        for moves in range(1, 300):
+            (score, members), _, _, _ = search._run_restart(
+                n, k, c, (sorted(start), fam.degrees), moves, seed)
+            assert list(members) == sorted(members)
+            assert score == _score(n, k, c, members), moves
 
 
 def test_restart_outcomes_are_sound():
@@ -288,17 +266,27 @@ def test_restart_outcomes_are_sound():
 
 
 def test_random_candidate_meets_anchor():
+    # from one member at C = 0 the first move adds the candidate drawn
+    # through the anchor, a k-set of [n] meeting it, unless it is the anchor
     for n, k in ((9, 3), (5, 5), (6, 1), (30, 4)):
-        rng = random.Random(n * k)
         anchor = mask_of(range(1, k + 1))
-        state = search._LocalState(n, k, Fraction(1), [anchor])
-        for _ in range(200):
-            cand, elems = search._random_candidate(state, rng)
-            assert cand.bit_count() == k and cand & anchor
-            assert cand < 1 << n
-            assert elems == elements_of(cand)
-    empty = search._LocalState(6, 2, Fraction(1), [])
-    assert search._random_candidate(empty, random.Random(0)) is None
+        one = Family(n, k, [anchor])
+        for rng_seed in range(200):
+            (score, members), _, _, _ = search._run_restart(
+                n, k, Fraction(0), ([anchor], one.degrees), 1, rng_seed)
+            assert anchor in members and score == len(members)
+            for cand in members:
+                assert cand.bit_count() == k and cand & anchor and cand < 1 << n
+
+
+def _below(getrandbits, size: int) -> int:
+    """The index draw the move loop makes: getrandbits(width), redrawn while
+    it is size or more, width being size.bit_length()."""
+    width = size.bit_length()
+    r = getrandbits(width)
+    while r >= size:
+        r = getrandbits(width)
+    return r
 
 
 def test_index_draws_match_randrange_and_choice():
@@ -309,13 +297,51 @@ def test_index_draws_match_randrange_and_choice():
             ours, theirs = random.Random(seed), random.Random(seed)
             seq = tuple(range(10, 10 + n))
             for _ in range(300):
-                assert search._below(ours.getrandbits, n) == theirs.randrange(n), n
-                assert seq[search._below(ours.getrandbits, n)] == theirs.choice(seq), n
+                assert _below(ours.getrandbits, n) == theirs.randrange(n), n
+                assert seq[_below(ours.getrandbits, n)] == theirs.choice(seq), n
             assert ours.random() == theirs.random()
-    state = search._LocalState(9, 3, Fraction(1), list(iter_ksets(9, 3))[:65])
-    ours, theirs = random.Random(5), random.Random(5)
-    for _ in range(300):
-        assert state.pick(ours) == theirs.choice(state.members)
+    # the loop's member picks, at 63 to 66 members across the draw width's
+    # step at 64, read the stream as the reference's choice does
+    start = list(iter_ksets(9, 3))[:64]
+    for rng_seed in range(5):
+        assert search._run_restart(
+            9, 3, Fraction(3, 2), (sorted(start), Family(9, 3, start).degrees), 300, rng_seed
+        ) == reference_run_restart(9, 3, Fraction(3, 2), start, 300, rng_seed)
+
+
+def _same_slot(n: int, k: int, c: Fraction, seed: Family | None, moves: int, rng_seed: int) -> tuple:
+    got = search._run_restart(
+        n, k, c, None if seed is None else (sorted(seed.members), seed.degrees), moves, rng_seed)
+    assert got == reference_run_restart(
+        n, k, c, None if seed is None else seed.members, moves, rng_seed), (n, k, c, moves, rng_seed)
+    return got
+
+
+def test_slot_budgets_at_the_restart_edge():
+    # from one member at C = 1 every move is a rejected add (it raises |F| and
+    # Delta by one each), so the 400-reject restart fires on move 401 exactly
+    one = Family(20, 3, [mask_of((1, 2, 3))])
+    for moves in (1, 400, 401, 402, 801, 802):
+        for rng_seed in range(3):
+            _, restarts, _, _ = _same_slot(20, 3, Fraction(1), one, moves, rng_seed)
+            if moves <= 401:
+                assert restarts == (moves == 401)
+            _same_slot(252, 3, Fraction(5, 4), None, moves, rng_seed)
+
+
+def test_slots_at_k_equal_n_and_extreme_c():
+    # k = n: every state holds the one k-set, so every move is a rejected add;
+    # C = 0 keeps every new compatible set, and C >= k keeps every removal
+    # that lowers Delta
+    for n in range(1, 7):
+        for c in (Fraction(0), Fraction(1), Fraction(n), Fraction(n + 1)):
+            for idx, seed in enumerate([None, *canonical_seeds(n, n)]):
+                (_, members), _, _, _ = _same_slot(n, n, c, seed, 900, n * 10 + idx)
+                assert members == ((1 << n) - 1,)
+    for n, k in ((6, 2), (9, 3), (12, 4), (30, 5)):
+        for c in (Fraction(0), Fraction(k), Fraction(k + 1)):
+            for idx, seed in enumerate([None, *canonical_seeds(n, k)]):
+                _same_slot(n, k, c, seed, 700, n * 10 + idx)
 
 
 def test_canonical_seeds_build_fano_lplus_only_from_k_4(monkeypatch):
