@@ -286,7 +286,6 @@ def verify_hilton(
     # nonempty compat are visited (meeting_nonempty), and the others are
     # counted in bulk.
     stride = shift_sample_stride
-    due = stride  # no multiple of the stride lies in (pairs, due)
     last = -1  # the last A visited
     for a_picked, compat in ub.meeting_nonempty(cross):
         pairs += a_picked - last - 1
@@ -296,13 +295,11 @@ def verify_hilton(
             pairs += 1
             return report(a_picked, compat)
         start, pairs = pairs, pairs + (1 << p)
-        if due <= pairs:
-            if a_picked:
-                for place in range(start - start % stride + stride, pairs, stride):
-                    b_picked = _submask(compat, pairs - place)
-                    if not routed(a_picked, b_picked):
-                        pairs = place
-                        return report(a_picked, b_picked)
-            due = pairs - pairs % stride + stride
+        if a_picked:
+            for place in range(start - start % stride + stride, pairs, stride):
+                b_picked = _submask(compat, pairs - place)
+                if not routed(a_picked, b_picked):
+                    pairs = place
+                    return report(a_picked, b_picked)
     pairs += ua.full - last
     return HiltonReport(n, a, b, exhaustive, pairs, shifts, True)

@@ -8,8 +8,10 @@ extremal families; it keeps the incumbent, the winners and the stats.  A
 cap that cannot beat the incumbent is skipped, and the others are searched
 only above the size that would beat it (`_cap_floor`).  Within a cap a
 subtree is cut when an upper bound on its sizes (the candidates, the
-degree capacity, and the room each picked set leaves) cannot reach what
-the node needs, and every search branches only on the sets that are
+cap's size ceiling, and the room each picked set leaves) cannot reach
+what the node needs.  The skip test and that cut read one ceiling per
+cap (`_cap_ceiling`): the most sets a family under the cap can have when
+it must beat the floor.  Every search branches only on the sets that are
 lex-first in their orbit under the relabelings fixing every picked set
 (`_cap_tables`).  Heuristic mode is seeded local search and never claims
 exactness.  Every entry point makes one input check (`_check_input`:
@@ -107,13 +109,16 @@ def max_size_with_degree_cap(
     a floor, since no ancestor of the first maximal node is ever cut.
 
     A node is cut when an upper bound on the sets its descendants can add
-    falls short of what they need: the candidates left, the degree capacity
-    left over k, or the room of some picked set A.  Each later set meets A
-    in some e of A, and at most min(cap - deg(e), |candidates holding e|)
-    later sets hold e, so the room of A is the sum of these over A.  Each
-    is a true bound, so it never cuts an ancestor of the first maximal node
-    in lex DFS order, nor (when collecting) of any maximal node: the result
-    is the same as with the candidate and capacity bounds alone.
+    falls short of what they need: the candidates left, the cap's ceiling
+    (`_cap_ceiling`, the most sets a family under the cap with more than
+    `floor` sets can have) less the size, or the room of some picked set
+    A.  Each later set meets A in some e of A, and at most
+    min(cap - deg(e), |candidates holding e|) later sets hold e, so the
+    room of A is the sum of these over A.  A node only needs families of
+    more than `floor` sets, so each is a true bound: it never cuts an
+    ancestor of the first maximal node in lex DFS order, nor (when
+    collecting) of any maximal node, and the result is the same as with
+    the candidate bound alone.
     """
     _check_exact_input(n, k, budget, override_guard)
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
@@ -123,7 +128,8 @@ def max_size_with_degree_cap(
         empty = Family(n, k)
         return CapSearch(0, empty, True, 0, [empty] if collect_optima else None, floor)
 
-    u, missing, later, elems, keep, firsts = _cap_tables(n, k)
+    ceiling = _cap_ceiling(n, k, cap, floor)
+    u, later, elems, keep, firsts = _cap_tables(n, k)
     cols, full = u.cols, u.full
     slack = [cap] * (n + 1)  # cap minus the degree, per element
     path: list[int] = []  # the picked sets, in order
@@ -135,7 +141,7 @@ def max_size_with_degree_cap(
         for e in elems[i]:
             slack[e] -= 1
             if not slack[e]:
-                cands &= missing[e]
+                cands &= ~cols[e]
         return cands
 
     def drop(i: int) -> None:
@@ -148,7 +154,7 @@ def max_size_with_degree_cap(
     nodes = 0
     out_of_budget = False
 
-    def descend(picked: int, size: int, cands: int, capacity: int, together: int) -> None:
+    def descend(picked: int, size: int, cands: int, together: int) -> None:
         nonlocal best_size, best, nodes, out_of_budget
         nodes += 1
         if nodes > limit:
@@ -164,7 +170,7 @@ def max_size_with_degree_cap(
         # the sets a descendant must add to beat the floor and the best (to
         # tie the best when collecting); cut when a bound says it cannot
         need = max(floor, best_size - collect_optima) + 1 - size
-        if min(cands.bit_count(), capacity // k) < need:
+        if min(cands.bit_count(), ceiling - size) < need:
             return
         # room: each later set meets every picked set A in some e of A, and
         # at most min(slack[e], |cands with e|) later sets hold e
@@ -181,11 +187,11 @@ def max_size_with_degree_cap(
             low = todo & -todo
             todo ^= low
             i = low.bit_length() - 1
-            descend(picked | low, size + 1, take(i, cands), capacity - k, together & keep[i])
+            descend(picked | low, size + 1, take(i, cands), together & keep[i])
             drop(i)
 
     # root forcing: set 0 is {1,...,k}
-    descend(1, 1, take(0, full), n * cap - k, keep[0])
+    descend(1, 1, take(0, full), keep[0])
 
     optima = None
     if collect_optima:
@@ -198,7 +204,7 @@ def max_size_with_degree_cap(
 @lru_cache(maxsize=1)
 def _cap_tables(n: int, k: int):
     """The tables of every cap search over the k-sets of [n], built once:
-    the universe `u` in lex order, `missing` (the sets without each
+    the universe `u` in lex order (whose `cols` give the sets holding each
     element), `later` (the sets after set i that meet it), `elems` (each
     set's elements) and the orbit rule's `keep` and `firsts`.  None depends
     on the cap and none is written after the build, so every cap of a walk,
@@ -224,7 +230,6 @@ def _cap_tables(n: int, k: int):
     """
     u = Family(n, k, iter_ksets(n, k))
     cols, full = u.cols, u.full
-    missing = [full ^ col for col in cols]
     later = [union(cols, m) >> (i + 1) << (i + 1) for i, m in enumerate(u.members)]
     elems = [elements_of(m) for m in u.members]
     every = (1 << n) - 1
@@ -244,12 +249,30 @@ def _cap_tables(n: int, k: int):
             breaks |= cols[e + 1] & (full ^ cols[p + 1])
         return full ^ breaks
 
-    return u, missing, later, elems, keep, firsts
+    return u, later, elems, keep, firsts
 
 
 def unconstrained_max(n: int, k: int) -> int:
     """Largest intersecting family: C(n-1,k-1) for n >= 2k, else all of C(n,k)."""
     return math.comb(n - 1, k - 1) if n >= 2 * k else math.comb(n, k)
+
+
+def _cap_ceiling(n: int, k: int, cap: int, floor: int) -> int:
+    """The most sets an intersecting k-family on [n] with max degree <= cap
+    and more than `floor` sets can have.
+
+    That is at most the unconstrained maximum and n*cap/k, and for cap >= 1
+    also 1 + k(cap - 1): every other member meets a fixed member A in one
+    of its k elements, each in at most cap - 1 others.  When floor >= cap
+    the family has more sets than its max degree, so it is no star, and
+    for n > 2k it has at most hm_size(n, k) sets (Hilton-Milner).
+    """
+    top = min(unconstrained_max(n, k), n * cap // k)
+    if cap >= 1:
+        top = min(top, 1 + k * (cap - 1))
+    if floor >= cap and n > 2 * k:
+        top = min(top, hm_size(n, k))
+    return top
 
 
 def _cap_floor(
@@ -258,21 +281,12 @@ def _cap_floor(
     """The size a family under `cap` must beat to matter, or None to skip the cap.
 
     With max degree <= cap, gamma_C > incumbent needs |F| > incumbent + C*cap
-    (>= when collecting ties), while |F| <= min(unconstrained max, n*cap/k),
-    and for cap >= 1 also |F| <= 1 + k(cap - 1): every other member meets a
-    fixed member A in one of its k elements, each in at most cap - 1 others.
-    For C >= 1 a star scores |F|(1 - C) <= 0, so when the floor asks for
-    gamma_C > 0 (always when not collecting, since the incumbent is >= 0)
-    only a non-star counts, and for n > 2k it has |F| <= hm_size(n, k).
+    (>= when collecting ties); the cap is skipped when no family with more
+    sets than that floor fits under it (`_cap_ceiling`).
     """
     need = incumbent + c * cap
     floor = math.ceil(need) - 1 if collect_optima else math.floor(need)
-    top = min(unconstrained_max(n, k), n * cap // k)
-    if cap >= 1:
-        top = min(top, 1 + k * (cap - 1))
-    if c >= 1 and n > 2 * k and (incumbent > 0 or not collect_optima):
-        top = min(top, hm_size(n, k))
-    if top <= floor:
+    if _cap_ceiling(n, k, cap, floor) <= floor:
         return None
     return floor
 
@@ -432,9 +446,9 @@ _GREEDY_TRIES = 60  # random k-sets a random start tries to add
 
 
 def _greedy_random(n: int, k: int, rng: random.Random) -> set[int]:
-    start = 1 << rng.randrange(n)
-    mask = start
-    for e in rng.sample([e for e in range(1, n + 1) if not mask >> (e - 1) & 1], k - 1):
+    first = rng.randrange(n) + 1
+    mask = 1 << (first - 1)
+    for e in rng.sample([*range(1, first), *range(first + 1, n + 1)], k - 1):
         mask |= 1 << (e - 1)
     fam = {mask}
     for _ in range(_GREEDY_TRIES):
@@ -485,10 +499,11 @@ def max_c_diversity_heuristic(
             f"more than the {MAX_SETS}-set guard"
         )
     check_element_bits(largest, k, n)
-    # exact mode's cap bound with ties kept; once C*cap exceeds the largest
-    # intersecting family it closes every later cap too, and so it does at
-    # every cap when C >= k >= 2 (the degree bound 1 + k(cap - 1) < C*cap) or
-    # C*k > n (the capacity bound n*cap/k < C*cap)
+    # exact mode's cap floor with ties kept, skipping a cap whose ceiling is
+    # at most the floor; once C*cap exceeds the largest intersecting family
+    # it closes every later cap too, and so it does at every cap when
+    # C >= k >= 2 (the ceiling's degree term 1 + k(cap - 1) < C*cap) or
+    # C*k > n (its capacity term n*cap/k < C*cap)
     cap = 1
     while _cap_floor(n, k, c, cap, Fraction(0), True) is None:
         if c * cap > unconstrained_max(n, k) or c >= k > 1 or c * k > n:

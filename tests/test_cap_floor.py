@@ -15,6 +15,7 @@ from divlab.canonical import canonical_form
 from divlab.family import Family, elements_of, iter_ksets, mask_of
 from divlab.formulas import hm_size
 from divlab.search import (
+    _cap_ceiling,
     _cap_floor,
     _cap_tables,
     extremal_c_diversity_families,
@@ -429,6 +430,34 @@ def test_cap_size_bounds_hold_on_every_intersecting_family(n, k):
             assert len(fam) <= 1 + k * (fam.max_degree()[0] - 1), fam
         if n > 2 * k and not fam.is_star():
             assert len(fam) <= hm_size(n, k), fam
+
+
+@pytest.mark.parametrize("n,k", CASES)
+def test_cap_ceiling_holds_on_every_intersecting_family(n, k):
+    # a family with max degree Delta fits under every cap >= Delta and has
+    # more than every floor below its size; the ceiling reads only those
+    shapes = {(len(fam), fam.max_degree()[0]) for fam in _families(n, k)}
+    for size, delta in shapes:
+        for cap in range(delta, math.comb(n - 1, k - 1) + 1):
+            for floor in range(-1, size):
+                assert size <= _cap_ceiling(n, k, cap, floor), (n, k, size, delta, cap, floor)
+
+
+def test_heuristic_runs_no_slot_where_the_ceiling_closes_every_cap():
+    # at (6,2), C = 5/3 a star scores (1 - C)|F| < 0 and the triangle
+    # 3 - 2C < 0; the ceiling's Hilton-Milner term (3 sets, once the floor
+    # reaches the cap) closes every cap, though neither closed-form stop holds
+    res = max_c_diversity(6, 2, Fraction(5, 3), "heuristic")
+    assert res.best_value == 0 and res.best_family == Family(6, 2)
+    assert res.nodes_explored == 0 and res.stats["slots"] == 0
+
+
+def test_full_star_cap_stops_at_the_unconstrained_maximum():
+    # the ceiling at (7,3), cap 15 is C(6,2) = 15, so once the full star is
+    # found nothing else is searched (1,062 nodes with the capacity bound)
+    res = max_size_with_degree_cap(7, 3, 15)
+    assert res.size == 15 == math.comb(6, 2) and res.exact
+    assert res.family.is_star() and res.nodes < 1062
 
 
 def test_hilton_milner_bound_applies_only_where_a_star_cannot_count():

@@ -1,6 +1,7 @@
 """The heuristic's local search against the reference local search in
 helpers.py: the same random stream, slot by slot, so the same scores,
 members, restarts and move counts."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from divlab import search
 from divlab.family import Family
 from divlab.search import canonical_seeds
-from helpers import reference_run_restart
+from helpers import reference_greedy_random, reference_run_restart
 
 C_VALUES = (Fraction(0), Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3))
 
@@ -55,6 +56,17 @@ def test_every_seed_matches_reference():
             c = C_VALUES[(n + k) % len(C_VALUES)]
             for idx, seed in enumerate([None, *canonical_seeds(n, k)]):
                 _same_slot(n, k, c, seed, 300, n * 100 + k * 10 + idx)
+
+
+@pytest.mark.parametrize("n", [3, 7, 252, 50_000])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_greedy_random_matches_reference(n, k):
+    # the start's other k - 1 elements are drawn from the same list, so
+    # every draw, the family and the generator's state after it agree
+    for rng_seed in range(5):
+        got_rng, want_rng = random.Random(rng_seed), random.Random(rng_seed)
+        assert search._greedy_random(n, k, got_rng) == reference_greedy_random(n, k, want_rng)
+        assert got_rng.getstate() == want_rng.getstate(), (n, k, rng_seed)
 
 
 pytest.importorskip("hypothesis")
